@@ -192,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run a theorem driver")
     vf.add_argument("--name", required=True, choices=sorted(THEOREMS) + ["all"])
     vf.add_argument("--max-n", dest="max_n", type=int, default=None)
-    vf.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; drivers run serially")
     vf.add_argument("--format", choices=("tsv", "json"), default="tsv")
     vf.set_defaults(func=_cmd_verify)
 

@@ -18,6 +18,7 @@ from typing import Iterator
 
 from centroinv import matchings
 from centroinv.matchings import Subset, odd_join, subset_involution
+from centroinv.paths import all_paths
 from centroinv.perms import Perm, contains_321, is_centrosymmetric
 from centroinv.signed import SignedPerm, is_top_element
 
@@ -188,23 +189,15 @@ def generate_class(label: str, size: int, shard: int = 0, nshards: int = 1):
     if label == "subsets":
         return subsets(size, shard, nshards)
     if label == "paths-rect":
-        return _paths_by_mask(size, shard, nshards)
+        return all_paths(size, shard, nshards)
     raise ValueError(f"unknown class {label!r}")
-
-
-def _paths_by_mask(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
-    # all 2^n paths of length n, every rectangle a+b = n at once
-    for e in subsets(n, shard, nshards):
-        yield "".join(
-            "N" if i in e.members else "E" for i in range(1, n + 1)
-        )
 
 
 def format_object(label: str, obj) -> str:
     """Textual form of a generated object, by class."""
-    if label in ("cinv321-even", "cinv321-odd", "inv321"):
-        return " ".join(str(v) for v in obj)
-    if label in ("signed-all", "signed-sixavoiders"):
+    if label in (
+        "cinv321-even", "cinv321-odd", "inv321", "signed-all", "signed-sixavoiders"
+    ):
         return " ".join(str(v) for v in obj)
     if label == "subsets":
         return matchings.format_subset(obj)

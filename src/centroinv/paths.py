@@ -65,13 +65,6 @@ def subset_path(e: Subset) -> str:
     return "".join("N" if i in e.members else "E" for i in range(1, e.n + 1))
 
 
-def path_subset(word: str) -> Subset:
-    check_path(word)
-    return Subset(
-        len(word), frozenset(i for i, s in enumerate(word, start=1) if s == "N")
-    )
-
-
 def peak_set(word: str) -> tuple[int, ...]:
     """Labels of NE corners.
 
@@ -130,30 +123,6 @@ def path_partition(word: str, a: int, b: int) -> tuple[int, ...]:
         else:
             e_before.append(e)
     return tuple(x for x in reversed(e_before) if x > 0)
-
-
-def partition_path(parts: tuple[int, ...], a: int, b: int) -> str:
-    """Southeast boundary of a partition drawn in the a x b rectangle."""
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("parts must be weakly decreasing")
-    if len(parts) > a or (parts and parts[0] > b):
-        raise ValueError(f"partition {parts} does not fit in {a} x {b}")
-    padded = list(parts) + [0] * (a - len(parts))
-    out = []
-    prev = 0
-    for row in reversed(padded):
-        out.append("E" * (row - prev) + "N")
-        prev = row
-    out.append("E" * (b - prev))
-    return "".join(out)
-
-
-def parse_partition(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def format_partition(parts: tuple[int, ...]) -> str:
-    return ",".join(str(r) for r in parts)
 
 
 def hook_decomposition(word: str) -> tuple[int, ...]:
@@ -237,15 +206,6 @@ def g_inverse(word: str, a: int | None = None, b: int | None = None) -> str:
     return "".join(out)
 
 
-def rotate_first_to_last(word: str) -> str:
-    """Move the first step to the end.  Shifts area by +(number of E steps)
-    when the word starts with N, by -(number of N steps) otherwise."""
-    check_path(word)
-    if not word:
-        raise ValueError("empty path")
-    return word[1:] + word[0]
-
-
 def half_descents_from_path(p: Perm) -> tuple[int, ...]:
     """Half descent set of a class member, recomputed as starred peaks of the
     subset path; raises if the two routes would ever disagree."""
@@ -269,10 +229,18 @@ def rect_paths(a: int, b: int) -> Iterator[str]:
         yield "".join("N" if i in chosen else "E" for i in range(n))
 
 
-def all_paths(n: int) -> Iterator[str]:
-    """All 2**n paths of length n, in subset-mask order."""
+def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
+    """All 2**n paths of length n, every rectangle a+b = n at once, in
+    subset-mask order (step i+1 is N iff bit i is set).
+
+    Sharded like ``generate.subsets``: worker k of nshards gets the masks
+    whose low bits hash to k."""
+    if nshards < 1 or not 0 <= shard < nshards:
+        raise ValueError(f"bad shard {shard}/{nshards}")
+    low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
     for mask in range(1 << n):
-        yield "".join("N" if mask >> i & 1 else "E" for i in range(n))
+        if (mask & low_mask) % nshards == shard:
+            yield "".join("N" if mask >> i & 1 else "E" for i in range(n))
 
 
 if __name__ == "__main__":

@@ -49,13 +49,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p(q(i)); sizes must agree."""
-    if len(p) != len(q):
-        raise ValueError("size mismatch")
-    return tuple(p[v - 1] for v in q)
-
-
 def reverse(p: Perm) -> Perm:
     return p[::-1]
 
@@ -115,11 +108,6 @@ def half_des(p: Perm) -> int:
 
 def half_maj(p: Perm) -> int:
     return sum(half_descent_set(p))
-
-
-def excedance_set(p: Perm) -> tuple[int, ...]:
-    """Positions i with p(i) > i, ascending."""
-    return tuple(i for i, v in enumerate(p, start=1) if v > i)
 
 
 def fixed_point_count(p: Perm) -> int:

@@ -121,45 +121,6 @@ def is_palindromic(f: QPoly) -> bool:
     return f == f[::-1]
 
 
-def parse_poly(text: str) -> QPoly:
-    """Ascending coefficient list, e.g. "1,1,2"; "" and "0" mean zero."""
-    text = text.strip()
-    if not text:
-        return ZERO
-    return qpoly(int(tok) for tok in text.split(","))
-
-
-def format_poly(f: QPoly) -> str:
-    if not f:
-        return "0"
-    return ",".join(str(c) for c in f)
-
-
-def pretty_poly(f: QPoly) -> str:
-    """Human form: "1 + q + 2q^2"."""
-    if not f:
-        return "0"
-    terms = []
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        if i == 0:
-            base = str(c)
-        else:
-            var = "q" if i == 1 else f"q^{i}"
-            if c == 1:
-                base = var
-            elif c == -1:
-                base = f"-{var}"
-            else:
-                base = f"{c}{var}"
-        terms.append(base)
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
 # ---------- Gaussian binomials ----------
 
 

@@ -146,12 +146,6 @@ def facing_match(word: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def unmatched_steps(word: str) -> tuple[int, ...]:
-    """Indices of steps left unpaired by the facing scan, ascending."""
-    _, unmatched_n, unmatched_e = _facing_scan(word)
-    return tuple(sorted(unmatched_n + unmatched_e))
-
-
 def theta_rect(p: Perm, a: int, b: int) -> str:
     """Embed a 321-avoiding involution with enough fixed points into the
     a x b rectangle; the hook decomposition of the result is the descent set

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from centroinv.perms import Perm, _rank_word, half_descent_set, is_centrosymmetric
+from centroinv.perms import Perm, _rank_word, is_centrosymmetric
 
 SignedPerm = tuple[int, ...]
 
@@ -109,13 +109,6 @@ def signed_avoids(s: SignedPerm, t: SignedPerm) -> bool:
 def is_top_element(s: SignedPerm) -> bool:
     """True iff s avoids all six patterns in TOP_PATTERNS."""
     return all(signed_avoids(s, t) for t in TOP_PATTERNS)
-
-
-def half_descents_signed(s: SignedPerm) -> tuple[int, ...]:
-    """Descent set convention for windows: the half descent set of the
-    centrosymmetric permutation behind s.  Defined by pullback on purpose,
-    so both sides of the dictionary use one notion of descent."""
-    return half_descent_set(theta_inverse(s))
 
 
 if __name__ == "__main__":

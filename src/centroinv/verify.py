@@ -47,7 +47,7 @@ from centroinv.qpoly import (
 )
 from centroinv.signed import format_signed, is_top_element, theta
 
-#: largest half-size for raw sweeps over all involutions of the double size
+#: largest half-size for the raw census cross-check at the double size
 RAW_LIMIT = 7
 
 #: largest half-size for comparing the bijective image against the filtered class

@@ -136,6 +136,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bijection", "--name", "nope", "--apply", "x"])
     assert exc.value.code == 2
+    # verify has no --jobs: the drivers run serially
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--name", "T-recr", "--jobs", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

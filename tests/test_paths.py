@@ -17,16 +17,11 @@ from centroinv.paths import (
     half_descents_from_path,
     hd_star,
     hook_decomposition,
-    parse_partition,
-    format_partition,
-    partition_path,
     path_counts,
     path_partition,
-    path_subset,
     peak_set,
     peak_star,
     rect_paths,
-    rotate_first_to_last,
     subset_path,
 )
 from centroinv.perms import half_descent_set
@@ -34,10 +29,8 @@ from centroinv.perms import half_descent_set
 word_strategy = st.text(alphabet="NE", min_size=0, max_size=12)
 
 
-def test_subset_path_and_back():
-    e = make_subset(4, {1, 3})
-    assert subset_path(e) == "NENE"
-    assert path_subset("NENE") == e
+def test_subset_path():
+    assert subset_path(make_subset(4, {1, 3})) == "NENE"
     assert subset_path(make_subset(0, ())) == ""
 
 
@@ -61,26 +54,17 @@ def test_area_examples():
     assert area("EEN") == 2
 
 
-def test_partition_round_trip():
+def test_path_partition():
     assert path_partition("EENN", 2, 2) == (2, 2)
     assert path_partition("NENE", 2, 2) == (1,)
     assert path_partition("NNEE", 2, 2) == ()
-    assert partition_path((2, 2), 2, 2) == "EENN"
-    assert partition_path((), 2, 2) == "NNEE"
     with pytest.raises(ValueError):
         path_partition("EENN", 3, 1)
-    with pytest.raises(ValueError):
-        partition_path((3,), 2, 2)
+    # one partition per path of the rectangle
     for a in range(5):
         for b in range(5):
-            for w in rect_paths(a, b):
-                assert partition_path(path_partition(w, a, b), a, b) == w
-
-
-def test_partition_text():
-    assert format_partition((3, 1)) == "3,1"
-    assert parse_partition("3,1") == (3, 1)
-    assert parse_partition("") == ()
+            parts = {path_partition(w, a, b) for w in rect_paths(a, b)}
+            assert len(parts) == comb(a + b, a)
 
 
 def test_hook_decomposition_examples():
@@ -141,21 +125,6 @@ def test_g_transport_exhaustive_small():
 def test_g_round_trip_random(word):
     assert g_inverse(g_map(word)) == word
     assert g_map(g_inverse(word)) == word
-
-
-@given(word_strategy.filter(bool))
-def test_rotation_area_shift(word):
-    rotated = rotate_first_to_last(word)
-    a, b = path_counts(word)
-    if word.startswith("N"):
-        assert area(rotated) == area(word) + b
-    else:
-        assert area(rotated) == area(word) - a
-
-
-def test_rotation_rejects_empty():
-    with pytest.raises(ValueError):
-        rotate_first_to_last("")
 
 
 def test_peak_count_follows_binomials():

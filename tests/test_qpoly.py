@@ -14,7 +14,6 @@ from centroinv.qpoly import (
     ONE,
     ONE_PLUS_Q,
     ZERO,
-    format_poly,
     full_des_poly,
     half_des_poly,
     half_des_poly_even_part,
@@ -26,12 +25,10 @@ from centroinv.qpoly import (
     is_palindromic,
     odd_case_polys,
     padd,
-    parse_poly,
     pdegree,
     peval,
     pmul,
     ppow,
-    pretty_poly,
     pscale,
     pshift,
     psub,
@@ -72,18 +69,6 @@ def test_ring_examples():
         pshift((1,), -1)
     with pytest.raises(ValueError):
         ppow((1,), -1)
-
-
-def test_text_forms():
-    assert parse_poly("1,0,2") == (1, 0, 2)
-    assert parse_poly("1,0,2,0") == (1, 0, 2)
-    assert parse_poly("") == ZERO
-    assert parse_poly("0") == ZERO
-    assert format_poly((1, 0, 2)) == "1,0,2"
-    assert format_poly(ZERO) == "0"
-    assert pretty_poly((1, 1, 2)) == "1 + q + 2q^2"
-    assert pretty_poly((0, -1, 0, 3)) == "-q + 3q^3"
-    assert pretty_poly(ZERO) == "0"
 
 
 @given(coeffs, coeffs, coeffs)

@@ -25,7 +25,6 @@ from centroinv.rsk import (
     tableau_involution,
     theta_rect,
     theta_rect_inverse,
-    unmatched_steps,
 )
 
 
@@ -126,10 +125,6 @@ def test_facing_examples():
     assert facing_match("") == ()
     with pytest.raises(ValueError):
         facing_match("EN")
-    assert unmatched_steps("NNE") == (1,)
-    assert unmatched_steps("ENNE") == (1, 2)
-    assert unmatched_steps("NENE") == ()
-    assert unmatched_steps("EEE") == (1, 2, 3)
 
 
 def test_theta_rect_examples():

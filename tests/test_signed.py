@@ -9,7 +9,6 @@ from centroinv.signed import (
     TOP_PATTERNS,
     check_signed,
     format_signed,
-    half_descents_signed,
     is_top_element,
     parse_signed,
     signed_avoids,
@@ -122,13 +121,6 @@ def test_pattern_list_is_fixed():
         (1, -2),
         (-1, -2),
     )
-
-
-def test_half_descents_signed():
-    assert half_descents_signed((2, 1)) == (1,)
-    assert half_descents_signed((-2, -1)) == (2,)
-    assert half_descents_signed((1, 2, 3)) == ()
-    assert half_descents_signed((-2, -4, 1, 3)) == (3, 4)
 
 
 def test_doctests():
