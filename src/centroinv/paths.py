@@ -206,6 +206,15 @@ def g_inverse(word: str, a: int | None = None, b: int | None = None) -> str:
     return "".join(out)
 
 
+def rotate_first_to_last(word: str) -> str:
+    """Move the first step to the end.  Shifts area by +(number of E steps)
+    when the word starts with N, by -(number of N steps) otherwise."""
+    check_path(word)
+    if not word:
+        raise ValueError("empty path")
+    return word[1:] + word[0]
+
+
 def half_descents_from_path(p: Perm) -> tuple[int, ...]:
     """Half descent set of a class member, recomputed as starred peaks of the
     subset path; raises if the two routes would ever disagree."""

@@ -22,6 +22,7 @@ from centroinv.paths import (
     peak_set,
     peak_star,
     rect_paths,
+    rotate_first_to_last,
     subset_path,
 )
 from centroinv.perms import half_descent_set
@@ -29,9 +30,13 @@ from centroinv.perms import half_descent_set
 word_strategy = st.text(alphabet="NE", min_size=0, max_size=12)
 
 
-def test_subset_path():
+def test_subset_path_and_back():
     assert subset_path(make_subset(4, {1, 3})) == "NENE"
     assert subset_path(make_subset(0, ())) == ""
+    # subsets and paths share one mask order, so zipping them pairs each
+    # subset with its path and each path with its subset
+    for n in range(7):
+        assert [subset_path(e) for e in subsets(n)] == list(all_paths(n))
 
 
 def test_peaks():
@@ -54,7 +59,7 @@ def test_area_examples():
     assert area("EEN") == 2
 
 
-def test_path_partition():
+def test_partition_round_trip():
     assert path_partition("EENN", 2, 2) == (2, 2)
     assert path_partition("NENE", 2, 2) == (1,)
     assert path_partition("NNEE", 2, 2) == ()
@@ -125,6 +130,21 @@ def test_g_transport_exhaustive_small():
 def test_g_round_trip_random(word):
     assert g_inverse(g_map(word)) == word
     assert g_map(g_inverse(word)) == word
+
+
+@given(word_strategy.filter(bool))
+def test_rotation_area_shift(word):
+    rotated = rotate_first_to_last(word)
+    a, b = path_counts(word)
+    if word.startswith("N"):
+        assert area(rotated) == area(word) + b
+    else:
+        assert area(rotated) == area(word) - a
+
+
+def test_rotation_rejects_empty():
+    with pytest.raises(ValueError):
+        rotate_first_to_last("")
 
 
 def test_peak_count_follows_binomials():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from centroinv import perms
 from centroinv.generate import centro_perms, involutions
+from centroinv.matchings import excedance_subset
 from centroinv.perms import (
     avoids,
     complement,
@@ -66,7 +67,10 @@ def test_descent_statistics():
     assert half_descent_set(()) == ()
 
 
-def test_fixed_points():
+def test_excedance_and_fixed_points():
+    # excedances live in matchings.excedance_subset
+    assert excedance_subset((3, 4, 1, 2)).members == {1, 2}
+    assert excedance_subset(identity(4)).members == frozenset()
     assert fixed_point_count((1, 3, 2)) == 1
     assert fixed_point_count(identity(6)) == 6
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from centroinv.generate import centro_perms, signed_perms
-from centroinv.perms import avoids, contains_321
+from centroinv.perms import avoids, contains_321, half_descent_set
 from centroinv.signed import (
     TOP_PATTERNS,
     check_signed,
@@ -121,6 +121,17 @@ def test_pattern_list_is_fixed():
         (1, -2),
         (-1, -2),
     )
+
+
+def test_half_descents_signed():
+    # windows take their descents from the permutation behind them
+    def hd(s):
+        return half_descent_set(theta_inverse(s))
+
+    assert hd((2, 1)) == (1,)
+    assert hd((-2, -1)) == (2,)
+    assert hd((1, 2, 3)) == ()
+    assert hd((-2, -4, 1, 3)) == (3, 4)
 
 
 def test_doctests():
