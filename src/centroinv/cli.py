@@ -3,14 +3,17 @@
 Subcommands: enumerate (stream a class), stats (statistic distribution as a
 q-polynomial), bijection (apply one of the named maps to one object), verify
 (run a theorem driver).  Exit code 0 means success, 1 a verification failure,
-2 a usage error.
+2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
+in ``enumerate ... | head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 
 from centroinv import generate, matchings, paths, perms, rsk, signed
 from centroinv.distrib import STATS, distribution, table_json, table_tsv
@@ -114,15 +117,24 @@ BIJECTIONS = {
 
 
 def _cmd_enumerate(args) -> int:
-    objs = [
-        generate.format_object(args.label, obj)
-        for obj in generate.generate_class(args.label, args.size)
-    ]
+    fmt = generate.object_class(args.label).format
+    texts = map(fmt, generate.generate_class(args.label, args.size))
+    # objects go out 1024 at a time as they are produced: one write per
+    # object would cost a system call each when stdout is unbuffered
+    chunks = iter(lambda: list(islice(texts, 1024)), [])
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps({"class": args.label, "size": args.size, "objects": objs}))
+        # the same bytes as json.dumps of the whole document
+        head = json.dumps({"class": args.label, "size": args.size, "objects": []})
+        out.write(head[:-2])
+        sep = ""
+        for chunk in chunks:
+            out.write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        out.write("]}\n")
     else:
-        for line in objs:
-            print(line)
+        for chunk in chunks:
+            out.write("\n".join(chunk) + "\n")
     return 0
 
 
@@ -201,10 +213,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so the
+        # interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -7,59 +7,27 @@ objects with statistic i) plus the stream length.
 With jobs > 1 the stream is split into shards (one per worker process, cut
 by the leading choice of each object) and the per-shard tallies are added;
 polynomial addition is commutative, so a sharded run is byte-identical to a
-serial one.
+serial one.  jobs is capped at os.cpu_count().
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from centroinv import generate, matchings, paths, perms, signed
+from centroinv import generate
 from centroinv.qpoly import QPoly, peval, qpoly
 
-STATS = ("des+", "maj+", "des", "maj", "fp", "area", "peaks")
-
-_PERM_CLASSES = ("cinv321-even", "cinv321-odd", "inv321")
-_SIGNED_CLASSES = ("signed-all", "signed-sixavoiders")
-
-_PERM_STATS = {
-    "des+": perms.half_des,
-    "maj+": perms.half_maj,
-    "des": perms.des,
-    "maj": perms.maj,
-    "fp": perms.fixed_point_count,
-}
-
-_SUBSET_STATS = {
-    "des+": matchings.subset_des,
-    "maj+": matchings.subset_maj,
-    "des": matchings.des_from_subset,
-}
-
-_PATH_STATS = {
-    "area": paths.area,
-    "peaks": lambda w: len(paths.peak_star(w)),
-}
+#: every statistic name, in the order the class table first uses it
+STATS = tuple(dict.fromkeys(s for c in generate.CLASSES.values() for s in c.stats))
 
 
 def stat_function(label: str, stat: str):
     """Evaluator for a statistic on objects of a class; raises on
     incompatible pairs."""
-    if label in _PERM_CLASSES:
-        table = _PERM_STATS
-    elif label == "subsets":
-        table = _SUBSET_STATS
-    elif label == "paths-rect":
-        table = _PATH_STATS
-    elif label in _SIGNED_CLASSES:
-        if stat not in _PERM_STATS:
-            raise ValueError(f"stat {stat!r} not defined for class {label!r}")
-        inner = _PERM_STATS[stat]
-        return lambda s: inner(signed.theta_inverse(s))
-    else:
-        raise ValueError(f"unknown class {label!r}")
+    table = generate.object_class(label).stats
     if stat not in table:
         raise ValueError(f"stat {stat!r} not defined for class {label!r}")
     return table[stat]
@@ -92,9 +60,12 @@ def distribution(
     >>> distribution("cinv321-even", 4, "des").poly
     (1, 2, 1)
     """
-    stat_function(label, stat)  # reject bad pairs before forking workers
+    # reject bad requests before forking workers
+    stat_function(label, stat)
+    generate.generate_class(label, size)
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
         tallies = [_shard_tally((label, size, stat, 0, 1))]
     else:

@@ -1,36 +1,29 @@
-"""Exhaustive, duplicate-free generators for every object class.
+"""Exhaustive, duplicate-free generators and the table of object classes.
 
 Each generator yields a deterministic stream; stream lengths match the known
 counting formulas (2^n for the even class, the central binomial coefficient
 for the odd class, binomial(a+b, a) for rectangle paths, 2^n n! for signed
 permutations).
 
-Every generator takes an optional shard: with nshards workers, worker k gets
+involutions, inv321, signed_perms, subsets, cinv321_even, cinv321_odd and
+paths.all_paths take an optional shard: with nshards workers, worker k gets
 the objects whose leading choice (first-position branch, leading subset bits)
 hashes to k, so a sharded run covers the stream exactly once.  Aggregation
 downstream is commutative, which keeps sharded output identical to serial.
+centro_perms and filtered_class only serve as checks and take no shard.
+
+CLASSES is the one place that names the object classes.
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _permutations
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from centroinv import matchings
+from centroinv import matchings, paths, perms, signed
 from centroinv.matchings import Subset, odd_join, subset_involution
-from centroinv.paths import all_paths
 from centroinv.perms import Perm, contains_321, is_centrosymmetric
-from centroinv.signed import SignedPerm, is_top_element
-
-CLASS_LABELS = (
-    "cinv321-even",
-    "cinv321-odd",
-    "inv321",
-    "signed-all",
-    "signed-sixavoiders",
-    "subsets",
-    "paths-rect",
-)
+from centroinv.signed import SignedPerm, is_top_element, theta_inverse
 
 
 def _check_shard(shard: int, nshards: int) -> None:
@@ -40,7 +33,8 @@ def _check_shard(shard: int, nshards: int) -> None:
 
 def involutions(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """All involutions of [m] by direct construction: the smallest unplaced
-    point is either fixed or paired with a larger unplaced point."""
+    point i is fixed (j = i) or paired with a larger unplaced point j.
+    Shards split on the choice made at point 1."""
     _check_shard(shard, nshards)
     if m == 0:
         if shard == 0:
@@ -54,50 +48,26 @@ def involutions(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
         if i > m:
             yield tuple(vals[1:])
             return
-        vals[i] = i
-        yield from rec(i + 1)
-        vals[i] = 0
-        for j in range(i + 1, m + 1):
-            if not vals[j]:
-                vals[i] = j
-                vals[j] = i
-                yield from rec(i + 1)
-                vals[j] = 0
-        vals[i] = 0
+        for j in range(i, m + 1):
+            if vals[j] or (i == 1 and (j - 1) % nshards != shard):
+                continue
+            vals[i] = j
+            vals[j] = i
+            yield from rec(i + 1)
+            vals[i] = vals[j] = 0
 
-    # shard on the choice made at position 1: fixed, or paired with j
-    for branch in range(m):
-        if branch % nshards != shard:
-            continue
-        if branch == 0:
-            vals[1] = 1
-            yield from rec(2)
-            vals[1] = 0
-        else:
-            j = branch + 1
-            vals[1] = j
-            vals[j] = 1
-            yield from rec(2)
-            vals[1] = 0
-            vals[j] = 0
+    yield from rec(1)
 
 
-def centro_perms(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
+def centro_perms(m: int) -> Iterator[Perm]:
     """All centrosymmetric permutations of [m], generated directly.
 
     The first half may take one value out of each mirror pair {v, m+1-v},
     with the pairs themselves permuted: 2^n n! objects, n = floor(m/2)."""
-    _check_shard(shard, nshards)
     n = m // 2
-    if n == 0:
-        if shard == 0:
-            yield tuple(range(1, m + 1))
-        return
     middle = (n + 1,) if m % 2 else ()
     for sigma in _permutations(range(1, n + 1)):
         for mask in range(1 << n):
-            if (2 * (sigma[0] - 1) + (mask & 1)) % nshards != shard:
-                continue
             first = tuple(
                 m + 1 - sigma[i] if mask >> i & 1 else sigma[i] for i in range(n)
             )
@@ -122,14 +92,12 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
     """All subsets of [n] in mask order (bit i-1 is membership of i)."""
     _check_shard(shard, nshards)
-    prefix_bits = min(n, max(nshards - 1, 0).bit_length())
-    prefix_mask = (1 << prefix_bits) - 1
+    low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
     for mask in range(1 << n):
-        if (mask & prefix_mask) % nshards != shard:
-            continue
-        yield Subset(
-            n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-        )
+        if (mask & low_mask) % nshards == shard:
+            yield Subset(
+                n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+            )
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -137,70 +105,103 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     return (p for p in involutions(m, shard, nshards) if not contains_321(p))
 
 
-def cinv321_even(
-    m: int, route: str = "subsets", shard: int = 0, nshards: int = 1
-) -> Iterator[Perm]:
-    """The even class, either through the subset bijection or by filtering
-    all involutions; the two routes are cross-checked in the harness."""
+def filtered_class(m: int) -> Iterator[Perm]:
+    """Reference generator for the even and odd classes: every involution of
+    [m] that is centrosymmetric and avoids 321.  It shares no code with
+    subset_involution or odd_join, so it can check both."""
+    return (
+        p
+        for p in involutions(m)
+        if is_centrosymmetric(p) and not contains_321(p)
+    )
+
+
+def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
+    """The even class, through the subset bijection."""
     if m % 2:
         raise ValueError("even size required")
-    if route == "subsets":
-        return (subset_involution(e) for e in subsets(m // 2, shard, nshards))
-    if route == "filter":
-        return (
-            p
-            for p in involutions(m, shard, nshards)
-            if is_centrosymmetric(p) and not contains_321(p)
-        )
-    raise ValueError(f"unknown route {route!r}")
+    return (subset_involution(e) for e in subsets(m // 2, shard, nshards))
 
 
-def cinv321_odd(
-    m: int, route: str = "join", shard: int = 0, nshards: int = 1
-) -> Iterator[Perm]:
-    """The odd class, through the centre-fixing join or by filtering."""
+def cinv321_odd(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
+    """The odd class, through the centre-fixing join."""
     if m % 2 == 0:
         raise ValueError("odd size required")
-    if route == "join":
-        return map(odd_join, inv321(m // 2, shard, nshards))
-    if route == "filter":
-        return (
-            p
-            for p in involutions(m, shard, nshards)
-            if is_centrosymmetric(p) and not contains_321(p)
-        )
-    raise ValueError(f"unknown route {route!r}")
+    return map(odd_join, inv321(m // 2, shard, nshards))
+
+
+def _six_avoiders(n: int, shard: int, nshards: int) -> Iterator[SignedPerm]:
+    """Signed windows avoiding the six patterns."""
+    return filter(is_top_element, signed_perms(n, shard, nshards))
+
+
+# ---------- the class table ----------
+
+
+def _through_theta_inverse(fn: Callable[[Perm], int]) -> Callable[[SignedPerm], int]:
+    return lambda s: fn(theta_inverse(s))
+
+
+_PERM_STATS = {
+    "des+": perms.half_des,
+    "maj+": perms.half_maj,
+    "des": perms.des,
+    "maj": perms.maj,
+    "fp": perms.fixed_point_count,
+}
+
+_SIGNED_STATS = {name: _through_theta_inverse(fn) for name, fn in _PERM_STATS.items()}
+
+_SUBSET_STATS = {
+    "des+": matchings.subset_des,
+    "maj+": matchings.subset_maj,
+    "des": matchings.des_from_subset,
+}
+
+_PATH_STATS = {
+    "area": paths.area,
+    "peaks": lambda w: len(paths.peak_star(w)),
+}
+
+
+class ObjectClass(NamedTuple):
+    """generate(size, shard, nshards) streams the class; format gives the
+    text form of one object; stats maps a statistic name to its evaluator."""
+
+    generate: Callable[[int, int, int], Iterator]
+    format: Callable[[object], str]
+    stats: dict[str, Callable[[object], int]]
+
+
+CLASSES: dict[str, ObjectClass] = {
+    "cinv321-even": ObjectClass(cinv321_even, perms.format_perm, _PERM_STATS),
+    "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
+    "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
+    "signed-all": ObjectClass(signed_perms, signed.format_signed, _SIGNED_STATS),
+    "signed-sixavoiders": ObjectClass(_six_avoiders, signed.format_signed, _SIGNED_STATS),
+    "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS),
+    "paths-rect": ObjectClass(paths.all_paths, str, _PATH_STATS),
+}
+
+CLASS_LABELS = tuple(CLASSES)
+
+
+def object_class(label: str) -> ObjectClass:
+    try:
+        return CLASSES[label]
+    except KeyError:
+        raise ValueError(f"unknown class {label!r}") from None
 
 
 def generate_class(label: str, size: int, shard: int = 0, nshards: int = 1):
-    """Stream one of the named classes at the given size."""
-    if label == "cinv321-even":
-        return cinv321_even(size, "subsets", shard, nshards)
-    if label == "cinv321-odd":
-        return cinv321_odd(size, "join", shard, nshards)
-    if label == "inv321":
-        return inv321(size, shard, nshards)
-    if label == "signed-all":
-        return signed_perms(size, shard, nshards)
-    if label == "signed-sixavoiders":
-        return (
-            s for s in signed_perms(size, shard, nshards) if is_top_element(s)
-        )
-    if label == "subsets":
-        return subsets(size, shard, nshards)
-    if label == "paths-rect":
-        return all_paths(size, shard, nshards)
-    raise ValueError(f"unknown class {label!r}")
+    """Stream one of the named classes at the given size; the label and the
+    size are checked before anything is built."""
+    cls = object_class(label)
+    if size < 0:
+        raise ValueError(f"size must be non-negative (got {size})")
+    return cls.generate(size, shard, nshards)
 
 
 def format_object(label: str, obj) -> str:
     """Textual form of a generated object, by class."""
-    if label in (
-        "cinv321-even", "cinv321-odd", "inv321", "signed-all", "signed-sixavoiders"
-    ):
-        return " ".join(str(v) for v in obj)
-    if label == "subsets":
-        return matchings.format_subset(obj)
-    if label == "paths-rect":
-        return obj
-    raise ValueError(f"unknown class {label!r}")
+    return object_class(label).format(obj)

@@ -59,8 +59,11 @@ def parse_matching(text: str, points: int) -> Matching:
     """Parse "1-2,4-6" (empty string for the arcless matching)."""
     arcs = []
     for chunk in filter(None, (c.strip() for c in text.split(","))):
-        left, right = chunk.split("-")
-        arcs.append((int(left), int(right)))
+        try:
+            left, right = map(int, chunk.split("-"))
+        except ValueError:
+            raise ValueError(f"bad arc {chunk!r}, expected i-j") from None
+        arcs.append((left, right))
     return matching(points, arcs)
 
 

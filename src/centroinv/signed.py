@@ -46,7 +46,7 @@ def parse_signed(text: str) -> SignedPerm:
 
 
 def format_signed(s: SignedPerm) -> str:
-    return " ".join(str(v) for v in s)
+    return " ".join(map(str, s))
 
 
 def theta(p: Perm) -> SignedPerm:

@@ -31,6 +31,7 @@ from centroinv.qpoly import (
     ZERO,
     full_des_poly,
     half_des_poly,
+    half_des_poly_even_part,
     half_des_poly_rec,
     half_maj_poly,
     half_maj_poly_by_area,
@@ -96,6 +97,9 @@ def _check_despoly(n: int) -> str | None:
     rec = half_des_poly_rec(n)
     if closed != rec:
         return f"recurrence gives {rec}, closed form {closed}"
+    even = half_des_poly_even_part(n)
+    if even != closed:
+        return f"even part of (1+t)^(n+1) gives {even}, closed form {closed}"
     brute = distribution("cinv321-even", 2 * n, "des+").poly
     if brute != closed:
         return f"brute force gives {brute}, closed form {closed}"
@@ -153,8 +157,7 @@ def _check_cara(n: int) -> str | None:
     if len(seen) != 1 << n:
         return f"only {len(seen)} distinct images for {1 << n} subsets"
     if n <= COMPLETE_LIMIT:
-        direct = {p for p in generate.involutions(2 * n) if is_centrosymmetric(p) and not contains_321(p)}
-        if seen != direct:
+        if seen != set(generate.filtered_class(2 * n)):
             return "image differs from the filtered class"
     return None
 
@@ -355,6 +358,8 @@ def verify(theorem_id: str, max_size: int | None = None) -> VerificationReport:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
     if max_size is None:
         max_size = default_max
+    if max_size < 0:
+        raise ValueError(f"max size must be non-negative (got {max_size})")
     start = perf_counter()
     results = []
     for n in range(max_size + 1):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from centroinv.cli import BIJECTIONS, main
+from centroinv.generate import format_object, generate_class
 from centroinv.verify import THEOREMS
 
 
@@ -141,6 +142,79 @@ def test_usage_errors_exit_2(capsys):
         main(["verify", "--name", "T-recr", "--jobs", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # exited 0 with an empty listing or table
+        ("enumerate", "--class", "inv321", "--size", "-3"),
+        ("stats", "--class", "inv321", "--size", "-2", "--stat", "maj"),
+        # leaked "negative shift count"
+        ("enumerate", "--class", "subsets", "--size", "-1"),
+        ("enumerate", "--class", "paths-rect", "--size", "-1"),
+        ("enumerate", "--class", "signed-all", "--size", "-1"),
+        ("stats", "--class", "subsets", "--size", "-1", "--stat", "des"),
+        ("stats", "--class", "paths-rect", "--size", "-2", "--stat", "area"),
+        ("stats", "--class", "signed-all", "--size", "-1", "--stat", "des",
+         "--jobs", "2"),
+    ],
+)
+def test_negative_size_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: size must be non-negative (got {argv[4]})\n"
+
+
+def test_negative_max_n_exits_2(capsys):
+    # exited 0 with zero rows: a vacuous pass
+    code, out, err = run(capsys, "verify", "--name", "T-recr", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max size must be non-negative (got -1)\n"
+
+
+def test_bad_matching_names_the_chunk(capsys):
+    code, out, err = run(
+        capsys,
+        "bijection", "--name", "matching-involution", "--apply", "1-2-3",
+        "--size", "4",
+    )
+    assert code == 2
+    assert err == "error: bad arc '1-2-3', expected i-j\n"
+
+
+@pytest.mark.parametrize(
+    "label,size",
+    [("cinv321-even", 6), ("inv321", 0), ("paths-rect", 11), ("signed-all", 2)],
+)
+def test_streamed_json_equals_json_dumps(capsys, label, size):
+    code, out, _ = run(
+        capsys, "enumerate", "--class", label, "--size", str(size),
+        "--format", "json",
+    )
+    assert code == 0
+    objs = [format_object(label, o) for o in generate_class(label, size)]
+    assert out == json.dumps({"class": label, "size": size, "objects": objs}) + "\n"
+
+
+def test_closed_pipe_exits_141():
+    # about 1.1 MB of output, far more than a pipe holds, so the writer is
+    # still writing when the reader goes away
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "centroinv.cli",
+            "enumerate", "--class", "paths-rect", "--size", "16",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"E" * 16 + b"\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_verify_tsv(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from centroinv import distrib
 from centroinv.distrib import (
     STATS,
     distribution,
@@ -100,6 +101,48 @@ def test_parallel_matches_serial():
         serial = distribution(label, size, stat)
         for jobs in (2, 4):
             assert distribution(label, size, stat, jobs=jobs) == serial
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    shards in this process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        FakePool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(distrib, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(FakePool, "created", [])
+    serial = distribution("cinv321-even", 10, "maj+")
+    for jobs in (2, 3, 5):
+        assert distribution("cinv321-even", 10, "maj+", jobs=jobs) == serial
+    assert FakePool.created == [2, 2, 2]
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: None)
+    assert distribution("cinv321-even", 10, "maj+", jobs=3) == serial
+    assert FakePool.created == [2, 2, 2]
+
+
+def test_bad_size_rejected_before_workers(monkeypatch):
+    monkeypatch.setattr(distrib, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "created", [])
+    with pytest.raises(ValueError, match="non-negative"):
+        distribution("subsets", -1, "des", jobs=2)
+    with pytest.raises(ValueError, match="even size"):
+        distribution("cinv321-even", 5, "des", jobs=2)
+    assert FakePool.created == []
 
 
 def test_error_paths():

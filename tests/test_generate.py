@@ -10,6 +10,7 @@ from centroinv.generate import (
     centro_perms,
     cinv321_even,
     cinv321_odd,
+    filtered_class,
     format_object,
     generate_class,
     inv321,
@@ -75,11 +76,9 @@ def test_members_land_in_class():
 
 def test_routes_agree():
     for m in (0, 2, 4, 6, 8, 10):
-        assert set(cinv321_even(m, "subsets")) == set(cinv321_even(m, "filter"))
+        assert set(cinv321_even(m)) == set(filtered_class(m))
     for m in (1, 3, 5, 7, 9, 11):
-        assert set(cinv321_odd(m, "join")) == set(cinv321_odd(m, "filter"))
-    with pytest.raises(ValueError):
-        cinv321_even(4, "nope")
+        assert set(cinv321_odd(m)) == set(filtered_class(m))
     with pytest.raises(ValueError):
         cinv321_even(3)
     with pytest.raises(ValueError):
@@ -120,6 +119,12 @@ def test_shard_validation():
         list(subsets(4, -1, 3))
     with pytest.raises(ValueError):
         list(generate_class("paths-rect", 4, 0, 0))
+
+
+def test_negative_size_rejected_up_front():
+    for label in CLASS_LABELS:
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_class(label, -1)
 
 
 def test_labels_and_formatting():

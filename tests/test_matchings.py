@@ -72,6 +72,13 @@ def test_matching_text_round_trip():
     assert singletons(mch) == (3, 4)
 
 
+def test_parse_matching_names_bad_chunk():
+    for text in ("1-2-3", "1-x", "12"):
+        with pytest.raises(ValueError) as exc:
+            parse_matching("4-5," + text, 6)
+        assert str(exc.value) == f"bad arc {text!r}, expected i-j"
+
+
 def test_symmetry_and_nesting_predicates():
     assert is_symmetric(matching(4, [(1, 3), (2, 4)]))
     assert not is_symmetric(matching(4, [(1, 3)]))

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from centroinv.generate import cinv321_even, cinv321_odd
+from centroinv.generate import filtered_class
 from centroinv.perms import des as perm_des
 from centroinv.perms import half_des, half_maj
 from centroinv.qpoly import (
@@ -181,7 +181,7 @@ def test_half_maj_poly_routes_agree():
 def test_even_class_polys_match_enumeration():
     for n in range(6):
         td, tm, tf = Counter(), Counter(), Counter()
-        for p in cinv321_even(2 * n, route="filter"):
+        for p in filtered_class(2 * n):
             td[half_des(p)] += 1
             tm[half_maj(p)] += 1
             tf[perm_des(p)] += 1
@@ -213,7 +213,7 @@ def test_odd_case_polys_match_enumeration():
     for n in range(6):
         hd, hm, full = odd_case_polys(n)
         td, tm, tf = Counter(), Counter(), Counter()
-        for p in cinv321_odd(2 * n + 1, route="filter"):
+        for p in filtered_class(2 * n + 1):
             td[half_des(p)] += 1
             tm[half_maj(p)] += 1
             tf[perm_des(p)] += 1
