@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from centroinv import generate, matchings, paths, perms, rsk, signed
 from centroinv.distrib import STATS, distribution, table_json, table_tsv
@@ -119,22 +118,19 @@ BIJECTIONS = {
 def _cmd_enumerate(args) -> int:
     fmt = generate.object_class(args.label).format
     texts = map(fmt, generate.generate_class(args.label, args.size))
-    # objects go out 1024 at a time as they are produced: one write per
-    # object would cost a system call each when stdout is unbuffered
-    chunks = iter(lambda: list(islice(texts, 1024)), [])
     out = sys.stdout
     if args.format == "json":
         # the same bytes as json.dumps of the whole document
         head = json.dumps({"class": args.label, "size": args.size, "objects": []})
         out.write(head[:-2])
         sep = ""
-        for chunk in chunks:
-            out.write(sep + json.dumps(chunk)[1:-1])
+        for text in texts:
+            out.write(sep + json.dumps(text))
             sep = ", "
         out.write("]}\n")
     else:
-        for chunk in chunks:
-            out.write("\n".join(chunk) + "\n")
+        for text in texts:
+            out.write(text + "\n")
     return 0
 
 

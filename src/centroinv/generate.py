@@ -36,8 +36,8 @@ def involutions(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     point i is fixed (j = i) or paired with a larger unplaced point j.
     Shards split on the choice made at point 1."""
     _check_shard(shard, nshards)
-    if m == 0:
-        if shard == 0:
+    if m <= 0:
+        if m == 0 and shard == 0:
             yield ()
         return
     vals = [0] * (m + 1)
@@ -92,12 +92,14 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
     """All subsets of [n] in mask order (bit i-1 is membership of i)."""
     _check_shard(shard, nshards)
-    low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
+    prefix_bits = min(n, max(nshards - 1, 0).bit_length())
+    prefix_mask = (1 << prefix_bits) - 1
     for mask in range(1 << n):
-        if (mask & low_mask) % nshards == shard:
-            yield Subset(
-                n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-            )
+        if (mask & prefix_mask) % nshards != shard:
+            continue
+        yield Subset(
+            n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        )
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:

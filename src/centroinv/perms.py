@@ -35,7 +35,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(p: Perm) -> str:
-    return " ".join(map(str, p))
+    return " ".join(str(v) for v in p)
 
 
 def identity(m: int) -> Perm:

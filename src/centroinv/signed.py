@@ -46,7 +46,7 @@ def parse_signed(text: str) -> SignedPerm:
 
 
 def format_signed(s: SignedPerm) -> str:
-    return " ".join(map(str, s))
+    return " ".join(str(v) for v in s)
 
 
 def theta(p: Perm) -> SignedPerm:

@@ -125,6 +125,9 @@ def test_negative_size_rejected_up_front():
     for label in CLASS_LABELS:
         with pytest.raises(ValueError, match="non-negative"):
             generate_class(label, -1)
+    # the raw generators yield nothing for a negative size
+    assert list(involutions(-1)) == [] and list(involutions(-2)) == []
+    assert list(inv321(-2)) == [] and list(cinv321_odd(-1)) == []
 
 
 def test_labels_and_formatting():
