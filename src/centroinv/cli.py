@@ -22,7 +22,7 @@ from centroinv.verify import THEOREMS, report_json, report_tsv, verify
 def _parse_size(raw: str | None) -> tuple[int, ...] | None:
     if raw is None:
         return None
-    return tuple(int(tok) for tok in raw.split(","))
+    return perms.parse_ints(raw.split(","))
 
 
 def _want(size: tuple[int, ...] | None, count: int, name: str) -> tuple[int, ...]:

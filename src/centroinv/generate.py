@@ -5,12 +5,13 @@ counting formulas (2^n for the even class, the central binomial coefficient
 for the odd class, binomial(a+b, a) for rectangle paths, 2^n n! for signed
 permutations).
 
-involutions, inv321, signed_perms, subsets, cinv321_even, cinv321_odd and
-paths.all_paths take an optional shard: with nshards workers, worker k gets
-the objects whose leading choice (first-position branch, leading subset bits)
-hashes to k, so a sharded run covers the stream exactly once.  Aggregation
-downstream is commutative, which keeps sharded output identical to serial.
-centro_perms and filtered_class only serve as checks and take no shard.
+involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
+cinv321_odd take an optional shard: with nshards workers, worker k gets the
+objects whose leading choice (first-position branch, low mask bits) hashes to
+k, so a sharded run covers the stream exactly once.  Aggregation downstream is
+commutative, which keeps sharded output identical to serial.  centro_perms and
+filtered_class only serve as checks and take no shard.  Every generator yields
+nothing for a negative size.
 
 CLASSES is the one place that names the object classes.
 """
@@ -64,6 +65,8 @@ def centro_perms(m: int) -> Iterator[Perm]:
 
     The first half may take one value out of each mirror pair {v, m+1-v},
     with the pairs themselves permuted: 2^n n! objects, n = floor(m/2)."""
+    if m < 0:
+        return
     n = m // 2
     middle = (n + 1,) if m % 2 else ()
     for sigma in _permutations(range(1, n + 1)):
@@ -78,8 +81,8 @@ def centro_perms(m: int) -> Iterator[Perm]:
 def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPerm]:
     """All 2^n n! signed permutation windows."""
     _check_shard(shard, nshards)
-    if n == 0:
-        if shard == 0:
+    if n <= 0:
+        if n == 0 and shard == 0:
             yield ()
         return
     for tau in _permutations(range(1, n + 1)):
@@ -89,17 +92,31 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
             yield tuple(-tau[i] if mask >> i & 1 else tau[i] for i in range(n))
 
 
+def _masks(n: int, shard: int, nshards: int) -> Iterator[int]:
+    """The n-bit masks in increasing order; worker k of nshards gets those
+    whose low bits hash to k."""
+    _check_shard(shard, nshards)
+    if n < 0:
+        return
+    low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
+    for mask in range(1 << n):
+        if (mask & low_mask) % nshards == shard:
+            yield mask
+
+
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
     """All subsets of [n] in mask order (bit i-1 is membership of i)."""
-    _check_shard(shard, nshards)
-    prefix_bits = min(n, max(nshards - 1, 0).bit_length())
-    prefix_mask = (1 << prefix_bits) - 1
-    for mask in range(1 << n):
-        if (mask & prefix_mask) % nshards != shard:
-            continue
+    for mask in _masks(n, shard, nshards):
         yield Subset(
             n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
         )
+
+
+def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
+    """All 2**n paths of length n, every rectangle a+b = n at once, in
+    subset-mask order (step i+1 is N iff bit i is set)."""
+    for mask in _masks(n, shard, nshards):
+        yield "".join("N" if mask >> i & 1 else "E" for i in range(n))
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -182,7 +199,7 @@ CLASSES: dict[str, ObjectClass] = {
     "signed-all": ObjectClass(signed_perms, signed.format_signed, _SIGNED_STATS),
     "signed-sixavoiders": ObjectClass(_six_avoiders, signed.format_signed, _SIGNED_STATS),
     "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS),
-    "paths-rect": ObjectClass(paths.all_paths, str, _PATH_STATS),
+    "paths-rect": ObjectClass(all_paths, str, _PATH_STATS),
 }
 
 CLASS_LABELS = tuple(CLASSES)

@@ -1,15 +1,14 @@
-"""The involution census: one fused walk that counts and tallies statistics.
+"""The census: one fused walk over the even or odd class that counts and
+tallies statistics.
 
 This is the brute-force side of the counting and distribution checks, kept
-independent of the generators: it builds involutions of [m] in its own
-recursion and evaluates 321-avoidance and the descent statistics inline.
-
-With ``require_centro`` every arc is placed together with its mirror under
+independent of the generators: it builds the 321-avoiding centrosymmetric
+involutions of [m] in its own recursion and evaluates 321-avoidance and the
+descent statistics inline.  Every arc is placed together with its mirror under
 the half-turn i -> m+1-i, so the walk visits only the centrosymmetric
-involutions (OEIS A000898: 6512 at m = 14 and 15) instead of all of them
-(2.4 million and 10.3 million).  The cached front door ``census`` is what the
-verification drivers call, so repeated theorem checks in one process pay for
-each sweep once.
+involutions (OEIS A000898: 6512 at m = 14 and 15) instead of all involutions
+(2.4 million and 10.3 million).  ``census`` is cached, so repeated theorem
+checks in one process pay for each sweep once.
 """
 
 from __future__ import annotations
@@ -20,15 +19,14 @@ from types import MappingProxyType
 BACKEND = "python"
 
 
-def involution_census(
-    m: int, require_centro: bool = False, require_avoid321: bool = False
-) -> dict:
-    """One pass over the involutions of [m]: count the survivors of the
-    requested filters and tally their descent, major index and fixed point
-    statistics.
+@lru_cache(maxsize=None)
+def census(m: int) -> MappingProxyType:
+    """One pass over the centrosymmetric involutions of [m]: count those that
+    avoid 321 and tally their descent, major index and fixed point statistics.
 
-    Returns a dict with "count" plus five tally tuples ("des", "des+",
-    "maj", "maj+", "fp") where entry i counts survivors with statistic i.
+    Returns a read-only mapping with "count" plus five tally tuples ("des",
+    "des+", "maj", "maj+", "fp") where entry i counts members with
+    statistic i.
     """
     if m < 0 or m > 20:
         raise ValueError("m out of supported range 0..20")
@@ -44,18 +42,17 @@ def involution_census(
 
     def visit() -> None:
         nonlocal count
-        if require_avoid321:
-            best_mid = 0
-            prefix_max = 0
-            for i in range(1, m + 1):
-                v = perm[i]
-                if v < best_mid:
-                    return
-                if v < prefix_max:
-                    if v > best_mid:
-                        best_mid = v
-                else:
-                    prefix_max = v
+        best_mid = 0
+        prefix_max = 0
+        for i in range(1, m + 1):
+            v = perm[i]
+            if v < best_mid:
+                return
+            if v < prefix_max:
+                if v > best_mid:
+                    best_mid = v
+            else:
+                prefix_max = v
         d = dp = mj = mjp = fp = 0
         for i in range(1, m):
             if perm[i] > perm[i + 1]:
@@ -84,11 +81,8 @@ def involution_census(
         for j in range(i, m + 1):
             if perm[j]:
                 continue
-            arcs = ((i, j), (j, i))
-            if require_centro:
-                arcs += ((m + 1 - i, m + 1 - j), (m + 1 - j, m + 1 - i))
             placed = []
-            for a, b in arcs:
+            for a, b in ((i, j), (j, i), (m + 1 - i, m + 1 - j), (m + 1 - j, m + 1 - i)):
                 if not perm[a]:
                     perm[a] = b
                     placed.append(a)
@@ -100,17 +94,7 @@ def involution_census(
                 perm[a] = 0
 
     rec(1)
-    return {
-        "count": count,
-        "des": tuple(des_t),
-        "des+": tuple(desp_t),
-        "maj": tuple(maj_t),
-        "maj+": tuple(majp_t),
-        "fp": tuple(fp_t),
-    }
-
-
-@lru_cache(maxsize=None)
-def census(m: int, require_centro: bool = False, require_avoid321: bool = False):
-    """Cached, read-only view of involution_census output."""
-    return MappingProxyType(involution_census(m, require_centro, require_avoid321))
+    return MappingProxyType(
+        {"count": count, "des": tuple(des_t), "des+": tuple(desp_t),
+         "maj": tuple(maj_t), "maj+": tuple(majp_t), "fp": tuple(fp_t)}
+    )

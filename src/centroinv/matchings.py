@@ -27,6 +27,7 @@ from centroinv.perms import (
     contains_321,
     is_centrosymmetric,
     is_involution,
+    parse_ints,
 )
 
 
@@ -143,7 +144,7 @@ def subset(n: int, members: Iterable[int]) -> Subset:
 
 
 def parse_subset(text: str, n: int) -> Subset:
-    return subset(n, (int(tok) for tok in text.split(",") if tok.strip()))
+    return subset(n, parse_ints(tok for tok in text.split(",") if tok.strip()))
 
 
 def format_subset(e: Subset) -> str:

@@ -238,20 +238,6 @@ def rect_paths(a: int, b: int) -> Iterator[str]:
         yield "".join("N" if i in chosen else "E" for i in range(n))
 
 
-def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
-    """All 2**n paths of length n, every rectangle a+b = n at once, in
-    subset-mask order (step i+1 is N iff bit i is set).
-
-    Sharded like ``generate.subsets``: worker k of nshards gets the masks
-    whose low bits hash to k."""
-    if nshards < 1 or not 0 <= shard < nshards:
-        raise ValueError(f"bad shard {shard}/{nshards}")
-    low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
-    for mask in range(1 << n):
-        if (mask & low_mask) % nshards == shard:
-            yield "".join("N" if mask >> i & 1 else "E" for i in range(n))
-
-
 if __name__ == "__main__":
     import doctest
 

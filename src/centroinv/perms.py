@@ -12,7 +12,7 @@ Both membership tests run in linear time.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -23,13 +23,24 @@ def check_perm(p: Sequence[int]) -> None:
         raise ValueError(f"not a permutation of 1..{len(p)}: {p!r}")
 
 
+def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
+    """Read each token as an integer; a ValueError names the first bad one."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"not an integer: {tok!r}") from None
+    return tuple(out)
+
+
 def parse_perm(text: str) -> Perm:
     """Parse space-separated one-line notation.
 
     >>> parse_perm("2 1 4 3")
     (2, 1, 4, 3)
     """
-    p = tuple(int(tok) for tok in text.split())
+    p = parse_ints(text.split())
     check_perm(p)
     return p
 

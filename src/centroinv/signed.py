@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from centroinv.perms import Perm, _rank_word, is_centrosymmetric
+from centroinv.perms import Perm, _rank_word, is_centrosymmetric, parse_ints
 
 SignedPerm = tuple[int, ...]
 
@@ -40,7 +40,7 @@ def check_signed(s: SignedPerm) -> None:
 
 
 def parse_signed(text: str) -> SignedPerm:
-    s = tuple(int(tok) for tok in text.split())
+    s = parse_ints(text.split())
     check_signed(s)
     return s
 

@@ -1,15 +1,28 @@
 """Command line round trips, formats, and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import centroinv
 from centroinv.cli import BIJECTIONS, main
 from centroinv.generate import format_object, generate_class
 from centroinv.verify import THEOREMS
+
+
+# child interpreters find the package where this one did, installed or not
+PACKAGE_ROOT = str(Path(centroinv.__file__).parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -186,6 +199,24 @@ def test_bad_matching_names_the_chunk(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # each leaked "invalid literal for int() with base 10: 'x'"
+        ("--name", "theta-rect", "--apply", "2 1 4 3", "--size", "2,x"),
+        ("--name", "excedance-subset", "--apply", "2 x"),
+        ("--name", "subset-involution", "--apply", "1,x", "--size", "3"),
+        ("--name", "theta-inverse", "--apply", "1 x"),
+    ],
+)
+def test_bad_integer_names_the_token(capsys, argv):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid literal" not in err
+    assert err == "error: not an integer: 'x'\n"
+
+
+@pytest.mark.parametrize(
     "label,size",
     [("cinv321-even", 6), ("inv321", 0), ("paths-rect", 11), ("signed-all", 2)],
 )
@@ -209,6 +240,7 @@ def test_closed_pipe_exits_141():
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     assert proc.stdout.readline() == b"E" * 16 + b"\n"
     proc.stdout.close()
@@ -260,6 +292,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "exponent\tcoefficient"

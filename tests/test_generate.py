@@ -1,4 +1,4 @@
-"""Generators, the census kernels, and shard determinism."""
+"""Generators, the census kernel, and shard determinism."""
 
 from collections import Counter
 from math import comb, factorial
@@ -7,6 +7,7 @@ import pytest
 
 from centroinv.generate import (
     CLASS_LABELS,
+    all_paths,
     centro_perms,
     cinv321_even,
     cinv321_odd,
@@ -18,7 +19,7 @@ from centroinv.generate import (
     signed_perms,
     subsets,
 )
-from centroinv.kernels import BACKEND, census, involution_census
+from centroinv.kernels import BACKEND, census
 from centroinv.perms import (
     contains_321,
     des,
@@ -128,6 +129,10 @@ def test_negative_size_rejected_up_front():
     # the raw generators yield nothing for a negative size
     assert list(involutions(-1)) == [] and list(involutions(-2)) == []
     assert list(inv321(-2)) == [] and list(cinv321_odd(-1)) == []
+    assert list(subsets(-1)) == [] and list(cinv321_even(-2)) == []
+    assert list(signed_perms(-1)) == [] and list(all_paths(-1)) == []
+    assert list(centro_perms(-2)) == [] and list(centro_perms(-1)) == []
+    assert list(subsets(-1, 1, 2)) == [] and list(signed_perms(-1, 1, 2)) == []
 
 
 def test_labels_and_formatting():
@@ -161,32 +166,21 @@ def test_paths_class_covers_every_rectangle():
 
 
 def test_census_counts():
-    for m in range(13):
-        assert census(m)["count"] == involution_count(m)
-    for n in range(7):
-        assert census(2 * n, True, True)["count"] == 2**n
-        assert census(2 * n + 1, True, True)["count"] == comb(n, n // 2)
-    for m in range(13):
-        assert census(m, False, True)["count"] == comb(m, m // 2)
-    # centrosymmetric involutions, OEIS A000898:
-    # a(n) = 2a(n-1) + 2(n-1)a(n-2), a(0) = 1, a(1) = 2, at n = m // 2
-    a = [1, 2]
-    for n in range(2, 8):
-        a.append(2 * a[n - 1] + 2 * (n - 1) * a[n - 2])
-    for m in range(16):
-        assert census(m, True, False)["count"] == a[m // 2]
+    for n in range(8):
+        assert census(2 * n)["count"] == 2**n
+        assert census(2 * n + 1)["count"] == comb(n, n // 2)
 
 
 def test_census_range_guard():
     with pytest.raises(ValueError):
-        involution_census(21)
+        census(21)
     with pytest.raises(ValueError):
-        involution_census(-1)
+        census(-1)
 
 
-def streamed_census(m, require_centro, require_avoid321):
-    """The same tallies, built from the generator and the statistic
-    functions instead of the fused kernel loop."""
+def streamed_census(m):
+    """The same tallies, built from the reference generator and the
+    statistic functions instead of the fused kernel loop."""
     n = m // 2
     out = {
         "count": 0,
@@ -196,11 +190,7 @@ def streamed_census(m, require_centro, require_avoid321):
         "maj+": [0] * (n * (n + 1) // 2 + 1),
         "fp": [0] * (m + 1),
     }
-    for p in involutions(m):
-        if require_centro and not is_centrosymmetric(p):
-            continue
-        if require_avoid321 and contains_321(p):
-            continue
+    for p in filtered_class(m):
         out["count"] += 1
         out["des"][des(p)] += 1
         out["des+"][half_des(p)] += 1
@@ -213,10 +203,8 @@ def streamed_census(m, require_centro, require_avoid321):
 
 
 def test_census_matches_streamed_statistics():
-    for m in range(11):
-        for rc in (False, True):
-            for ra in (False, True):
-                assert involution_census(m, rc, ra) == streamed_census(m, rc, ra)
+    for m in range(13):
+        assert dict(census(m)) == streamed_census(m)
 
 
 def test_backend_label():

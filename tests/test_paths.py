@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centroinv import paths
-from centroinv.generate import cinv321_even, subsets
+from centroinv.generate import all_paths, cinv321_even, subsets
 from centroinv.matchings import excedance_subset, subset as make_subset
 from centroinv.paths import (
-    all_paths,
     area,
     g_inverse,
     g_map,

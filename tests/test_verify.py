@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from centroinv import kernels
 from centroinv.verify import (
     THEOREMS,
     SizeResult,
@@ -87,6 +88,21 @@ def test_driver_counterexample_path(monkeypatch):
     assert not report.ok
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
     assert report.results[2].counterexample == "boom"
+
+
+def test_cara_count_check_catches_a_missing_member(monkeypatch):
+    # a census that counts one class member more than the 2^n images: the
+    # images then miss a member, and T-cara must say so at every size
+    real = kernels.census
+    monkeypatch.setattr(
+        kernels, "census", lambda m: {**real(m), "count": real(m)["count"] + 1}
+    )
+    report = verify("T-cara", 3)
+    assert not report.ok
+    assert [r.status for r in report.results] == ["fail"] * 4
+    assert report.results[3].counterexample == (
+        "raw census counts 9 class members, 8 images"
+    )
 
 
 def test_report_json_schema():
