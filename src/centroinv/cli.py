@@ -22,7 +22,11 @@ from centroinv.verify import THEOREMS, report_json, report_tsv, verify
 def _parse_size(raw: str | None) -> tuple[int, ...] | None:
     if raw is None:
         return None
-    return perms.parse_ints(raw.split(","))
+    size = perms.parse_ints(raw.split(","))
+    for v in size:
+        if v < 0:
+            raise ValueError(f"size must be non-negative (got {v})")
+    return size
 
 
 def _want(size: tuple[int, ...] | None, count: int, name: str) -> tuple[int, ...]:

@@ -11,6 +11,15 @@ are order-isomorphic to those of the pattern and whose signs agree entrywise.
 Avoiding the six patterns in TOP_PATTERNS characterises the image under theta
 of the 321-avoiding centrosymmetric permutations; these are the fully
 commutative top elements of the hyperoctahedral group.
+
+The six patterns come down to two conditions on the window, which
+is_top_element checks in one pass:
+
+* (1, -2) and (-1, -2): every negative entry has the smallest |value| seen
+  so far, i.e. it is a prefix minimum of |s|;
+* (3, 2, 1), (-3, 2, 1), (3, 2, -1) and (-3, 2, -1): no positive entry has
+  both an earlier entry of larger |value| and a later entry of smaller
+  |value|.
 """
 
 from __future__ import annotations
@@ -107,8 +116,32 @@ def signed_avoids(s: SignedPerm, t: SignedPerm) -> bool:
 
 
 def is_top_element(s: SignedPerm) -> bool:
-    """True iff s avoids all six patterns in TOP_PATTERNS."""
-    return all(signed_avoids(s, t) for t in TOP_PATTERNS)
+    """True iff s avoids all six patterns in TOP_PATTERNS, in O(n): a running
+    minimum and maximum of |s| from the left and a minimum from the right.
+
+    >>> is_top_element((-2, -4, 1, 3))
+    False
+    >>> is_top_element((-2, -1, 4, 3))
+    True
+    """
+    n = len(s)
+    # after_min[j] is the smallest |value| right of position j
+    after_min = [n + 1] * n
+    for j in range(n - 1, 0, -1):
+        after_min[j - 1] = min(after_min[j], abs(s[j]))
+    low, high = n + 1, 0
+    for j, v in enumerate(s):
+        a = abs(v)
+        if v < 0:
+            if a > low:
+                return False
+        elif high > a > after_min[j]:
+            return False
+        if a < low:
+            low = a
+        if a > high:
+            high = a
+    return True
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from time import perf_counter
 from typing import Callable, Iterable
@@ -46,7 +47,13 @@ from centroinv.qpoly import (
     q_binomial,
     qpoly,
 )
-from centroinv.signed import format_signed, is_top_element, theta
+from centroinv.signed import (
+    TOP_PATTERNS,
+    format_signed,
+    is_top_element,
+    signed_avoids,
+    theta,
+)
 
 #: largest half-size for the raw census cross-check at the double size
 RAW_LIMIT = 7
@@ -239,12 +246,21 @@ def _check_recr(n: int) -> str | None:
 
 
 def _check_sixpat(n: int) -> str | None:
-    image = {theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)}
-    avoiders = {s for s in generate.signed_perms(n) if is_top_element(s)}
-    if image != avoiders:
-        diff = sorted(image ^ avoiders)[0]
-        side = "image only" if diff in image else "avoiders only"
-        return f"sets differ, e.g. {format_signed(diff)} ({side})"
+    windows = list(generate.signed_perms(n))
+    routes = {
+        "theta image": {
+            theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)
+        },
+        "linear scan": {s for s in windows if is_top_element(s)},
+        "literal scan": {
+            s for s in windows if all(signed_avoids(s, t) for t in TOP_PATTERNS)
+        },
+    }
+    for (x, sx), (y, sy) in combinations(routes.items(), 2):
+        if sx != sy:
+            diff = sorted(sx ^ sy)[0]
+            side = x if diff in sx else y
+            return f"{x} and {y} differ, e.g. {format_signed(diff)} ({side} only)"
     return None
 
 

@@ -180,6 +180,26 @@ def test_negative_size_exits_2(capsys, argv):
     assert err == f"error: size must be non-negative (got {argv[4]})\n"
 
 
+@pytest.mark.parametrize(
+    "name, size",
+    [
+        # each exited 0 with an empty line: an empty object passed the
+        # range check whatever the size
+        ("subset-involution", "-3"),
+        ("matching-involution", "-2"),
+        ("subset-path", "-1"),
+        ("subset-matching", "-4"),
+    ],
+)
+def test_bijection_negative_size_exits_2(capsys, name, size):
+    code, out, err = run(
+        capsys, "bijection", "--name", name, "--apply", "", "--size", size
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: size must be non-negative (got {size})\n"
+
+
 def test_negative_max_n_exits_2(capsys):
     # exited 0 with zero rows: a vacuous pass
     code, out, err = run(capsys, "verify", "--name", "T-recr", "--max-n", "-1")

@@ -19,8 +19,8 @@ from centroinv.signed import (
 
 
 @st.composite
-def windows(draw):
-    n = draw(st.integers(min_value=0, max_value=6))
+def windows(draw, max_n=6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     vals = draw(st.permutations(list(range(1, n + 1))))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     return tuple(v * s for v, s in zip(vals, signs))
@@ -110,6 +110,38 @@ def test_top_elements_are_images_of_avoiders():
         }
         top = {s for s in signed_perms(n) if is_top_element(s)}
         assert image == top
+
+
+def literal_top(s):
+    return all(signed_avoids(s, t) for t in TOP_PATTERNS)
+
+
+def test_linear_scan_equals_literal_scan_exhaustive():
+    # n <= 5 is the whole range of T-sixpat
+    for n in range(6):
+        for s in signed_perms(n):
+            assert is_top_element(s) == literal_top(s), s
+
+
+@given(windows(max_n=9))
+def test_linear_scan_equals_literal_scan_random(s):
+    assert is_top_element(s) == literal_top(s)
+
+
+@pytest.mark.parametrize(
+    "pattern, s",
+    [
+        ((3, 2, 1), (1, 4, 3, 2)),
+        ((-3, 2, 1), (-3, 2, 1, 4)),
+        ((3, 2, -1), (2, 4, 3, -1)),
+        ((-3, 2, -1), (-3, 2, -1, 4)),
+        ((1, -2), (1, -2, 3, 4)),
+        ((-1, -2), (-1, -2, 3, 4)),
+    ],
+)
+def test_each_pattern_alone_is_rejected(pattern, s):
+    assert [t for t in TOP_PATTERNS if signed_contains(s, t)] == [pattern]
+    assert not is_top_element(s)
 
 
 def test_pattern_list_is_fixed():

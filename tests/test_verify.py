@@ -5,6 +5,8 @@ import json
 import pytest
 
 from centroinv import kernels
+from centroinv import verify as verify_module
+from centroinv.signed import TOP_PATTERNS, signed_avoids
 from centroinv.verify import (
     THEOREMS,
     SizeResult,
@@ -102,6 +104,21 @@ def test_cara_count_check_catches_a_missing_member(monkeypatch):
     assert [r.status for r in report.results] == ["fail"] * 4
     assert report.results[3].counterexample == (
         "raw census counts 9 class members, 8 images"
+    )
+
+
+def test_sixpat_catches_a_broken_fast_check(monkeypatch):
+    # a fast check that drops the (1, -2) condition accepts (1, -2) at
+    # n = 2; the theta image and the literal scan both reject it
+    def without_1_minus_2(s):
+        return all(signed_avoids(s, t) for t in TOP_PATTERNS if t != (1, -2))
+
+    monkeypatch.setattr(verify_module, "is_top_element", without_1_minus_2)
+    report = verify("T-sixpat", 3)
+    assert not report.ok
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
+    assert report.results[2].counterexample == (
+        "theta image and linear scan differ, e.g. 1 -2 (linear scan only)"
     )
 
 
