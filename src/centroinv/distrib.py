@@ -97,9 +97,3 @@ def table_tsv(t: DistributionTable) -> str:
     lines = ["exponent\tcoefficient"]
     lines.extend(f"{i}\t{c}" for i, c in enumerate(t.poly))
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

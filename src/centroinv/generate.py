@@ -92,31 +92,22 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
             yield tuple(-tau[i] if mask >> i & 1 else tau[i] for i in range(n))
 
 
-def _masks(n: int, shard: int, nshards: int) -> Iterator[int]:
-    """The n-bit masks in increasing order; worker k of nshards gets those
-    whose low bits hash to k."""
+def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
+    """All subsets of [n] in mask order; worker k of nshards gets those whose
+    low mask bits hash to k."""
     _check_shard(shard, nshards)
     if n < 0:
         return
     low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
     for mask in range(1 << n):
         if (mask & low_mask) % nshards == shard:
-            yield mask
-
-
-def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
-    """All subsets of [n] in mask order (bit i-1 is membership of i)."""
-    for mask in _masks(n, shard, nshards):
-        yield Subset(
-            n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-        )
+            yield Subset(n, mask)
 
 
 def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
     """All 2**n paths of length n, every rectangle a+b = n at once, in
-    subset-mask order (step i+1 is N iff bit i is set)."""
-    for mask in _masks(n, shard, nshards):
-        yield "".join("N" if mask >> i & 1 else "E" for i in range(n))
+    subset order: the paths of subsets(n)."""
+    return map(paths.subset_path, subsets(n, shard, nshards))
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from centroinv.perms import (
     Perm,
@@ -109,8 +109,11 @@ def involution_matching(p: Perm) -> Matching:
         raise ValueError("not an involution")
     if not is_centrosymmetric(p):
         raise ValueError("not centrosymmetric")
-    arcs = tuple((i, v) for i, v in enumerate(p, start=1) if i < v)
-    return Matching(len(p), arcs)
+    return Matching(len(p), _two_cycles(p))
+
+
+def _two_cycles(p: Perm) -> tuple[tuple[int, int], ...]:
+    return tuple((i, v) for i, v in enumerate(p, start=1) if i < v)
 
 
 def matching_permutation(mch: Matching) -> Perm:
@@ -130,17 +133,29 @@ def matching_permutation(mch: Matching) -> Perm:
 
 
 class Subset(NamedTuple):
-    """A subset of [n], the free parameter of the bijection."""
+    """A subset of [n], the free parameter of the bijection.
+
+    mask is the one encoding of the members: bit i-1 is set iff i is a
+    member, so 0 <= mask < 2**n.
+    """
 
     n: int
-    members: frozenset[int]
+    mask: int
 
 
 def subset(n: int, members: Iterable[int]) -> Subset:
     ms = frozenset(members)
     if not all(1 <= i <= n for i in ms):
         raise ValueError(f"members must lie in 1..{n}: {sorted(ms)}")
-    return Subset(n, ms)
+    return Subset(n, sum(1 << (i - 1) for i in ms))
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """1-based positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def parse_subset(text: str, n: int) -> Subset:
@@ -148,7 +163,7 @@ def parse_subset(text: str, n: int) -> Subset:
 
 
 def format_subset(e: Subset) -> str:
-    return ",".join(str(i) for i in sorted(e.members))
+    return ",".join(map(str, _set_bits(e.mask)))
 
 
 def excedance_subset(p: Perm) -> Subset:
@@ -166,42 +181,43 @@ def excedance_subset(p: Perm) -> Subset:
     if contains_321(p):
         raise ValueError("contains 321")
     n = len(p) // 2
-    return Subset(n, frozenset(i for i in range(1, n + 1) if p[i - 1] > i))
+    return Subset(n, sum(1 << i for i in range(n) if p[i] > i + 1))
 
 
-def subset_matching(e: Subset) -> Matching:
-    """Symmetric non-nesting matching attached to a subset of [n].
+def subset_involution(e: Subset) -> Perm:
+    """The member of the class indexed by e.
 
     Scan the members ascending; arc each still-unmatched i to the smallest
     unmatched j > i outside the subset, and mirror the arc through the
     centre.  A partner always exists, so no error case.
     """
     total = 2 * e.n
-    partner = [0] * (total + 1)
-    arcs = []
-    for i in sorted(e.members):
-        if partner[i]:
+    partner = list(range(total + 1))  # partner[i] == i: i is still free
+    for i in _set_bits(e.mask):
+        if partner[i] != i:
             continue
-        j = next(
-            j
-            for j in range(i + 1, total + 1)
-            if j not in e.members and not partner[j]
-        )
+        j = i + 1
+        while partner[j] != j or e.mask >> (j - 1) & 1:
+            j += 1
         partner[i], partner[j] = j, i
-        arcs.append((i, j))
         si, sj = total + 1 - j, total + 1 - i
-        if (si, sj) != (i, j):
-            partner[si], partner[sj] = sj, si
-            arcs.append((si, sj))
-    return Matching(total, tuple(sorted(arcs)))
+        partner[si], partner[sj] = sj, si
+    return tuple(partner[1:])
 
 
-def subset_involution(e: Subset) -> Perm:
-    """The member of the class indexed by e (subset -> matching -> involution)."""
-    return matching_permutation(subset_matching(e))
+def subset_matching(e: Subset) -> Matching:
+    """Symmetric non-nesting matching attached to e: the 2-cycles of
+    subset_involution(e)."""
+    p = subset_involution(e)
+    return Matching(len(p), _two_cycles(p))
 
 
 # ---------- statistics carried by the subset ----------
+
+
+def _descent_mask(e: Subset) -> int:
+    # bit i-1 set iff i is a member and i+1 is not
+    return e.mask & ~(e.mask >> 1)
 
 
 def subset_descents(e: Subset) -> tuple[int, ...]:
@@ -209,22 +225,22 @@ def subset_descents(e: Subset) -> tuple[int, ...]:
 
     Equals the half descent set of the involution attached to e.
     """
-    return tuple(i for i in sorted(e.members) if i + 1 not in e.members)
+    return tuple(_set_bits(_descent_mask(e)))
 
 
 def subset_des(e: Subset) -> int:
-    return len(subset_descents(e))
+    return _descent_mask(e).bit_count()
 
 
 def subset_maj(e: Subset) -> int:
-    return sum(subset_descents(e))
+    return sum(_set_bits(_descent_mask(e)))
 
 
 def des_from_subset(e: Subset) -> int:
     """Full descent count of the attached involution: descents mirror through
     the centre and the two halves overlap exactly when n is a member."""
     d = 2 * subset_des(e)
-    return d - 1 if e.n in e.members else d
+    return d - 1 if e.n and e.mask >> (e.n - 1) & 1 else d
 
 
 # ---------- odd sizes ----------
@@ -254,9 +270,3 @@ def odd_split(p: Perm) -> Perm:
     if not is_centrosymmetric(p):
         raise ValueError("not centrosymmetric")
     return p[: len(p) // 2]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

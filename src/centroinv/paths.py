@@ -28,11 +28,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from centroinv import matchings
 from centroinv.matchings import Subset
-from centroinv.perms import Perm, half_descent_set
 
 ALPHABET = frozenset("NE")
+_BIT_STEP = str.maketrans("01", "EN")
 
 
 def check_path(word: str) -> None:
@@ -62,7 +61,9 @@ def _fit_rectangle(word: str, a: int | None, b: int | None) -> tuple[int, int]:
 
 def subset_path(e: Subset) -> str:
     """Path of length n whose N steps sit at the members of e."""
-    return "".join("N" if i in e.members else "E" for i in range(1, e.n + 1))
+    # bin() writes bit n-1 first; the sentinel bit n keeps the leading zeros
+    # and goes, with the "0b" prefix, when the digits are read backwards
+    return bin(e.mask | 1 << e.n)[:2:-1].translate(_BIT_STEP)
 
 
 def peak_set(word: str) -> tuple[int, ...]:
@@ -215,18 +216,6 @@ def rotate_first_to_last(word: str) -> str:
     return word[1:] + word[0]
 
 
-def half_descents_from_path(p: Perm) -> tuple[int, ...]:
-    """Half descent set of a class member, recomputed as starred peaks of the
-    subset path; raises if the two routes would ever disagree."""
-    transported = peak_star(subset_path(matchings.excedance_subset(p)))
-    direct = half_descent_set(p)
-    if transported != direct:
-        raise ValueError(
-            f"peak transport mismatch for {p}: {transported} vs {direct}"
-        )
-    return transported
-
-
 # ---------- enumeration ----------
 
 
@@ -236,9 +225,3 @@ def rect_paths(a: int, b: int) -> Iterator[str]:
     for north_positions in combinations(range(n), a):
         chosen = set(north_positions)
         yield "".join("N" if i in chosen else "E" for i in range(n))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

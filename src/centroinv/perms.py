@@ -60,10 +60,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def reverse(p: Perm) -> Perm:
-    return p[::-1]
-
-
 def complement(p: Perm) -> Perm:
     m = len(p)
     return tuple(m + 1 - v for v in p)
@@ -193,9 +189,3 @@ def contains_pattern(p: Perm, t: Perm) -> bool:
 
 def avoids(p: Perm, t: Perm) -> bool:
     return not contains_pattern(p, t)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -228,9 +228,3 @@ def odd_case_polys(n: int) -> tuple[QPoly, QPoly, QPoly]:
         comb((n + 1) // 2, k) * comb(n // 2, k) for k in range(n // 2 + 1)
     )
     return half_des, q_binomial(n, n // 2), subst_q_square(half_des)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -215,9 +215,3 @@ def maj_poly_by_fixed_points_and_des(n: int, l: int, k: int) -> QPoly:
     first = pmul(q_binomial(h, k), q_binomial(n - h, k))
     second = pmul(q_binomial(h - 1, k), q_binomial(n - h + 1, k))
     return pshift(psub(first, second), k * k)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

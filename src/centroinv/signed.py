@@ -142,9 +142,3 @@ def is_top_element(s: SignedPerm) -> bool:
         if a > high:
             high = a
     return True
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -5,10 +5,12 @@ Every criterion goes through honest brute force at the stated sizes; closed
 forms are only ever compared against enumeration, never against themselves.
 """
 
+import doctest
 from collections import Counter
 from functools import wraps
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 from centroinv import kernels
@@ -126,3 +128,14 @@ def test_criterion_11():
     for stat in ("des+", "maj+", "des"):
         serial = distribution("cinv321-even", 24, stat)
         assert distribution("cinv321-even", 24, stat, jobs=4) == serial
+
+
+def test_readme_library_example():
+    # only the code block: doctest.testfile would read the closing fence as
+    # expected output of the last example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library", "README.md", 0)
+    result = doctest.DocTestRunner().run(test)
+    assert result.attempted > 0 and result.failed == 0

@@ -1,5 +1,7 @@
 """Subset <-> matching <-> involution bijection and the carried statistics."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from centroinv import matchings
 from centroinv.generate import involutions, subsets
 from centroinv.matchings import (
     Matching,
-    Subset,
     des_from_subset,
     excedance_subset,
     format_matching,
@@ -45,7 +46,7 @@ from centroinv.perms import (
 def subset_strategy(max_n=10):
     return st.integers(0, max_n).flatmap(
         lambda n: st.builds(
-            lambda ms: Subset(n, frozenset(ms)),
+            lambda ms: subset(n, ms),
             st.sets(st.sampled_from(range(1, n + 1)) if n else st.nothing()),
         )
     )
@@ -122,7 +123,7 @@ def test_subset_parse_format():
     e = subset(5, {1, 4})
     assert format_subset(e) == "1,4"
     assert parse_subset("1,4", 5) == e
-    assert parse_subset("", 5) == Subset(5, frozenset())
+    assert parse_subset("", 5) == subset(5, ())
     with pytest.raises(ValueError):
         subset(3, {4})
 
@@ -193,6 +194,56 @@ def test_subset_descents_examples():
     assert subset_descents(subset(4, ())) == ()
     # n itself is always a descent when present
     assert subset_descents(subset(4, {4})) == (4,)
+
+
+# The set definitions the mask code replaced, kept as oracles: each reads
+# the members as a set and shares no code with matchings.
+
+
+def oracle_descents(n, ms):
+    return tuple(i for i in sorted(ms) if i + 1 not in ms)
+
+
+def oracle_des_from_subset(n, ms):
+    d = 2 * len(oracle_descents(n, ms))
+    return d - 1 if n in ms else d
+
+
+def all_member_sets(max_n):
+    for n in range(max_n + 1):
+        for k in range(n + 1):
+            for ms in combinations(range(1, n + 1), k):
+                yield n, frozenset(ms)
+
+
+def member_sets(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.frozensets(st.integers(1, n)) if n else st.just(frozenset()),
+        )
+    )
+
+
+def check_mask_code_against_oracles(n, ms):
+    e = subset(n, ms)
+    descents = oracle_descents(n, ms)
+    assert subset_descents(e) == descents
+    assert subset_des(e) == len(descents)
+    assert subset_maj(e) == sum(descents)
+    assert des_from_subset(e) == oracle_des_from_subset(n, ms)
+    assert format_subset(e) == ",".join(str(i) for i in sorted(ms))
+
+
+def test_mask_code_matches_set_oracles_exhaustive():
+    # includes n = 0 and every subset that contains n
+    for n, ms in all_member_sets(10):
+        check_mask_code_against_oracles(n, ms)
+
+
+@given(member_sets(30))
+def test_mask_code_matches_set_oracles_random(n_ms):
+    check_mask_code_against_oracles(*n_ms)
 
 
 def test_des_from_subset_examples():

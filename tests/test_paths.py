@@ -1,5 +1,6 @@
 """Lattice paths: area, peaks, hooks, and the rectangle bijection g."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,7 +14,6 @@ from centroinv.paths import (
     area,
     g_inverse,
     g_map,
-    half_descents_from_path,
     hd_star,
     hook_decomposition,
     path_counts,
@@ -36,6 +36,30 @@ def test_subset_path_and_back():
     # subset with its path and each path with its subset
     for n in range(7):
         assert [subset_path(e) for e in subsets(n)] == list(all_paths(n))
+
+
+def oracle_subset_path(n, ms):
+    # the set definition the mask decoder replaced
+    return "".join("N" if i in ms else "E" for i in range(1, n + 1))
+
+
+def test_subset_path_matches_set_oracle():
+    for n in range(11):
+        for k in range(n + 1):
+            for ms in combinations(range(1, n + 1), k):
+                e = make_subset(n, ms)
+                assert subset_path(e) == oracle_subset_path(n, set(ms))
+
+
+@given(
+    st.integers(0, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.sets(st.integers(1, n)) if n else st.just(set())
+        )
+    )
+)
+def test_subset_path_matches_set_oracle_random(n_ms):
+    assert subset_path(make_subset(*n_ms)) == oracle_subset_path(*n_ms)
 
 
 def test_peaks():
@@ -155,6 +179,18 @@ def test_peak_count_follows_binomials():
             tally[k] = tally.get(k, 0) + 1
         for k in range((n + 1) // 2 + 1):
             assert tally.get(k, 0) == comb(n + 1, 2 * k)
+
+
+def half_descents_from_path(p):
+    """Half descent set of a class member, recomputed as starred peaks of the
+    subset path; raises if the two routes would ever disagree."""
+    transported = peak_star(subset_path(excedance_subset(p)))
+    direct = half_descent_set(p)
+    if transported != direct:
+        raise ValueError(
+            f"peak transport mismatch for {p}: {transported} vs {direct}"
+        )
+    return transported
 
 
 def test_half_descents_from_path():
