@@ -19,9 +19,9 @@ from centroinv.distrib import STATS, distribution, table_json, table_tsv
 from centroinv.verify import THEOREMS, report_json, report_tsv, verify
 
 
-def _parse_size(raw: str | None) -> tuple[int, ...] | None:
+def _parse_size(raw: str | None) -> tuple[int, ...]:
     if raw is None:
-        return None
+        return ()
     size = perms.parse_ints(raw.split(","))
     for v in size:
         if v < 0:
@@ -29,92 +29,63 @@ def _parse_size(raw: str | None) -> tuple[int, ...] | None:
     return size
 
 
-def _want(size: tuple[int, ...] | None, count: int, name: str) -> tuple[int, ...]:
-    if size is None or len(size) != count:
-        shape = "N" if count == 1 else "A,B"
-        raise ValueError(f"bijection {name!r} needs --size {shape}")
-    return size
-
-
-# name -> (input description, apply(text, size_tuple) -> output text)
+# name -> (number of --size parts, apply(text, *size) -> output text)
 BIJECTIONS = {
     "excedance-subset": (
-        "permutation -> subset",
-        lambda text, size: matchings.format_subset(
+        0,
+        lambda text: matchings.format_subset(
             matchings.excedance_subset(perms.parse_perm(text))
         ),
     ),
     "subset-involution": (
-        "subset -> permutation, needs --size N",
-        lambda text, size: perms.format_perm(
-            matchings.subset_involution(
-                matchings.parse_subset(text, _want(size, 1, "subset-involution")[0])
-            )
+        1,
+        lambda text, n: perms.format_perm(
+            matchings.subset_involution(matchings.parse_subset(text, n))
         ),
     ),
     "subset-matching": (
-        "subset -> matching, needs --size N",
-        lambda text, size: matchings.format_matching(
-            matchings.subset_matching(
-                matchings.parse_subset(text, _want(size, 1, "subset-matching")[0])
-            )
+        1,
+        lambda text, n: matchings.format_matching(
+            matchings.subset_matching(matchings.parse_subset(text, n))
         ),
     ),
     "involution-matching": (
-        "permutation -> matching",
-        lambda text, size: matchings.format_matching(
+        0,
+        lambda text: matchings.format_matching(
             matchings.involution_matching(perms.parse_perm(text))
         ),
     ),
     "matching-involution": (
-        "matching -> permutation, needs --size POINTS",
-        lambda text, size: perms.format_perm(
-            matchings.matching_permutation(
-                matchings.parse_matching(
-                    text, _want(size, 1, "matching-involution")[0]
-                )
-            )
+        1,
+        lambda text, points: perms.format_perm(
+            matchings.matching_permutation(matchings.parse_matching(text, points))
         ),
     ),
     "subset-path": (
-        "subset -> path, needs --size N",
-        lambda text, size: paths.subset_path(
-            matchings.parse_subset(text, _want(size, 1, "subset-path")[0])
-        ),
+        1,
+        lambda text, n: paths.subset_path(matchings.parse_subset(text, n)),
     ),
-    "g": (
-        "path -> path",
-        lambda text, size: paths.g_map(text),
-    ),
-    "g-inverse": (
-        "path -> path",
-        lambda text, size: paths.g_inverse(text),
-    ),
+    "g": (0, paths.g_map),
+    "g-inverse": (0, paths.g_inverse),
     "theta": (
-        "permutation -> signed window",
-        lambda text, size: signed.format_signed(signed.theta(perms.parse_perm(text))),
+        0,
+        lambda text: signed.format_signed(signed.theta(perms.parse_perm(text))),
     ),
     "theta-inverse": (
-        "signed window -> permutation",
-        lambda text, size: perms.format_perm(
-            signed.theta_inverse(signed.parse_signed(text))
-        ),
+        0,
+        lambda text: perms.format_perm(signed.theta_inverse(signed.parse_signed(text))),
     ),
     "rsk-path": (
-        "involution -> path",
-        lambda text, size: rsk.involution_path(perms.parse_perm(text)),
+        0,
+        lambda text: rsk.involution_path(perms.parse_perm(text)),
     ),
     "theta-rect": (
-        "involution -> rectangle path, needs --size A,B",
-        lambda text, size: rsk.theta_rect(
-            perms.parse_perm(text), *_want(size, 2, "theta-rect")
-        ),
+        2,
+        lambda text, a, b: rsk.theta_rect(perms.parse_perm(text), a, b),
     ),
     "theta-rect-inverse": (
-        "rectangle path -> involution, needs --size A,B",
-        lambda text, size: perms.format_perm(
-            rsk.theta_rect_inverse(text, *_want(size, 2, "theta-rect-inverse"))
-        ),
+        2,
+        lambda text, a, b: perms.format_perm(rsk.theta_rect_inverse(text, a, b)),
     ),
 }
 
@@ -145,8 +116,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    _, fn = BIJECTIONS[args.name]
-    out = fn(args.text, _parse_size(args.size))
+    parts, fn = BIJECTIONS[args.name]
+    size = _parse_size(args.size)
+    if len(size) != parts:
+        if not parts:
+            raise ValueError(f"bijection {args.name!r} takes no --size")
+        shape = "N" if parts == 1 else "A,B"
+        raise ValueError(f"bijection {args.name!r} needs --size {shape}")
+    out = fn(args.text, *size)
     if args.format == "json":
         print(json.dumps({"name": args.name, "input": args.text, "output": out}))
     else:

@@ -7,11 +7,11 @@ permutations).
 
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard: with nshards workers, worker k gets the
-objects whose leading choice (first-position branch, low mask bits) hashes to
-k, so a sharded run covers the stream exactly once.  Aggregation downstream is
-commutative, which keeps sharded output identical to serial.  centro_perms and
-filtered_class only serve as checks and take no shard.  Every generator yields
-nothing for a negative size.
+objects whose first-position branch hashes to k, or for subsets and the
+classes built on them every nshards-th mask starting at k, so a sharded run
+covers the stream exactly once.  Aggregation downstream is commutative, which
+keeps sharded output identical to serial.  centro_perms only serves as a check
+and takes no shard.  Every generator yields nothing for a negative size.
 
 CLASSES is the one place that names the object classes.
 """
@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms, signed
 from centroinv.matchings import Subset, odd_join, subset_involution
-from centroinv.perms import Perm, contains_321, is_centrosymmetric
+from centroinv.perms import Perm, contains_321
 from centroinv.signed import SignedPerm, is_top_element, theta_inverse
 
 
@@ -93,15 +93,13 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
 
 
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
-    """All subsets of [n] in mask order; worker k of nshards gets those whose
-    low mask bits hash to k."""
+    """All subsets of [n] in mask order; worker k of nshards gets every
+    nshards-th mask starting at k."""
     _check_shard(shard, nshards)
     if n < 0:
         return
-    low_mask = (1 << min(n, (nshards - 1).bit_length())) - 1
-    for mask in range(1 << n):
-        if (mask & low_mask) % nshards == shard:
-            yield Subset(n, mask)
+    for mask in range(shard, 1 << n, nshards):
+        yield Subset(n, mask)
 
 
 def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
@@ -113,17 +111,6 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """321-avoiding involutions of [m] (filter route)."""
     return (p for p in involutions(m, shard, nshards) if not contains_321(p))
-
-
-def filtered_class(m: int) -> Iterator[Perm]:
-    """Reference generator for the even and odd classes: every involution of
-    [m] that is centrosymmetric and avoids 321.  It shares no code with
-    subset_involution or odd_join, so it can check both."""
-    return (
-        p
-        for p in involutions(m)
-        if is_centrosymmetric(p) and not contains_321(p)
-    )
 
 
 def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:

@@ -233,7 +233,7 @@ def subset_des(e: Subset) -> int:
 
 
 def subset_maj(e: Subset) -> int:
-    return sum(_set_bits(_descent_mask(e)))
+    return sum(subset_descents(e))
 
 
 def des_from_subset(e: Subset) -> int:

@@ -207,15 +207,6 @@ def g_inverse(word: str, a: int | None = None, b: int | None = None) -> str:
     return "".join(out)
 
 
-def rotate_first_to_last(word: str) -> str:
-    """Move the first step to the end.  Shifts area by +(number of E steps)
-    when the word starts with N, by -(number of N steps) otherwise."""
-    check_path(word)
-    if not word:
-        raise ValueError("empty path")
-    return word[1:] + word[0]
-
-
 # ---------- enumeration ----------
 
 

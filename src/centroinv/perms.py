@@ -11,7 +11,6 @@ Both membership tests run in linear time.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -47,22 +46,6 @@ def parse_perm(text: str) -> Perm:
 
 def format_perm(p: Perm) -> str:
     return " ".join(str(v) for v in p)
-
-
-def identity(m: int) -> Perm:
-    return tuple(range(1, m + 1))
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
-def complement(p: Perm) -> Perm:
-    m = len(p)
-    return tuple(m + 1 - v for v in p)
 
 
 def is_involution(p: Perm) -> bool:
@@ -148,11 +131,6 @@ def contains_321(p: Perm) -> bool:
     return False
 
 
-def contains_123(p: Perm) -> bool:
-    """True iff p has an increasing subsequence of length three."""
-    return contains_321(complement(p))
-
-
 def _rank_word(vals: Sequence[int]) -> tuple[int, ...]:
     # relative order of a sequence of distinct entries
     order = sorted(range(len(vals)), key=vals.__getitem__)
@@ -160,32 +138,3 @@ def _rank_word(vals: Sequence[int]) -> tuple[int, ...]:
     for r, idx in enumerate(order, start=1):
         rank[idx] = r
     return tuple(rank)
-
-
-def contains_pattern_naive(p: Perm, t: Perm) -> bool:
-    """Exhaustive subsequence scan; the reference check for any pattern."""
-    k = len(t)
-    if k > len(p):
-        return False
-    if k == 0:
-        return True
-    target = _rank_word(t)
-    for pos in combinations(range(len(p)), k):
-        if _rank_word([p[i] for i in pos]) == target:
-            return True
-    return False
-
-
-def contains_pattern(p: Perm, t: Perm) -> bool:
-    """Pattern containment; 321 and 123 get the linear scan, the rest the
-    exhaustive check."""
-    t = tuple(t)
-    if t == (3, 2, 1):
-        return contains_321(p)
-    if t == (1, 2, 3):
-        return contains_123(p)
-    return contains_pattern_naive(p, t)
-
-
-def avoids(p: Perm, t: Perm) -> bool:
-    return not contains_pattern(p, t)

@@ -95,11 +95,6 @@ def ppow(f: QPoly, e: int) -> QPoly:
     return out
 
 
-def pdegree(f: QPoly) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(f) - 1
-
-
 def peval(f: QPoly, x: int) -> int:
     out = 0
     for c in reversed(f):
@@ -115,10 +110,6 @@ def subst_q_square(f: QPoly) -> QPoly:
     for i, c in enumerate(f):
         out[2 * i] = c
     return qpoly(out)
-
-
-def is_palindromic(f: QPoly) -> bool:
-    return f == f[::-1]
 
 
 # ---------- Gaussian binomials ----------

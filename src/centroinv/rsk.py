@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from centroinv.paths import g_inverse, g_map
-from centroinv.perms import Perm
+from centroinv.perms import Perm, check_perm, fixed_point_count, is_involution
 from centroinv.qpoly import QPoly, pmul, pshift, psub, q_binomial
 
 
@@ -66,9 +66,8 @@ def check_tableau(t: TwoRowTableau) -> None:
 def rsk_tableau(p: Perm) -> TwoRowTableau:
     """Row-insert an involution; a bump out of the second row would need a
     third row, which is exactly a 321 witness."""
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation: {p!r}")
-    if any(p[v - 1] != i for i, v in enumerate(p, start=1)):
+    check_perm(p)
+    if not is_involution(p):
         raise NotInvolutionError(f"not an involution: {p!r}")
     top: list[int] = []
     bottom: list[int] = []
@@ -119,31 +118,19 @@ def involution_path(p: Perm) -> str:
     return "".join("N" if i in in_top else "E" for i in range(1, len(p) + 1))
 
 
-def _facing_scan(word: str):
-    # N opens, E closes; LIFO pairing of step indices (1-based)
-    pairs = []
+def _facing_scan(word: str) -> tuple[list[int], list[int]]:
+    # N opens, E closes, matched LIFO; returns the 1-based indices of the
+    # unmatched N steps and of the unmatched E steps, each ascending
     stack: list[int] = []
     unmatched_e = []
     for idx, s in enumerate(word, start=1):
         if s == "N":
             stack.append(idx)
         elif stack:
-            pairs.append((stack.pop(), idx))
+            stack.pop()
         else:
             unmatched_e.append(idx)
-    return sorted(pairs), stack, unmatched_e
-
-
-def facing_match(word: str) -> tuple[tuple[int, int], ...]:
-    """Facing pairs of an above-diagonal path; every E must find its N.
-
-    >>> facing_match("NNE")
-    ((2, 3),)
-    """
-    pairs, _, unmatched_e = _facing_scan(word)
-    if unmatched_e:
-        raise ValueError(f"path dips below the diagonal at step {unmatched_e[0]}")
-    return tuple(pairs)
+    return stack, unmatched_e
 
 
 def theta_rect(p: Perm, a: int, b: int) -> str:
@@ -161,15 +148,15 @@ def theta_rect(p: Perm, a: int, b: int) -> str:
     if len(p) != a + b:
         raise ShapeMismatchError(f"size {len(p)} does not split as {a}+{b}")
     path = involution_path(p)
-    fp = sum(1 for i, v in enumerate(p, start=1) if v == i)
+    fp = fixed_point_count(p)
     if fp < b - a:
         raise TooFewFixedPointsError(
             f"{fp} fixed points, need at least b-a = {b - a}"
         )
     flips = (fp + b - a) // 2
-    _, unmatched_n, _ = _facing_scan(path)
+    unmatched_n, _ = _facing_scan(path)
     out = list(path)
-    for idx in sorted(unmatched_n)[:flips]:
+    for idx in unmatched_n[:flips]:
         out[idx - 1] = "E"
     return g_map("".join(out), a, b)
 
@@ -184,7 +171,7 @@ def theta_rect_inverse(word: str, a: int, b: int) -> Perm:
             f"path does not fit a {a} x {b} rectangle: {word!r}"
         )
     path = g_inverse(word, a, b)
-    _, _, unmatched_e = _facing_scan(path)
+    _, unmatched_e = _facing_scan(path)
     steps = list(path)
     for idx in unmatched_e:
         steps[idx - 1] = "N"

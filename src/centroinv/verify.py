@@ -147,15 +147,14 @@ def _check_cara(n: int) -> str | None:
     seen = set()
     for e in generate.subsets(n):
         name = format_subset(e) or "{}"
-        mch = subset_matching(e)
-        if not matchings.is_symmetric(mch):
-            return f"matching of {name} is not symmetric"
-        if not matchings.is_nonnesting(mch):
-            return f"matching of {name} is nesting"
-        p = matchings.matching_permutation(mch)
-        if not _in_class(p):
-            return f"image {format_perm(p)} of {name} leaves the class"
-        if matchings.excedance_subset(p) != e:
+        # matching_permutation checks symmetry and non-nesting, and
+        # excedance_subset checks that its input lies in the class
+        try:
+            p = matchings.matching_permutation(subset_matching(e))
+            back = matchings.excedance_subset(p)
+        except ValueError as exc:
+            return f"image of {name} rejected: {exc}"
+        if back != e:
             return f"round trip failed at {name}"
         seen.add(p)
     if len(seen) != 1 << n:

@@ -119,6 +119,43 @@ def test_bijection_cases(capsys, name, text, size, expected):
     assert out.strip() == expected
 
 
+SIZELESS_BIJECTIONS = (
+    "excedance-subset",
+    "involution-matching",
+    "g",
+    "g-inverse",
+    "theta",
+    "theta-inverse",
+    "rsk-path",
+)
+
+
+@pytest.mark.parametrize("name", SIZELESS_BIJECTIONS)
+def test_unused_size_exits_2(capsys, name):
+    # each printed its answer and exited 0, dropping the size
+    text = next(t for n, t, *_ in BIJECTION_CASES if n == name)
+    code, out, err = run(
+        capsys, "bijection", "--name", name, "--apply", text, "--size", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bijection {name!r} takes no --size\n"
+
+
+@pytest.mark.parametrize(
+    "name,size,shape",
+    [("theta-rect", "2", "A,B"), ("subset-involution", "2,2", "N")],
+)
+def test_wrong_size_parts_exit_2(capsys, name, size, shape):
+    text = next(t for n, t, *_ in BIJECTION_CASES if n == name)
+    code, out, err = run(
+        capsys, "bijection", "--name", name, "--apply", text, "--size", size
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bijection {name!r} needs --size {shape}\n"
+
+
 def test_bijection_json(capsys):
     code, out, _ = run(
         capsys,

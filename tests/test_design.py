@@ -1,0 +1,38 @@
+"""Design rules that hold for the package as a whole."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "centroinv"
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names a tree reads: bare names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_package_name_has_a_caller():
+    # each top-level function and class under src/ is used by other code in
+    # src/ or by the benchmark in perfbench/, not only by its own tests
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, stmt.name))
+                names.discard(stmt.name)  # recursion is not a caller
+            used |= names
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _referenced(ast.parse(path.read_text()))
+    unused = [f"{mod}.{name}" for mod, name in defined if name not in used]
+    assert not unused, "only the tests call " + ", ".join(unused)

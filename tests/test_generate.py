@@ -11,7 +11,6 @@ from centroinv.generate import (
     centro_perms,
     cinv321_even,
     cinv321_odd,
-    filtered_class,
     format_object,
     generate_class,
     inv321,
@@ -30,6 +29,7 @@ from centroinv.perms import (
     is_involution,
     maj,
 )
+from oracles import filtered_class
 
 
 def involution_count(m):

@@ -21,10 +21,10 @@ from centroinv.paths import (
     peak_set,
     peak_star,
     rect_paths,
-    rotate_first_to_last,
     subset_path,
 )
 from centroinv.perms import half_descent_set
+from oracles import rotate_first_to_last
 
 word_strategy = st.text(alphabet="NE", min_size=0, max_size=12)
 

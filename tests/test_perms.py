@@ -8,23 +8,25 @@ from centroinv import perms
 from centroinv.generate import centro_perms, involutions
 from centroinv.matchings import excedance_subset, subset
 from centroinv.perms import (
-    avoids,
-    complement,
-    contains_123,
     contains_321,
-    contains_pattern,
-    contains_pattern_naive,
     descent_set,
     des,
     fixed_point_count,
     half_descent_set,
-    identity,
-    inverse,
     is_centrosymmetric,
     is_involution,
     maj,
     parse_perm,
     format_perm,
+)
+from oracles import (
+    avoids,
+    complement,
+    contains_123,
+    contains_pattern,
+    contains_pattern_naive,
+    identity,
+    inverse,
 )
 
 

@@ -7,7 +7,6 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from centroinv.generate import filtered_class
 from centroinv.perms import des as perm_des
 from centroinv.perms import half_des, half_maj
 from centroinv.qpoly import (
@@ -22,10 +21,8 @@ from centroinv.qpoly import (
     half_maj_poly_by_area,
     half_maj_poly_diff,
     half_maj_poly_rec,
-    is_palindromic,
     odd_case_polys,
     padd,
-    pdegree,
     peval,
     pmul,
     ppow,
@@ -37,6 +34,7 @@ from centroinv.qpoly import (
     qpoly,
     subst_q_square,
 )
+from oracles import filtered_class
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(qpoly)
 
@@ -59,8 +57,8 @@ def test_ring_examples():
     assert ppow(ONE_PLUS_Q, 2) == (1, 2, 1)
     assert ppow((1, 1), 0) == ONE
     assert psum([(1,), (0, 1), (0, 0, 1)]) == (1, 1, 1)
-    assert pdegree(ZERO) == -1
-    assert pdegree((0, 0, 7)) == 2
+    assert len(ZERO) - 1 == -1
+    assert len((0, 0, 7)) - 1 == 2
     assert peval((1, 2, 3), 10) == 321
     assert peval(ZERO, 5) == 0
     assert subst_q_square((1, 2, 3)) == (1, 0, 2, 0, 3)
@@ -115,8 +113,8 @@ def test_q_binomial_shape():
         for h in range(n + 1):
             f = q_binomial(n, h)
             assert f == q_binomial(n, n - h)
-            assert is_palindromic(f)
-            assert pdegree(f) == h * (n - h)
+            assert f == f[::-1]
+            assert len(f) - 1 == h * (n - h)
             assert peval(f, 1) == comb(n, h)
 
 
@@ -202,7 +200,7 @@ def test_odd_case_polys_structure():
     for n in range(12):
         hd, hm, full = odd_case_polys(n)
         assert full == subst_q_square(hd)
-        assert is_palindromic(hm)
+        assert hm == hm[::-1]
         size = comb(n, n // 2)
         assert peval(hd, 1) == size
         assert peval(hm, 1) == size

@@ -16,8 +16,8 @@ from centroinv.rsk import (
     ShapeMismatchError,
     TooFewFixedPointsError,
     TwoRowTableau,
+    _facing_scan,
     check_tableau,
-    facing_match,
     involution_path,
     maj_poly_by_fixed_points,
     maj_poly_by_fixed_points_and_des,
@@ -119,12 +119,12 @@ def test_involution_path_properties():
 
 
 def test_facing_examples():
-    assert facing_match("NNE") == ((2, 3),)
-    assert facing_match("NENE") == ((1, 2), (3, 4))
-    assert facing_match("NNEE") == ((1, 4), (2, 3))
-    assert facing_match("") == ()
-    with pytest.raises(ValueError):
-        facing_match("EN")
+    # (unmatched N steps, unmatched E steps), 1-based
+    assert _facing_scan("NNE") == ([1], [])
+    assert _facing_scan("NENE") == ([], [])
+    assert _facing_scan("NNEE") == ([], [])
+    assert _facing_scan("") == ([], [])
+    assert _facing_scan("EN") == ([2], [1])
 
 
 def test_theta_rect_examples():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from centroinv.generate import centro_perms, signed_perms
-from centroinv.perms import avoids, contains_321, half_descent_set
+from centroinv.perms import contains_321, half_descent_set
 from centroinv.signed import (
     TOP_PATTERNS,
     check_signed,
@@ -16,6 +16,7 @@ from centroinv.signed import (
     theta,
     theta_inverse,
 )
+from oracles import avoids
 
 
 @st.composite

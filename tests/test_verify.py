@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from centroinv import kernels
+from centroinv import kernels, matchings
 from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS, signed_avoids
 from centroinv.verify import (
@@ -104,6 +104,24 @@ def test_cara_count_check_catches_a_missing_member(monkeypatch):
     assert [r.status for r in report.results] == ["fail"] * 4
     assert report.results[3].counterexample == (
         "raw census counts 9 class members, 8 images"
+    )
+
+
+def test_cara_rejects_a_nesting_matching(monkeypatch):
+    # a subset matching that nests from n = 2 on must give a fail row with
+    # the counterexample, not an exception out of matching_permutation
+    real = verify_module.subset_matching
+
+    def nesting(e):
+        if e.n < 2:
+            return real(e)
+        return matchings.matching(2 * e.n, [(1, 2 * e.n), (2, 2 * e.n - 1)])
+
+    monkeypatch.setattr(verify_module, "subset_matching", nesting)
+    report = verify("T-cara", 3)
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
+    assert report.results[2].counterexample == (
+        "image of {} rejected: matching is nesting"
     )
 
 
