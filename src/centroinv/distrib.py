@@ -6,7 +6,7 @@ objects with statistic i) plus the stream length.
 
 With jobs > 1 the stream is split into shards (one per worker process, cut
 by the leading choice of each object) and the per-shard tallies are added;
-polynomial addition is commutative, so a sharded run is byte-identical to a
+tally addition is commutative, so a sharded run is byte-identical to a
 serial one.  jobs is capped at os.cpu_count().
 """
 
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 from centroinv import generate
-from centroinv.qpoly import QPoly, peval, qpoly
+from centroinv.qpoly import QPoly, peval, tally_poly
 
 #: every statistic name, in the order the class table first uses it
 STATS = tuple(dict.fromkeys(s for c in generate.CLASSES.values() for s in c.stats))
@@ -42,14 +42,10 @@ class DistributionTable:
     count: int
 
 
-def _shard_tally(args: tuple[str, int, str, int, int]) -> dict[int, int]:
+def _shard_tally(args: tuple[str, int, str, int, int]) -> Counter:
     label, size, stat, shard, nshards = args
     fn = stat_function(label, stat)
-    tally: dict[int, int] = {}
-    for obj in generate.generate_class(label, size, shard, nshards):
-        v = fn(obj)
-        tally[v] = tally.get(v, 0) + 1
-    return tally
+    return Counter(map(fn, generate.generate_class(label, size, shard, nshards)))
 
 
 def distribution(
@@ -67,17 +63,15 @@ def distribution(
         raise ValueError("jobs must be positive")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
-        tallies = [_shard_tally((label, size, stat, 0, 1))]
+        tally = _shard_tally((label, size, stat, 0, 1))
     else:
+        # loaded here, so a run without workers never imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         argses = [(label, size, stat, k, jobs) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tallies = list(pool.map(_shard_tally, argses))
-    merged: dict[int, int] = {}
-    for t in tallies:
-        for v, c in t.items():
-            merged[v] = merged.get(v, 0) + c
-    top = max(merged, default=-1)
-    poly = qpoly(merged.get(i, 0) for i in range(top + 1))
+            tally = sum(pool.map(_shard_tally, argses), Counter())
+    poly = tally_poly(tally)
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 
 

@@ -1,5 +1,5 @@
-"""The census: one fused walk over the even or odd class that counts and
-tallies statistics.
+"""The census: one fused walk over the even or odd class that counts it and
+tallies the statistics the theorem drivers compare against.
 
 This is the brute-force side of the counting and distribution checks, kept
 independent of the generators: it builds the 321-avoiding centrosymmetric
@@ -22,20 +22,17 @@ BACKEND = "python"
 @lru_cache(maxsize=None)
 def census(m: int) -> MappingProxyType:
     """One pass over the centrosymmetric involutions of [m]: count those that
-    avoid 321 and tally their descent, major index and fixed point statistics.
+    avoid 321 and tally the statistics the theorem drivers read.
 
-    Returns a read-only mapping with "count" plus five tally tuples ("des",
-    "des+", "maj", "maj+", "fp") where entry i counts members with
-    statistic i.
+    Returns a read-only mapping with "count" plus three tally tuples ("des",
+    "des+", "maj+") where entry i counts members with statistic i.
     """
     if m < 0 or m > 20:
         raise ValueError("m out of supported range 0..20")
     n = m // 2
     des_t = [0] * (max(m, 1))
     desp_t = [0] * (n + 1)
-    maj_t = [0] * (m * (m - 1) // 2 + 1)
     majp_t = [0] * (n * (n + 1) // 2 + 1)
-    fp_t = [0] * (m + 1)
     count = 0
 
     perm = [0] * (m + 1)  # 1-based; 0 marks unassigned
@@ -53,23 +50,17 @@ def census(m: int) -> MappingProxyType:
                     best_mid = v
             else:
                 prefix_max = v
-        d = dp = mj = mjp = fp = 0
+        d = dp = mjp = 0
         for i in range(1, m):
             if perm[i] > perm[i + 1]:
                 d += 1
-                mj += i
                 if i <= n:
                     dp += 1
                     mjp += i
-        for i in range(1, m + 1):
-            if perm[i] == i:
-                fp += 1
         count += 1
         des_t[d] += 1
         desp_t[dp] += 1
-        maj_t[mj] += 1
         majp_t[mjp] += 1
-        fp_t[fp] += 1
 
     def rec(i: int) -> None:
         # the smallest unplaced point i is fixed (j == i) or paired with j > i
@@ -96,5 +87,5 @@ def census(m: int) -> MappingProxyType:
     rec(1)
     return MappingProxyType(
         {"count": count, "des": tuple(des_t), "des+": tuple(desp_t),
-         "maj": tuple(maj_t), "maj+": tuple(majp_t), "fp": tuple(fp_t)}
+         "maj+": tuple(majp_t)}
     )

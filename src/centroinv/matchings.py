@@ -19,7 +19,6 @@ same arc.  The resulting map E -> involution is a bijection from subsets of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from centroinv.perms import (
@@ -72,11 +71,6 @@ def format_matching(mch: Matching) -> str:
     return ",".join(f"{i}-{j}" for i, j in mch.arcs)
 
 
-def singletons(mch: Matching) -> tuple[int, ...]:
-    used = {e for arc in mch.arcs for e in arc}
-    return tuple(i for i in range(1, mch.points + 1) if i not in used)
-
-
 def is_symmetric(mch: Matching) -> bool:
     """Closed under the reflection i -> points+1-i."""
     total = mch.points + 1
@@ -85,13 +79,21 @@ def is_symmetric(mch: Matching) -> bool:
 
 
 def is_nonnesting(mch: Matching) -> bool:
-    """No arc strictly inside another arc, no singleton inside an arc."""
-    for (i, l), (j, k) in combinations(mch.arcs, 2):
-        if i < j and k < l:
-            return False
-    for s in singletons(mch):
-        if any(i < s < j for i, j in mch.arcs):
-            return False
+    """No arc strictly inside another arc, no singleton inside an arc.
+
+    One sweep over the points: reach is the furthest right end of the arcs
+    opened so far, and an arc ending before it, or a singleton below it, is
+    nested.
+    """
+    ends: list[int | None] = list(range(mch.points + 1))  # a singleton ends at itself
+    for i, j in mch.arcs:
+        ends[i], ends[j] = j, None
+    reach = 0
+    for end in ends:
+        if end is not None:
+            if end < reach:
+                return False
+            reach = end
     return True
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import product
 from math import comb
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from centroinv.paths import area
 
@@ -41,6 +41,11 @@ def qpoly(coeffs: Iterable[int]) -> QPoly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def tally_poly(counts: Mapping[int, int]) -> QPoly:
+    """Polynomial whose coefficient of q^i is counts[i] (0 when absent)."""
+    return qpoly(counts.get(i, 0) for i in range(max(counts, default=-1) + 1))
 
 
 def padd(f: QPoly, g: QPoly) -> QPoly:
@@ -200,10 +205,9 @@ def half_maj_poly_by_area(n: int) -> QPoly:
     """Area generating polynomial of the 2^n paths that start with a forced E
     step followed by any n steps.  Computed by honest enumeration; agreeing
     with half_maj_poly is a theorem, not a definition."""
-    tally: Counter[int] = Counter()
-    for suffix in product("NE", repeat=n):
-        tally[area("E" + "".join(suffix))] += 1
-    return qpoly(tally[i] for i in range(max(tally) + 1))
+    return tally_poly(
+        Counter(area("E" + "".join(suffix)) for suffix in product("NE", repeat=n))
+    )
 
 
 def full_des_poly(n: int) -> QPoly:

@@ -5,6 +5,12 @@ finite set honestly, compute both sides, compare exactly.  Closed forms are
 never substituted for the brute-force side; where a result has several
 equivalent forms, all of them are pitted against the same enumeration.
 
+A distribution driver states its routes as data: an ordered dict from route
+name to polynomial, the first entry the reference, with the raw census tally
+added for half-sizes up to RAW_LIMIT.  The routes share no code; only the
+comparison is shared, and the first route that differs gives the
+counterexample "<route> gives <value>, <reference> <value>".
+
 verify(theorem_id) runs one driver over a size range and returns a report
 with a per-size pass/fail status; a failure carries a concrete
 counterexample.  The registry key doubles as the CLI name.
@@ -13,9 +19,8 @@ counterexample.  The registry key doubles as the CLI name.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from time import perf_counter
 from typing import Callable, Iterable
@@ -25,27 +30,11 @@ from centroinv.distrib import distribution
 from centroinv.matchings import format_subset, odd_join, odd_split, subset_matching
 from centroinv.perms import contains_321, format_perm, is_centrosymmetric, is_involution
 from centroinv.qpoly import (
-    ONE,
-    ONE_PLUS_Q,
-    Q,
-    QPoly,
-    ZERO,
-    full_des_poly,
-    half_des_poly,
-    half_des_poly_even_part,
-    half_des_poly_rec,
-    half_maj_poly,
-    half_maj_poly_by_area,
-    half_maj_poly_diff,
-    half_maj_poly_rec,
-    odd_case_polys,
-    padd,
-    pmul,
-    pshift,
-    psub,
-    psum,
-    q_binomial,
-    qpoly,
+    # the ring, then the closed forms the drivers compare routes against
+    ONE, ONE_PLUS_Q, Q, ZERO, padd, pmul, pshift, psub, psum, qpoly, tally_poly,
+    q_binomial, full_des_poly, odd_case_polys,
+    half_des_poly, half_des_poly_even_part, half_des_poly_rec,
+    half_maj_poly, half_maj_poly_by_area, half_maj_poly_diff, half_maj_poly_rec,
 )
 from centroinv.signed import (
     TOP_PATTERNS,
@@ -77,70 +66,64 @@ class VerificationReport:
         return all(r.status == "pass" for r in self.results)
 
 
-def _counter_poly(c: Counter) -> QPoly:
-    top = max(c, default=-1)
-    return qpoly(c.get(i, 0) for i in range(top + 1))
+def _disagreement(routes: dict[str, object]) -> str | None:
+    """Compare every route with the first, the reference: the counterexample
+    "<route> gives <value>, <reference> <value>" for the first route that
+    differs, or None when all agree."""
+    (ref, want), *others = routes.items()
+    for name, got in others:
+        if got != want:
+            return f"{name} gives {got}, {ref} {want}"
+    return None
 
 
-def _stat_poly(objs: Iterable, fn) -> QPoly:
-    tally: Counter = Counter()
+def _grouped_polys(objs: Iterable, key, stat) -> dict:
+    """Group objects by key and tally stat within each group, as polynomials."""
+    groups = defaultdict(Counter)
     for obj in objs:
-        tally[fn(obj)] += 1
-    return _counter_poly(tally)
-
-
-def _in_class(p) -> bool:
-    return is_involution(p) and is_centrosymmetric(p) and not contains_321(p)
+        groups[key(obj)][stat(obj)] += 1
+    return {k: tally_poly(c) for k, c in groups.items()}
 
 
 # ---------- drivers ----------
 
 
 def _check_despoly(n: int) -> str | None:
-    closed = half_des_poly(n)
-    rec = half_des_poly_rec(n)
-    if closed != rec:
-        return f"recurrence gives {rec}, closed form {closed}"
-    even = half_des_poly_even_part(n)
-    if even != closed:
-        return f"even part of (1+t)^(n+1) gives {even}, closed form {closed}"
-    brute = distribution("cinv321-even", 2 * n, "des+").poly
-    if brute != closed:
-        return f"brute force gives {brute}, closed form {closed}"
+    routes = {
+        "closed form": half_des_poly(n),
+        "recurrence": half_des_poly_rec(n),
+        "even part of (1+t)^(n+1)": half_des_poly_even_part(n),
+        "brute force": distribution("cinv321-even", 2 * n, "des+").poly,
+    }
     if n <= RAW_LIMIT:
-        raw = qpoly(kernels.census(2 * n)["des+"])
-        if raw != closed:
-            return f"raw filter gives {raw}, closed form {closed}"
-    return None
+        routes["raw filter"] = qpoly(kernels.census(2 * n)["des+"])
+    return _disagreement(routes)
 
 
 def _check_majpoly(n: int) -> str | None:
-    base = half_maj_poly(n)
-    others = {
+    routes = {
+        "binomial sum": half_maj_poly(n),
         "difference form": half_maj_poly_diff(n),
         "recurrence": half_maj_poly_rec(n),
         "area enumeration": half_maj_poly_by_area(n),
         "brute force": distribution("cinv321-even", 2 * n, "maj+").poly,
     }
-    for name, val in others.items():
-        if val != base:
-            return f"{name} gives {val}, binomial sum {base}"
-    return None
+    if n <= RAW_LIMIT:
+        routes["raw filter"] = qpoly(kernels.census(2 * n)["maj+"])
+    return _disagreement(routes)
 
 
 def _check_desfull(n: int) -> str | None:
-    closed = full_des_poly(n)
-    transported = _stat_poly(generate.subsets(n), matchings.des_from_subset)
-    if transported != closed:
-        return f"subset transport gives {transported}, closed form {closed}"
-    direct = distribution("cinv321-even", 2 * n, "des").poly
-    if direct != closed:
-        return f"brute force gives {direct}, closed form {closed}"
+    routes = {
+        "closed form": full_des_poly(n),
+        "subset transport": tally_poly(
+            Counter(map(matchings.des_from_subset, generate.subsets(n)))
+        ),
+        "brute force": distribution("cinv321-even", 2 * n, "des").poly,
+    }
     if n <= RAW_LIMIT:
-        raw = qpoly(kernels.census(2 * n)["des"])
-        if raw != closed:
-            return f"raw filter gives {raw}, closed form {closed}"
-    return None
+        routes["raw filter"] = qpoly(kernels.census(2 * n)["des"])
+    return _disagreement(routes)
 
 
 def _check_cara(n: int) -> str | None:
@@ -174,7 +157,7 @@ def _check_odd(n: int) -> str | None:
     members = []
     for a in alphas:
         p = odd_join(a)
-        if not _in_class(p):
+        if not (is_involution(p) and is_centrosymmetric(p)) or contains_321(p):
             return f"join of {format_perm(a)} leaves the class"
         if odd_split(p) != a:
             return f"split(join) failed at {format_perm(a)}"
@@ -187,24 +170,21 @@ def _check_odd(n: int) -> str | None:
         members.append(p)
     if len(set(members)) != len(members):
         return "join is not injective"
-    des_half, maj_half, des_all = odd_case_polys(n)
-    got = _stat_poly(members, perms.half_des)
-    if got != des_half:
-        return f"half-descent brute force gives {got}, closed form {des_half}"
-    got = _stat_poly(members, perms.half_maj)
-    if got != maj_half:
-        return f"half-major brute force gives {got}, closed form {maj_half}"
-    got = _stat_poly(members, perms.des)
-    if got != des_all:
-        return f"descent brute force gives {got}, closed form {des_all}"
     if n <= RAW_LIMIT:
-        cens = kernels.census(2 * n + 1)
-        if cens["count"] != len(members):
-            return f"raw filter count {cens['count']} != {len(members)}"
-        for key, want in (("des+", des_half), ("maj+", maj_half), ("des", des_all)):
-            raw = qpoly(cens[key])
-            if raw != want:
-                return f"raw {key} tally gives {raw}, closed form {want}"
+        count = kernels.census(2 * n + 1)["count"]
+        if count != len(members):
+            return f"raw filter count {count} != {len(members)}"
+    stats = {"des+": perms.half_des, "maj+": perms.half_maj, "des": perms.des}
+    for (key, stat), closed in zip(stats.items(), odd_case_polys(n)):
+        routes = {
+            "closed form": closed,
+            f"{key} brute force": tally_poly(Counter(map(stat, members))),
+        }
+        if n <= RAW_LIMIT:
+            routes[f"raw {key} tally"] = qpoly(kernels.census(2 * n + 1)[key])
+        cx = _disagreement(routes)
+        if cx:
+            return cx
     return None
 
 
@@ -229,19 +209,15 @@ def _check_hdpeak(n: int) -> str | None:
 
 
 def _check_recr(n: int) -> str | None:
+    routes = {"area enumeration": half_maj_poly_by_area(n)}
     if n <= 1:
-        lhs, rhs = half_maj_poly_by_area(n), half_maj_poly_rec(n)
-        if lhs != rhs:
-            return f"initial value {lhs} != {rhs}"
-        return None
-    lhs = half_maj_poly_by_area(n)
-    rhs = padd(
-        pmul(ONE_PLUS_Q, half_maj_poly_by_area(n - 1)),
-        pmul(psub(pshift(ONE, n), Q), half_maj_poly_by_area(n - 2)),
-    )
-    if lhs != rhs:
-        return f"enumerated {lhs}, recurrence rebuilds {rhs}"
-    return None
+        routes["initial value"] = half_maj_poly_rec(n)
+    else:
+        routes["recurrence"] = padd(
+            pmul(ONE_PLUS_Q, half_maj_poly_by_area(n - 1)),
+            pmul(psub(pshift(ONE, n), Q), half_maj_poly_by_area(n - 2)),
+        )
+    return _disagreement(routes)
 
 
 def _check_sixpat(n: int) -> str | None:
@@ -255,7 +231,9 @@ def _check_sixpat(n: int) -> str | None:
             s for s in windows if all(signed_avoids(s, t) for t in TOP_PATTERNS)
         },
     }
-    for (x, sx), (y, sy) in combinations(routes.items(), 2):
+    # agreeing with the first route, the reference, makes all three agree
+    (x, sx), *others = routes.items()
+    for y, sy in others:
         if sx != sy:
             diff = sorted(sx ^ sy)[0]
             side = x if diff in sx else y
@@ -289,12 +267,9 @@ def _check_fp(n: int) -> str | None:
 
 
 def _check_cor1(n: int) -> str | None:
-    by_fp: dict[int, Counter] = {}
-    for p in generate.inv321(n):
-        by_fp.setdefault(perms.fixed_point_count(p), Counter())[perms.maj(p)] += 1
-    if any((n - l) % 2 for l in by_fp):
+    polys = _grouped_polys(generate.inv321(n), perms.fixed_point_count, perms.maj)
+    if any((n - l) % 2 for l in polys):
         return "fixed point count with wrong parity"
-    polys = {l: _counter_poly(c) for l, c in by_fp.items()}
     total = psum(polys.values())
     if total != q_binomial(n, n // 2):
         return f"grand total {total} != central Gaussian binomial"
@@ -313,11 +288,11 @@ def _check_cor1(n: int) -> str | None:
 
 
 def _check_cor2(n: int) -> str | None:
-    polys: dict[tuple[int, int], Counter] = {}
-    for p in generate.inv321(n):
-        key = (perms.fixed_point_count(p), perms.des(p))
-        polys.setdefault(key, Counter())[perms.maj(p)] += 1
-    refined = {key: _counter_poly(c) for key, c in polys.items()}
+    refined = _grouped_polys(
+        generate.inv321(n),
+        lambda p: (perms.fixed_point_count(p), perms.des(p)),
+        perms.maj,
+    )
     for a in range(n // 2 + 1):
         b = n - a
         for k in range(n + 1):
@@ -335,12 +310,13 @@ def _check_cor2(n: int) -> str | None:
                 return f"fp = {l}, des = {k}: {got} != difference form {want}"
     for a in range(n + 1):
         b = n - a
-        by_hooks: dict[int, Counter] = {}
-        for lam in paths.rect_paths(a, b):
-            k = len(paths.hook_decomposition(lam))
-            by_hooks.setdefault(k, Counter())[paths.area(lam)] += 1
+        by_hooks = _grouped_polys(
+            paths.rect_paths(a, b),
+            lambda lam: len(paths.hook_decomposition(lam)),
+            paths.area,
+        )
         for k in range(min(a, b) + 1):
-            got = _counter_poly(by_hooks.get(k, Counter()))
+            got = by_hooks.get(k, ZERO)
             want = pshift(pmul(q_binomial(a, k), q_binomial(b, k)), k * k)
             if got != want:
                 return f"{k}-hook diagrams in {a} x {b}: {got} != {want}"
@@ -351,7 +327,7 @@ def _check_cor2(n: int) -> str | None:
 
 THEOREMS: dict[str, tuple[str, int, Callable[[int], str | None]]] = {
     "T-despoly": ("half-descent distribution equals the binomial closed form", 12, _check_despoly),
-    "T-majpoly": ("half-major distribution: five routes agree", 12, _check_majpoly),
+    "T-majpoly": ("half-major distribution: six routes agree", 12, _check_majpoly),
     "T-desfull": ("full descent distribution equals (1+q)^n", 12, _check_desfull),
     "T-cara": ("subsets of [n] biject onto the even class", 12, _check_cara),
     "T-odd": ("odd class: centre join and its three distributions", 7, _check_odd),
@@ -397,7 +373,5 @@ def report_json(r: VerificationReport) -> str:
 
 def report_tsv(r: VerificationReport) -> str:
     lines = ["n\tstatus\tcounterexample"]
-    lines.extend(
-        f"{s.n}\t{s.status}\t{s.counterexample or ''}" for s in r.results
-    )
+    lines.extend(f"{s.n}\t{s.status}\t{s.counterexample or ''}" for s in r.results)
     return "\n".join(lines)

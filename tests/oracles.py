@@ -1,12 +1,13 @@
 """Code that only the tests use: reference implementations to compare the
-package against (the exhaustive pattern scan, the filtered class generator)
-and small helpers for building test cases.
+package against (the exhaustive pattern scan, the pairwise non-nesting test,
+the filtered class generator) and small helpers for building test cases.
 """
 
 from itertools import combinations
 from typing import Iterator
 
 from centroinv.generate import involutions
+from centroinv.matchings import Matching
 from centroinv.paths import check_path
 from centroinv.perms import Perm, _rank_word, contains_321, is_centrosymmetric
 
@@ -62,6 +63,26 @@ def contains_pattern(p: Perm, t: Perm) -> bool:
 
 def avoids(p: Perm, t: Perm) -> bool:
     return not contains_pattern(p, t)
+
+
+# ---------- matchings ----------
+
+
+def singletons(mch: Matching) -> tuple[int, ...]:
+    used = {e for arc in mch.arcs for e in arc}
+    return tuple(i for i in range(1, mch.points + 1) if i not in used)
+
+
+def is_nonnesting_pairwise(mch: Matching) -> bool:
+    """The definition, pair by pair: no arc strictly inside another arc, no
+    singleton inside an arc."""
+    for (i, l), (j, k) in combinations(mch.arcs, 2):
+        if i < j and k < l:
+            return False
+    for s in singletons(mch):
+        if any(i < s < j for i, j in mch.arcs):
+            return False
+    return True
 
 
 # ---------- paths ----------

@@ -59,7 +59,7 @@ def test_criterion_02():
     run_driver("T-despoly")
 
 
-@criterion(3, "half-major distribution: five routes agree to n=12, recurrence re-proved")
+@criterion(3, "half-major distribution: six routes agree to n=12, recurrence re-proved")
 def test_criterion_03():
     run_driver("T-majpoly")
     run_driver("T-recr")

@@ -1,6 +1,9 @@
 """Design rules that hold for the package as a whole."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +39,17 @@ def test_every_package_name_has_a_caller():
         used |= _referenced(ast.parse(path.read_text()))
     unused = [f"{mod}.{name}" for mod, name in defined if name not in used]
     assert not unused, "only the tests call " + ", ".join(unused)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a sharded run (jobs > 1) needs multiprocessing; a fresh interpreter
+    # shows what importing the CLI alone loads
+    code = "import sys, centroinv.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Distribution tables: serial, sharded, and their text forms."""
 
+import concurrent.futures
 import json
 from collections import Counter
 from itertools import product
@@ -123,7 +124,7 @@ class FakePool:
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(distrib, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(FakePool, "created", [])
     serial = distribution("cinv321-even", 10, "maj+")
@@ -136,7 +137,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
 
 
 def test_bad_size_rejected_before_workers(monkeypatch):
-    monkeypatch.setattr(distrib, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "created", [])
     with pytest.raises(ValueError, match="non-negative"):
         distribution("subsets", -1, "des", jobs=2)

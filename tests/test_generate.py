@@ -22,12 +22,10 @@ from centroinv.kernels import BACKEND, census
 from centroinv.perms import (
     contains_321,
     des,
-    fixed_point_count,
     half_des,
     half_maj,
     is_centrosymmetric,
     is_involution,
-    maj,
 )
 from oracles import filtered_class
 
@@ -186,17 +184,13 @@ def streamed_census(m):
         "count": 0,
         "des": [0] * max(m, 1),
         "des+": [0] * (n + 1),
-        "maj": [0] * (m * (m - 1) // 2 + 1),
         "maj+": [0] * (n * (n + 1) // 2 + 1),
-        "fp": [0] * (m + 1),
     }
     for p in filtered_class(m):
         out["count"] += 1
         out["des"][des(p)] += 1
         out["des+"][half_des(p)] += 1
-        out["maj"][maj(p)] += 1
         out["maj+"][half_maj(p)] += 1
-        out["fp"][fixed_point_count(p)] += 1
     return {
         k: tuple(v) if isinstance(v, list) else v for k, v in out.items()
     }

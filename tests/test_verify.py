@@ -140,6 +140,50 @@ def test_sixpat_catches_a_broken_fast_check(monkeypatch):
     )
 
 
+def _perturbed_census(monkeypatch, key):
+    # one more member in the zeroth entry of one census tally
+    real = kernels.census
+
+    def census(m):
+        tally = real(m)[key]
+        return {**real(m), key: (tally[0] + 1,) + tally[1:]}
+
+    monkeypatch.setattr(kernels, "census", census)
+
+
+def test_despoly_compares_the_raw_census(monkeypatch):
+    _perturbed_census(monkeypatch, "des+")
+    report = verify("T-despoly", 9)
+    assert [r.status for r in report.results] == ["fail"] * 8 + ["pass"] * 2
+    assert report.results[3].counterexample == (
+        "raw filter gives (2, 6, 1), closed form (1, 6, 1)"
+    )
+
+
+def test_odd_and_majpoly_compare_the_raw_census(monkeypatch):
+    _perturbed_census(monkeypatch, "maj+")
+    odd = verify("T-odd", 3)
+    assert [r.status for r in odd.results] == ["fail"] * 4
+    assert odd.results[3].counterexample == (
+        "raw maj+ tally gives (2, 1, 1), closed form (1, 1, 1)"
+    )
+    majpoly = verify("T-majpoly", 3)
+    assert [r.status for r in majpoly.results] == ["fail"] * 4
+    assert majpoly.results[2].counterexample == (
+        "raw filter gives (2, 1, 2), binomial sum (1, 1, 2)"
+    )
+
+
+def test_despoly_compares_the_recurrence(monkeypatch):
+    real = verify_module.half_des_poly_rec
+    monkeypatch.setattr(verify_module, "half_des_poly_rec", lambda n: real(n) + (7,))
+    report = verify("T-despoly", 2)
+    assert not report.ok
+    assert report.results[2].counterexample == (
+        "recurrence gives (1, 3, 7), closed form (1, 3)"
+    )
+
+
 def test_report_json_schema():
     report = verify("T-recr", max_size=5)
     doc = json.loads(report_json(report))
