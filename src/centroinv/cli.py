@@ -46,7 +46,7 @@ BIJECTIONS = {
     "subset-matching": (
         1,
         lambda text, n: matchings.format_matching(
-            matchings.subset_matching(matchings.parse_subset(text, n))
+            matchings.subset_involution(matchings.parse_subset(text, n))
         ),
     ),
     "involution-matching": (

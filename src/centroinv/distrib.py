@@ -4,10 +4,10 @@ distribution(label, size, stat) streams a class and tallies one statistic;
 the result records the tally as a polynomial (coefficient of q^i counts the
 objects with statistic i) plus the stream length.
 
-With jobs > 1 the stream is split into shards (one per worker process, cut
-by the leading choice of each object) and the per-shard tallies are added;
-tally addition is commutative, so a sharded run is byte-identical to a
-serial one.  jobs is capped at os.cpu_count().
+With jobs > 1 the stream is split into shards, one per worker process, by
+the generator's shard rule (see centroinv.generate), and the per-shard
+tallies are added; tally addition is commutative, so a sharded run is
+byte-identical to a serial one.  jobs is capped at os.cpu_count().
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Centrosymmetric 321-avoiding involutions as symmetric non-nesting matchings.
 
-An involution of [2n] is the same thing as a partial matching on 2n points:
-the arcs are the 2-cycles, the singletons the fixed points.  Under this
-identification
+A partial matching on m points is stored as an involution p of [m]: p(i) is
+the partner of i, a singleton is a fixed point, and the arcs are the pairs
+(i, p(i)) with i < p(i).  Under this identification
 
-* centrosymmetry of the involution becomes symmetry of the matching under
-  i -> 2n+1-i, and
-* 321-avoidance becomes the non-nesting condition: no arc strictly inside
-  another, no singleton strictly inside an arc.
+* symmetry of the matching under i -> m+1-i is centrosymmetry of the
+  involution, and
+* the non-nesting condition (no arc strictly inside another, no singleton
+  strictly inside an arc) is 321-avoidance.
 
 The key construction realises every such involution from a subset E of [n]:
 scan E ascending and arc each unmatched i in E to the smallest unmatched
@@ -18,7 +18,6 @@ same arc.  The resulting map E -> involution is a bijection from subsets of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from centroinv.perms import (
@@ -30,67 +29,49 @@ from centroinv.perms import (
 )
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Partial matching on points 1..points; arcs sorted by left endpoint."""
+def parse_matching(text: str, points: int) -> Perm:
+    """Parse "1-2,4-3" (empty string for the arcless matching); an arc may
+    be written either way round.
 
-    points: int
-    arcs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for i, j in self.arcs:
-            if not 1 <= i < j <= self.points:
-                raise ValueError(f"bad arc ({i},{j}) on {self.points} points")
-            if i in seen or j in seen:
-                raise ValueError(f"endpoint reused in arc ({i},{j})")
-            seen.update((i, j))
-        if list(self.arcs) != sorted(self.arcs):
-            raise ValueError("arcs must be sorted by left endpoint")
-
-
-def matching(points: int, arcs: Iterable[tuple[int, int]]) -> Matching:
-    """Canonicalizing constructor: orient and sort the arcs."""
-    canon = sorted(tuple(sorted(a)) for a in arcs)
-    return Matching(points, tuple((i, j) for i, j in canon))
-
-
-def parse_matching(text: str, points: int) -> Matching:
-    """Parse "1-2,4-6" (empty string for the arcless matching)."""
+    >>> parse_matching("1-2,4-3", 5)
+    (2, 1, 4, 3, 5)
+    """
     arcs = []
     for chunk in filter(None, (c.strip() for c in text.split(","))):
         try:
             left, right = map(int, chunk.split("-"))
         except ValueError:
             raise ValueError(f"bad arc {chunk!r}, expected i-j") from None
-        arcs.append((left, right))
-    return matching(points, arcs)
+        arcs.append((min(left, right), max(left, right)))
+    partner = list(range(points + 1))  # partner[i] == i: i is a singleton
+    for i, j in sorted(arcs):
+        if not 1 <= i < j <= points:
+            raise ValueError(f"bad arc ({i},{j}) on {points} points")
+        if partner[i] != i or partner[j] != j:
+            raise ValueError(f"endpoint reused in arc ({i},{j})")
+        partner[i], partner[j] = j, i
+    return tuple(partner[1:])
 
 
-def format_matching(mch: Matching) -> str:
-    return ",".join(f"{i}-{j}" for i, j in mch.arcs)
+def format_matching(p: Perm) -> str:
+    """The arcs i-p(i) with i < p(i), by left endpoint.
+
+    >>> format_matching((2, 1, 4, 3, 5))
+    '1-2,3-4'
+    """
+    return ",".join(f"{i}-{v}" for i, v in enumerate(p, start=1) if i < v)
 
 
-def is_symmetric(mch: Matching) -> bool:
-    """Closed under the reflection i -> points+1-i."""
-    total = mch.points + 1
-    arcset = set(mch.arcs)
-    return all((total - j, total - i) in arcset for i, j in mch.arcs)
-
-
-def is_nonnesting(mch: Matching) -> bool:
+def is_nonnesting(p: Perm) -> bool:
     """No arc strictly inside another arc, no singleton inside an arc.
 
-    One sweep over the points: reach is the furthest right end of the arcs
-    opened so far, and an arc ending before it, or a singleton below it, is
-    nested.
+    One sweep over the points: a point with p(i) >= i opens an arc, or is a
+    singleton, that ends at p(i); reach is the furthest such end so far, and
+    one ending before it is nested.
     """
-    ends: list[int | None] = list(range(mch.points + 1))  # a singleton ends at itself
-    for i, j in mch.arcs:
-        ends[i], ends[j] = j, None
     reach = 0
-    for end in ends:
-        if end is not None:
+    for i, end in enumerate(p, start=1):
+        if end >= i:
             if end < reach:
                 return False
             reach = end
@@ -100,10 +81,10 @@ def is_nonnesting(mch: Matching) -> bool:
 # ---------- involutions <-> matchings ----------
 
 
-def involution_matching(p: Perm) -> Matching:
-    """Matching whose arcs are the 2-cycles of a centrosymmetric involution.
+def involution_matching(p: Perm) -> Perm:
+    """p itself, once checked to be a centrosymmetric involution of even size.
 
-    The result is symmetric; it is non-nesting iff p avoids 321.
+    The matching is symmetric; it is non-nesting iff p avoids 321.
     """
     if len(p) % 2:
         raise ValueError("even size required")
@@ -111,24 +92,16 @@ def involution_matching(p: Perm) -> Matching:
         raise ValueError("not an involution")
     if not is_centrosymmetric(p):
         raise ValueError("not centrosymmetric")
-    return Matching(len(p), _two_cycles(p))
+    return p
 
 
-def _two_cycles(p: Perm) -> tuple[tuple[int, int], ...]:
-    return tuple((i, v) for i, v in enumerate(p, start=1) if i < v)
-
-
-def matching_permutation(mch: Matching) -> Perm:
-    """Involution of a symmetric non-nesting matching; rejects other input."""
-    if not is_symmetric(mch):
+def matching_permutation(p: Perm) -> Perm:
+    """p itself, once checked to be a symmetric non-nesting matching."""
+    if not is_centrosymmetric(p):
         raise ValueError("matching is not symmetric")
-    if not is_nonnesting(mch):
+    if not is_nonnesting(p):
         raise ValueError("matching is nesting")
-    vals = list(range(1, mch.points + 1))
-    for i, j in mch.arcs:
-        vals[i - 1] = j
-        vals[j - 1] = i
-    return tuple(vals)
+    return p
 
 
 # ---------- subsets of [n] ----------
@@ -205,13 +178,6 @@ def subset_involution(e: Subset) -> Perm:
         si, sj = total + 1 - j, total + 1 - i
         partner[si], partner[sj] = sj, si
     return tuple(partner[1:])
-
-
-def subset_matching(e: Subset) -> Matching:
-    """Symmetric non-nesting matching attached to e: the 2-cycles of
-    subset_involution(e)."""
-    p = subset_involution(e)
-    return Matching(len(p), _two_cycles(p))
 
 
 # ---------- statistics carried by the subset ----------

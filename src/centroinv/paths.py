@@ -44,21 +44,6 @@ def path_counts(word: str) -> tuple[int, int]:
     return word.count("N"), word.count("E")
 
 
-def _fit_rectangle(word: str, a: int | None, b: int | None) -> tuple[int, int]:
-    # a path determines its own rectangle; explicit a, b only assert it
-    check_path(word)
-    na, nb = path_counts(word)
-    if a is None:
-        a = na
-    if b is None:
-        b = nb
-    if (na, nb) != (a, b):
-        raise ValueError(
-            f"path has {na} N and {nb} E steps, does not fit a {a} x {b} rectangle"
-        )
-    return a, b
-
-
 def subset_path(e: Subset) -> str:
     """Path of length n whose N steps sit at the members of e."""
     # bin() writes bit n-1 first; the sentinel bit n keeps the leading zeros
@@ -81,7 +66,6 @@ def peak_set(word: str) -> tuple[int, ...]:
 def peak_star(word: str) -> tuple[int, ...]:
     """Peaks after appending a virtual E step: adds the label len(word)
     exactly when the word ends with N."""
-    check_path(word)
     return peak_set(word + "E")
 
 
@@ -107,15 +91,15 @@ def area(word: str) -> int:
 # ---------- Young diagrams ----------
 
 
-def path_partition(word: str, a: int, b: int) -> tuple[int, ...]:
+def path_partition(word: str) -> tuple[int, ...]:
     """Partition of the diagram northwest of the path, rows top-down.
 
-    >>> path_partition("EENN", 2, 2)
+    >>> path_partition("EENN")
     (2, 2)
-    >>> path_partition("NENE", 2, 2)
+    >>> path_partition("NENE")
     (1,)
     """
-    _fit_rectangle(word, a, b)
+    check_path(word)
     e_before = []
     e = 0
     for s in word:
@@ -135,8 +119,7 @@ def hook_decomposition(word: str) -> tuple[int, ...]:
     >>> hook_decomposition("EENN")
     (1, 3)
     """
-    check_path(word)
-    parts = list(path_partition(word, *path_counts(word)))
+    parts = list(path_partition(word))
     hooks = []
     while parts:
         hooks.append(parts[0] + len(parts) - 1)
@@ -169,7 +152,7 @@ def _peak_coords(word: str) -> list[tuple[int, int]]:
     return coords
 
 
-def g_map(word: str, a: int | None = None, b: int | None = None) -> str:
+def g_map(word: str) -> str:
     """Rectangle bijection sending peak labels to hook sizes.
 
     With peaks at coordinates (x_j, y_j), the image is R_a ... R_1 S_1 ... S_b
@@ -182,7 +165,8 @@ def g_map(word: str, a: int | None = None, b: int | None = None) -> str:
     >>> hook_decomposition("EENN") == peak_set("NENE")
     True
     """
-    a, b = _fit_rectangle(word, a, b)
+    check_path(word)
+    a, b = path_counts(word)
     r_run = ["N"] * a
     s_run = ["E"] * b
     for x, y in _peak_coords(word):
@@ -191,10 +175,11 @@ def g_map(word: str, a: int | None = None, b: int | None = None) -> str:
     return "".join(reversed(r_run)) + "".join(s_run)
 
 
-def g_inverse(word: str, a: int | None = None, b: int | None = None) -> str:
+def g_inverse(word: str) -> str:
     """Inverse of g_map: read off peak coordinates from the two runs and
     rebuild the unique path with exactly those peaks."""
-    a, b = _fit_rectangle(word, a, b)
+    check_path(word)
+    a, b = path_counts(word)
     r_run, s_run = word[:a], word[a:]
     ys = sorted(a - idx for idx, ch in enumerate(r_run) if ch == "E")
     xs = sorted(idx for idx, ch in enumerate(s_run) if ch == "N")

@@ -158,7 +158,7 @@ def theta_rect(p: Perm, a: int, b: int) -> str:
     out = list(path)
     for idx in unmatched_n[:flips]:
         out[idx - 1] = "E"
-    return g_map("".join(out), a, b)
+    return g_map("".join(out))
 
 
 def theta_rect_inverse(word: str, a: int, b: int) -> Perm:
@@ -170,7 +170,7 @@ def theta_rect_inverse(word: str, a: int, b: int) -> Perm:
         raise ShapeMismatchError(
             f"path does not fit a {a} x {b} rectangle: {word!r}"
         )
-    path = g_inverse(word, a, b)
+    path = g_inverse(word)
     _, unmatched_e = _facing_scan(path)
     steps = list(path)
     for idx in unmatched_e:

@@ -7,7 +7,6 @@ from itertools import combinations
 from typing import Iterator
 
 from centroinv.generate import involutions
-from centroinv.matchings import Matching
 from centroinv.paths import check_path
 from centroinv.perms import Perm, _rank_word, contains_321, is_centrosymmetric
 
@@ -68,19 +67,19 @@ def avoids(p: Perm, t: Perm) -> bool:
 # ---------- matchings ----------
 
 
-def singletons(mch: Matching) -> tuple[int, ...]:
-    used = {e for arc in mch.arcs for e in arc}
-    return tuple(i for i in range(1, mch.points + 1) if i not in used)
+def singletons(p: Perm) -> tuple[int, ...]:
+    return tuple(i for i, v in enumerate(p, start=1) if i == v)
 
 
-def is_nonnesting_pairwise(mch: Matching) -> bool:
+def is_nonnesting_pairwise(p: Perm) -> bool:
     """The definition, pair by pair: no arc strictly inside another arc, no
     singleton inside an arc."""
-    for (i, l), (j, k) in combinations(mch.arcs, 2):
+    arcs = [(i, v) for i, v in enumerate(p, start=1) if i < v]
+    for (i, l), (j, k) in combinations(arcs, 2):
         if i < j and k < l:
             return False
-    for s in singletons(mch):
-        if any(i < s < j for i, j in mch.arcs):
+    for s in singletons(p):
+        if any(i < s < j for i, j in arcs):
             return False
     return True
 

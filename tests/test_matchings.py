@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from centroinv import matchings
 from centroinv.generate import involutions, subsets
 from centroinv.matchings import (
-    Matching,
     des_from_subset,
     excedance_subset,
     format_matching,
     format_subset,
     involution_matching,
     is_nonnesting,
-    is_symmetric,
-    matching,
     matching_permutation,
     odd_join,
     odd_split,
@@ -28,7 +25,6 @@ from centroinv.matchings import (
     subset_descents,
     subset_involution,
     subset_maj,
-    subset_matching,
 )
 from centroinv.perms import (
     contains_321,
@@ -57,21 +53,27 @@ def subset_strategy(max_n=10):
 
 
 def test_matching_validation():
-    with pytest.raises(ValueError):
-        Matching(4, ((1, 5),))
-    with pytest.raises(ValueError):
-        Matching(4, ((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
-        Matching(4, ((3, 4), (1, 2)))  # unsorted
-    assert matching(4, [(4, 3), (2, 1)]).arcs == ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match=r"^bad arc \(1,5\) on 4 points$"):
+        parse_matching("1-5", 4)
+    with pytest.raises(ValueError, match=r"^endpoint reused in arc \(2,3\)$"):
+        parse_matching("1-2,2-3", 4)
+    with pytest.raises(ValueError, match=r"^bad arc \(3,3\) on 4 points$"):
+        parse_matching("3-3", 4)
+    # arcs may come reversed and in any order
+    assert parse_matching("4-3,2-1", 4) == (2, 1, 4, 3)
 
 
 def test_matching_text_round_trip():
-    mch = matching(6, [(1, 2), (5, 6)])
+    mch = (2, 1, 3, 4, 6, 5)
     assert format_matching(mch) == "1-2,5-6"
     assert parse_matching("1-2,5-6", 6) == mch
-    assert parse_matching("", 4).arcs == ()
+    assert parse_matching("", 4) == (1, 2, 3, 4)
+    assert format_matching((1, 2, 3, 4)) == ""
     assert singletons(mch) == (3, 4)
+    # every partial matching on up to 10 points
+    for m in range(11):
+        for p in involutions(m):
+            assert parse_matching(format_matching(p), m) == p
 
 
 def test_parse_matching_names_bad_chunk():
@@ -82,23 +84,21 @@ def test_parse_matching_names_bad_chunk():
 
 
 def test_symmetry_and_nesting_predicates():
-    assert is_symmetric(matching(4, [(1, 3), (2, 4)]))
-    assert not is_symmetric(matching(4, [(1, 3)]))
-    assert is_nonnesting(matching(4, [(1, 3), (2, 4)]))
-    assert not is_nonnesting(matching(4, [(1, 4), (2, 3)]))
+    assert is_centrosymmetric(parse_matching("1-3,2-4", 4))
+    assert not is_centrosymmetric(parse_matching("1-3", 4))
+    assert is_nonnesting(parse_matching("1-3,2-4", 4))
+    assert not is_nonnesting(parse_matching("1-4,2-3", 4))
     # singleton inside an arc also nests
-    assert not is_nonnesting(matching(4, [(1, 3)]))
-    assert is_nonnesting(matching(4, [(3, 4)]))
+    assert not is_nonnesting(parse_matching("1-3", 4))
+    assert is_nonnesting(parse_matching("3-4", 4))
 
 
 def test_nonnesting_sweep_matches_pairwise_definition():
-    # every partial matching is the 2-cycles of an involution: 13 232 of them
-    # on up to 10 points
+    # every partial matching on up to 10 points: 13 232 of them
     seen = 0
     for m in range(11):
         for p in involutions(m):
-            mch = Matching(m, tuple((i, v) for i, v in enumerate(p, 1) if i < v))
-            assert is_nonnesting(mch) == is_nonnesting_pairwise(mch), mch
+            assert is_nonnesting(p) == is_nonnesting_pairwise(p), p
             seen += 1
     assert seen == 13232
 
@@ -107,9 +107,9 @@ def test_nonnesting_sweep_matches_pairwise_definition():
 
 
 def test_involution_matching_examples():
-    assert involution_matching((2, 1, 4, 3)).arcs == ((1, 2), (3, 4))
-    assert involution_matching((1, 3, 2, 4)).arcs == ((2, 3),)
-    assert matching_permutation(matching(4, [(2, 3)])) == (1, 3, 2, 4)
+    assert format_matching(involution_matching((2, 1, 4, 3))) == "1-2,3-4"
+    assert format_matching(involution_matching((1, 3, 2, 4))) == "2-3"
+    assert matching_permutation(parse_matching("2-3", 4)) == (1, 3, 2, 4)
     with pytest.raises(ValueError):
         involution_matching((3, 1, 2, 4))  # not an involution
     with pytest.raises(ValueError):
@@ -117,7 +117,9 @@ def test_involution_matching_examples():
     with pytest.raises(ValueError):
         involution_matching((1, 3, 2))  # not centrosymmetric, odd anyway
     with pytest.raises(ValueError):
-        matching_permutation(matching(4, [(1, 4), (2, 3)]))  # nesting
+        matching_permutation(parse_matching("1-4,2-3", 4))  # nesting
+    with pytest.raises(ValueError, match="^matching is not symmetric$"):
+        matching_permutation(parse_matching("1-3", 4))
 
 
 def test_involution_matching_nesting_iff_contains_321():
@@ -125,7 +127,7 @@ def test_involution_matching_nesting_iff_contains_321():
         if not is_centrosymmetric(p):
             continue
         mch = involution_matching(p)
-        assert is_symmetric(mch)
+        assert is_centrosymmetric(mch)
         assert is_nonnesting(mch) == (not contains_321(p))
 
 
@@ -144,17 +146,8 @@ def test_subset_parse_format():
 def test_subset_matching_worked_example():
     # 22 points; mirror arcs interleave with the scanned ones
     e = subset(11, {1, 4, 5, 7, 8, 10})
-    assert subset_matching(e).arcs == (
-        (1, 2),
-        (4, 6),
-        (5, 9),
-        (7, 11),
-        (8, 13),
-        (10, 15),
-        (12, 16),
-        (14, 18),
-        (17, 19),
-        (21, 22),
+    assert format_matching(subset_involution(e)) == (
+        "1-2,4-6,5-9,7-11,8-13,10-15,12-16,14-18,17-19,21-22"
     )
 
 

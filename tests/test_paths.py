@@ -83,15 +83,15 @@ def test_area_examples():
 
 
 def test_partition_round_trip():
-    assert path_partition("EENN", 2, 2) == (2, 2)
-    assert path_partition("NENE", 2, 2) == (1,)
-    assert path_partition("NNEE", 2, 2) == ()
+    assert path_partition("EENN") == (2, 2)
+    assert path_partition("NENE") == (1,)
+    assert path_partition("NNEE") == ()
     with pytest.raises(ValueError):
-        path_partition("EENN", 3, 1)
+        path_partition("ENX")
     # one partition per path of the rectangle
     for a in range(5):
         for b in range(5):
-            parts = {path_partition(w, a, b) for w in rect_paths(a, b)}
+            parts = {path_partition(w) for w in rect_paths(a, b)}
             assert len(parts) == comb(a + b, a)
 
 
@@ -107,7 +107,7 @@ def test_hooks_sum_to_area_and_count_durfee():
         hooks = hook_decomposition(w)
         assert sum(hooks) == area(w)
         # Durfee side: largest d with parts[d-1] >= d
-        parts = path_partition(w, *path_counts(w))
+        parts = path_partition(w)
         durfee = sum(1 for i, r in enumerate(parts) if r >= i + 1)
         assert len(hooks) == durfee
 
@@ -129,7 +129,7 @@ def test_g_examples():
     assert g_map("") == ""
     assert g_inverse("EENN") == "NENE"
     with pytest.raises(ValueError):
-        g_map("NENE", 1, 3)
+        g_map("NEX")
 
 
 def test_g_transport_exhaustive_small():
@@ -138,15 +138,28 @@ def test_g_transport_exhaustive_small():
             b = n - a
             images = set()
             for p in rect_paths(a, b):
-                q = g_map(p, a, b)
+                q = g_map(p)
                 assert path_counts(q) == (a, b)
                 assert hook_decomposition(q) == peak_set(p)
                 assert hd_star(q) == peak_star(p)
                 # ends-with-N on one side matches starts-with-N on the other
                 assert p.endswith("N") == q.startswith("N")
-                assert g_inverse(q, a, b) == p
+                assert g_inverse(q) == p
                 images.add(q)
             assert len(images) == comb(n, a)
+
+
+def test_each_public_call_checks_its_word_once(monkeypatch):
+    calls = []
+    real = paths.check_path
+    monkeypatch.setattr(paths, "check_path", lambda w: calls.append(w) or real(w))
+    for fn in (
+        peak_set, peak_star, area, path_partition,
+        hook_decomposition, hd_star, g_map, g_inverse,
+    ):
+        calls.clear()
+        fn("NNEENE")
+        assert len(calls) == 1, fn.__name__
 
 
 @given(word_strategy)

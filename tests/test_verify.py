@@ -110,14 +110,15 @@ def test_cara_count_check_catches_a_missing_member(monkeypatch):
 def test_cara_rejects_a_nesting_matching(monkeypatch):
     # a subset matching that nests from n = 2 on must give a fail row with
     # the counterexample, not an exception out of matching_permutation
-    real = verify_module.subset_matching
+    real = verify_module.subset_involution
 
     def nesting(e):
         if e.n < 2:
             return real(e)
-        return matchings.matching(2 * e.n, [(1, 2 * e.n), (2, 2 * e.n - 1)])
+        m = 2 * e.n
+        return matchings.parse_matching(f"1-{m},2-{m - 1}", m)
 
-    monkeypatch.setattr(verify_module, "subset_matching", nesting)
+    monkeypatch.setattr(verify_module, "subset_involution", nesting)
     report = verify("T-cara", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
     assert report.results[2].counterexample == (
@@ -181,6 +182,22 @@ def test_despoly_compares_the_recurrence(monkeypatch):
     assert not report.ok
     assert report.results[2].counterexample == (
         "recurrence gives (1, 3, 7), closed form (1, 3)"
+    )
+
+
+def test_cor1_compares_the_central_binomial_once(monkeypatch):
+    # the a = n // 2 row sums every member, so a wrong central binomial
+    # shows there, as fp >= 0 at even n
+    real = verify_module.q_binomial
+
+    def central_off(n, k):
+        return real(n, k) + ((7,) if k == n // 2 else ())
+
+    monkeypatch.setattr(verify_module, "q_binomial", central_off)
+    report = verify("T-cor1", 3)
+    assert [r.status for r in report.results] == ["fail"] * 4
+    assert report.results[2].counterexample == (
+        "fp >= 0: (1, 1) != Gaussian binomial (2,1) = (1, 1, 7)"
     )
 
 
