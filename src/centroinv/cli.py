@@ -69,7 +69,7 @@ BIJECTIONS = {
     "g-inverse": (0, paths.g_inverse),
     "theta": (
         0,
-        lambda text: signed.format_signed(signed.theta(perms.parse_perm(text))),
+        lambda text: perms.format_perm(signed.theta(perms.parse_perm(text))),
     ),
     "theta-inverse": (
         0,

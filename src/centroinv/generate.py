@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import permutations as _permutations
 from typing import Callable, Iterator, NamedTuple
 
-from centroinv import matchings, paths, perms, signed
+from centroinv import matchings, paths, perms
 from centroinv.matchings import Subset, odd_join, subset_involution
 from centroinv.perms import Perm, contains_321
 from centroinv.signed import SignedPerm, is_top_element, theta_inverse
@@ -174,8 +174,8 @@ CLASSES: dict[str, ObjectClass] = {
     "cinv321-even": ObjectClass(cinv321_even, perms.format_perm, _PERM_STATS),
     "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
-    "signed-all": ObjectClass(signed_perms, signed.format_signed, _SIGNED_STATS),
-    "signed-sixavoiders": ObjectClass(_six_avoiders, signed.format_signed, _SIGNED_STATS),
+    "signed-all": ObjectClass(signed_perms, perms.format_perm, _SIGNED_STATS),
+    "signed-sixavoiders": ObjectClass(_six_avoiders, perms.format_perm, _SIGNED_STATS),
     "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS),
     "paths-rect": ObjectClass(all_paths, str, _PATH_STATS),
 }

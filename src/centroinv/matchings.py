@@ -82,12 +82,11 @@ def is_nonnesting(p: Perm) -> bool:
 
 
 def involution_matching(p: Perm) -> Perm:
-    """p itself, once checked to be a centrosymmetric involution of even size.
+    """p itself, once checked to be a centrosymmetric involution, of either
+    parity.
 
     The matching is symmetric; it is non-nesting iff p avoids 321.
     """
-    if len(p) % 2:
-        raise ValueError("even size required")
     if not is_involution(p):
         raise ValueError("not an involution")
     if not is_centrosymmetric(p):

@@ -1,18 +1,23 @@
-"""Row insertion for 321-avoiding involutions and the rectangle embedding.
+"""The rectangle embedding of 321-avoiding involutions.
 
-A 321-avoiding involution p of [m] row-inserts into a standard tableau with
-at most two rows, and because p is an involution the recording tableau is the
-same, so the tableau alone remembers p.  Reading which letters landed in the
-top row gives an N/E path of length m that never dips below the diagonal;
+A 321-avoiding involution p of [m] is a non-nesting matching: its arcs are
+the pairs (i, p(i)) with i < p(i), and no fixed point lies under an arc.  Its
+path has an N step at each i with p(i) >= i (an arc opens, or a fixed point)
+and an E step where an arc closes.  The path never dips below the diagonal;
 its peaks are the descents of p and its height surplus is the number of
-fixed points.
+fixed points.  This is the top row of the two-row tableau that p
+row-inserts into; tests/oracles.py keeps the row insertion as the reference
+the direct rule is checked against.
 
 theta_rect then carries p into the a x b rectangle (b >= a, a+b = m,
-requiring at least b-a fixed points): pair up the path steps like facing
-parentheses (N opens, E closes), flip the leftmost (fp+b-a)/2 unmatched N
-steps to E, and apply the peak/hook bijection.  The composite sends the
-descent set of p onto the hook decomposition of the image diagram, which is
-what makes the fixed-point-refined major index formulas below work.
+requiring at least b-a fixed points): flip the steps at the leftmost
+(fp+b-a)/2 fixed points from N to E, and apply the peak/hook bijection.  The
+composite sends the descent set of p onto the hook decomposition of the image
+diagram, which is what makes the fixed-point-refined major index formulas
+below work.  The inverse pairs up the steps like facing parentheses (N opens,
+E closes): every unmatched step is a fixed point, and the matched N steps pair
+in order with the matched E steps, because non-nesting arcs close in the order
+they open.
 
 Distinct error types tell apart the ways input can be rejected: not an
 involution, containing 321, too few fixed points, wrong size or shape.
@@ -20,11 +25,8 @@ involution, containing 321, too few fixed points, wrong size or shape.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import NamedTuple
-
-from centroinv.paths import g_inverse, g_map
-from centroinv.perms import Perm, check_perm, fixed_point_count, is_involution
+from centroinv.paths import g_inverse, g_map, path_counts
+from centroinv.perms import Perm, check_perm, contains_321, is_involution
 from centroinv.qpoly import QPoly, pmul, pshift, psub, q_binomial
 
 
@@ -44,68 +46,9 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-class TwoRowTableau(NamedTuple):
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-
-def check_tableau(t: TwoRowTableau) -> None:
-    """Standardness: rows increase, columns increase, entries are 1..m."""
-    m = len(t.top) + len(t.bottom)
-    if sorted(t.top + t.bottom) != list(range(1, m + 1)):
-        raise ShapeMismatchError(f"entries must be exactly 1..{m}")
-    if len(t.bottom) > len(t.top):
-        raise ShapeMismatchError("bottom row longer than top row")
-    for row in (t.top, t.bottom):
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            raise ShapeMismatchError("rows must increase")
-    if any(b <= a for a, b in zip(t.top, t.bottom)):
-        raise ShapeMismatchError("columns must increase")
-
-
-def rsk_tableau(p: Perm) -> TwoRowTableau:
-    """Row-insert an involution; a bump out of the second row would need a
-    third row, which is exactly a 321 witness."""
-    check_perm(p)
-    if not is_involution(p):
-        raise NotInvolutionError(f"not an involution: {p!r}")
-    top: list[int] = []
-    bottom: list[int] = []
-    for x in p:
-        i = bisect_right(top, x)
-        if i == len(top):
-            top.append(x)
-            continue
-        top[i], x = x, top[i]
-        j = bisect_right(bottom, x)
-        if j < len(bottom):
-            raise Contains321Error(f"contains 321: {p!r}")
-        bottom.append(x)
-    return TwoRowTableau(tuple(top), tuple(bottom))
-
-
-def tableau_involution(t: TwoRowTableau) -> Perm:
-    """Inverse row insertion.  The recording side equals the insertion side
-    for involutions, so one tableau drives both: remove the largest label
-    where the recording copy shows it and reverse-bump the insertion copy."""
-    check_tableau(t)
-    p_rows = [list(t.top), list(t.bottom)]
-    q_rows = [list(t.top), list(t.bottom)]
-    m = len(t.top) + len(t.bottom)
-    out = [0] * m
-    for k in range(m, 0, -1):
-        row = 1 if q_rows[1] and q_rows[1][-1] == k else 0
-        q_rows[row].pop()
-        v = p_rows[row].pop()
-        if row == 1:
-            j = bisect_left(p_rows[0], v) - 1
-            v, p_rows[0][j] = p_rows[0][j], v
-        out[k - 1] = v
-    return tuple(out)
-
-
 def involution_path(p: Perm) -> str:
-    """Path of length m with an N at each letter of the top row.
+    """Path of length m with an N at each i where p(i) >= i, an E where an
+    arc of p closes.
 
     Never dips below the diagonal; the height surplus at the end is the
     number of fixed points and the peaks are the descents of p.
@@ -113,9 +56,12 @@ def involution_path(p: Perm) -> str:
     >>> involution_path((2, 1, 4, 3))
     'NENE'
     """
-    t = rsk_tableau(p)
-    in_top = set(t.top)
-    return "".join("N" if i in in_top else "E" for i in range(1, len(p) + 1))
+    check_perm(p)
+    if not is_involution(p):
+        raise NotInvolutionError(f"not an involution: {p!r}")
+    if contains_321(p):
+        raise Contains321Error(f"contains 321: {p!r}")
+    return "".join("N" if v >= i else "E" for i, v in enumerate(p, start=1))
 
 
 def _facing_scan(word: str) -> tuple[list[int], list[int]]:
@@ -148,36 +94,42 @@ def theta_rect(p: Perm, a: int, b: int) -> str:
     if len(p) != a + b:
         raise ShapeMismatchError(f"size {len(p)} does not split as {a}+{b}")
     path = involution_path(p)
-    fp = fixed_point_count(p)
-    if fp < b - a:
+    fixed = [i for i, v in enumerate(p, start=1) if i == v]
+    if len(fixed) < b - a:
         raise TooFewFixedPointsError(
-            f"{fp} fixed points, need at least b-a = {b - a}"
+            f"{len(fixed)} fixed points, need at least b-a = {b - a}"
         )
-    flips = (fp + b - a) // 2
-    unmatched_n, _ = _facing_scan(path)
     out = list(path)
-    for idx in unmatched_n[:flips]:
-        out[idx - 1] = "E"
+    for i in fixed[: (len(fixed) + b - a) // 2]:
+        out[i - 1] = "E"
     return g_map("".join(out))
 
 
 def theta_rect_inverse(word: str, a: int, b: int) -> Perm:
-    """Inverse embedding: undo the peak/hook bijection, flip every unmatched
-    E step back to N, and reverse the row insertion."""
+    """Inverse embedding: undo the peak/hook bijection, then pair up the
+    steps like facing parentheses.  Every unmatched step, N or E, is a fixed
+    point; the matched N steps pair in order with the matched E steps.
+
+    >>> theta_rect_inverse("EENN", 2, 2)
+    (2, 1, 4, 3)
+    """
     if a < 0 or b < a:
         raise ShapeMismatchError(f"need 0 <= a <= b, got a={a}, b={b}")
-    if word.count("N") != a or word.count("E") != b:
+    if path_counts(word) != (a, b):
         raise ShapeMismatchError(
             f"path does not fit a {a} x {b} rectangle: {word!r}"
         )
     path = g_inverse(word)
-    _, unmatched_e = _facing_scan(path)
-    steps = list(path)
-    for idx in unmatched_e:
-        steps[idx - 1] = "N"
-    top = tuple(i for i, s in enumerate(steps, start=1) if s == "N")
-    bottom = tuple(i for i, s in enumerate(steps, start=1) if s == "E")
-    return tableau_involution(TwoRowTableau(top, bottom))
+    unmatched_n, unmatched_e = _facing_scan(path)
+    fixed = set(unmatched_n + unmatched_e)
+    steps = [(i, s) for i, s in enumerate(path, start=1) if i not in fixed]
+    opens = [i for i, s in steps if s == "N"]
+    closes = [i for i, s in steps if s == "E"]
+    out = list(range(1, len(path) + 1))
+    # non-nesting arcs close in the order they open
+    for i, j in zip(opens, closes):
+        out[i - 1], out[j - 1] = j, i
+    return tuple(out)
 
 
 # ---------- fixed-point-refined major index polynomials ----------

@@ -54,10 +54,6 @@ def parse_signed(text: str) -> SignedPerm:
     return s
 
 
-def format_signed(s: SignedPerm) -> str:
-    return " ".join(str(v) for v in s)
-
-
 def theta(p: Perm) -> SignedPerm:
     """Window of a centrosymmetric permutation of even size 2n: entry i is
     p(n+i) - n when p(n+i) > n, else p(n+i) - n - 1.

@@ -38,7 +38,6 @@ from centroinv.qpoly import (
 )
 from centroinv.signed import (
     TOP_PATTERNS,
-    format_signed,
     is_top_element,
     signed_avoids,
     theta,
@@ -237,7 +236,7 @@ def _check_sixpat(n: int) -> str | None:
         if sx != sy:
             diff = sorted(sx ^ sy)[0]
             side = x if diff in sx else y
-            return f"{x} and {y} differ, e.g. {format_signed(diff)} ({side} only)"
+            return f"{x} and {y} differ, e.g. {format_perm(diff)} ({side} only)"
     return None
 
 

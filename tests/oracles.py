@@ -1,14 +1,24 @@
 """Code that only the tests use: reference implementations to compare the
 package against (the exhaustive pattern scan, the pairwise non-nesting test,
-the filtered class generator) and small helpers for building test cases.
+row insertion, the filtered class generator) and small helpers for building
+test cases.
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from centroinv.generate import involutions
 from centroinv.paths import check_path
-from centroinv.perms import Perm, _rank_word, contains_321, is_centrosymmetric
+from centroinv.perms import (
+    Perm,
+    _rank_word,
+    check_perm,
+    contains_321,
+    is_centrosymmetric,
+    is_involution,
+)
+from centroinv.rsk import Contains321Error, NotInvolutionError, ShapeMismatchError
 
 
 def identity(m: int) -> Perm:
@@ -94,6 +104,69 @@ def rotate_first_to_last(word: str) -> str:
     if not word:
         raise ValueError("empty path")
     return word[1:] + word[0]
+
+
+# ---------- row insertion ----------
+
+
+class TwoRowTableau(NamedTuple):
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+
+
+def check_tableau(t: TwoRowTableau) -> None:
+    """Standardness: rows increase, columns increase, entries are 1..m."""
+    m = len(t.top) + len(t.bottom)
+    if sorted(t.top + t.bottom) != list(range(1, m + 1)):
+        raise ShapeMismatchError(f"entries must be exactly 1..{m}")
+    if len(t.bottom) > len(t.top):
+        raise ShapeMismatchError("bottom row longer than top row")
+    for row in (t.top, t.bottom):
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            raise ShapeMismatchError("rows must increase")
+    if any(b <= a for a, b in zip(t.top, t.bottom)):
+        raise ShapeMismatchError("columns must increase")
+
+
+def rsk_tableau(p: Perm) -> TwoRowTableau:
+    """Row-insert an involution; a bump out of the second row would need a
+    third row, which is exactly a 321 witness."""
+    check_perm(p)
+    if not is_involution(p):
+        raise NotInvolutionError(f"not an involution: {p!r}")
+    top: list[int] = []
+    bottom: list[int] = []
+    for x in p:
+        i = bisect_right(top, x)
+        if i == len(top):
+            top.append(x)
+            continue
+        top[i], x = x, top[i]
+        j = bisect_right(bottom, x)
+        if j < len(bottom):
+            raise Contains321Error(f"contains 321: {p!r}")
+        bottom.append(x)
+    return TwoRowTableau(tuple(top), tuple(bottom))
+
+
+def tableau_involution(t: TwoRowTableau) -> Perm:
+    """Inverse row insertion.  The recording side equals the insertion side
+    for involutions, so one tableau drives both: remove the largest label
+    where the recording copy shows it and reverse-bump the insertion copy."""
+    check_tableau(t)
+    p_rows = [list(t.top), list(t.bottom)]
+    q_rows = [list(t.top), list(t.bottom)]
+    m = len(t.top) + len(t.bottom)
+    out = [0] * m
+    for k in range(m, 0, -1):
+        row = 1 if q_rows[1] and q_rows[1][-1] == k else 0
+        q_rows[row].pop()
+        v = p_rows[row].pop()
+        if row == 1:
+            j = bisect_left(p_rows[0], v) - 1
+            v, p_rows[0][j] = p_rows[0][j], v
+        out[k - 1] = v
+    return tuple(out)
 
 
 # ---------- the even and odd classes ----------

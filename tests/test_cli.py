@@ -93,6 +93,7 @@ BIJECTION_CASES = (
     ("subset-involution", "1", "2", "2 1 4 3"),
     ("subset-matching", "1", "2", "1-2,3-4"),
     ("involution-matching", "2 1 4 3", None, "1-2,3-4"),
+    ("involution-matching", "2 1 3 5 4", None, "1-2,4-5"),
     ("matching-involution", "1-2,3-4", "4", "2 1 4 3"),
     ("subset-path", "1", "2", "NE"),
     ("g", "NENE", None, "EENN"),

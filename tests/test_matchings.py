@@ -37,7 +37,7 @@ from centroinv.perms import (
     maj,
 )
 
-from oracles import is_nonnesting_pairwise, singletons
+from oracles import filtered_class, is_nonnesting_pairwise, singletons
 
 
 def subset_strategy(max_n=10):
@@ -120,6 +120,15 @@ def test_involution_matching_examples():
         matching_permutation(parse_matching("1-4,2-3", 4))  # nesting
     with pytest.raises(ValueError, match="^matching is not symmetric$"):
         matching_permutation(parse_matching("1-3", 4))
+
+
+def test_involution_matching_round_trip_both_parities():
+    # odd sizes included: the odd class is a set of symmetric non-nesting
+    # matchings too, with the centre a singleton
+    for m in range(10):
+        for p in filtered_class(m):
+            text = format_matching(involution_matching(p))
+            assert parse_matching(text, m) == p
 
 
 def test_involution_matching_nesting_iff_contains_321():

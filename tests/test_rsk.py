@@ -15,17 +15,14 @@ from centroinv.rsk import (
     NotInvolutionError,
     ShapeMismatchError,
     TooFewFixedPointsError,
-    TwoRowTableau,
     _facing_scan,
-    check_tableau,
     involution_path,
     maj_poly_by_fixed_points,
     maj_poly_by_fixed_points_and_des,
-    rsk_tableau,
-    tableau_involution,
     theta_rect,
     theta_rect_inverse,
 )
+from oracles import TwoRowTableau, check_tableau, rsk_tableau, tableau_involution
 
 
 def test_rsk_tableau_examples():
@@ -65,15 +62,23 @@ def test_inverse_insertion_is_honest():
 
 
 def test_round_trip_and_rejection():
+    # row insertion is also the reference for the direct path rule: the path
+    # has its N steps at the letters of the top row
     for m in range(9):
         for p in involutions(m):
             if contains_321(p):
                 with pytest.raises(Contains321Error):
                     rsk_tableau(p)
+                with pytest.raises(Contains321Error):
+                    involution_path(p)
             else:
                 t = rsk_tableau(p)
                 check_tableau(t)
                 assert tableau_involution(t) == p
+                top = set(t.top)
+                assert involution_path(p) == "".join(
+                    "N" if i in top else "E" for i in range(1, m + 1)
+                )
 
 
 def lis_length(p):

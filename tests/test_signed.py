@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from centroinv.generate import centro_perms, signed_perms
-from centroinv.perms import contains_321, half_descent_set
+from centroinv.perms import contains_321, format_perm, half_descent_set
 from centroinv.signed import (
     TOP_PATTERNS,
     check_signed,
-    format_signed,
     is_top_element,
     parse_signed,
     signed_avoids,
@@ -37,7 +36,7 @@ def test_window_validation():
 
 def test_window_text_round_trip():
     assert parse_signed("-2 -4 1 3") == (-2, -4, 1, 3)
-    assert format_signed((-2, -4, 1, 3)) == "-2 -4 1 3"
+    assert format_perm((-2, -4, 1, 3)) == "-2 -4 1 3"
     with pytest.raises(ValueError):
         parse_signed("1 0 2")
 
