@@ -5,6 +5,10 @@ counting formulas (2^n for the even class, the central binomial coefficient
 for the odd class, binomial(a+b, a) for rectangle paths, 2^n n! for signed
 permutations).
 
+inv321 is a pruned walk of the involutions recursion, not a filter of its
+stream: it cuts every branch whose final prefix already contains 321, and
+yields the same objects in the same order as the filter would.
+
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard: with nshards workers, worker k gets the
 objects whose first-position branch hashes to k, or for subsets and the
@@ -23,8 +27,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms
 from centroinv.matchings import Subset, odd_join, subset_involution
-from centroinv.perms import Perm, contains_321
-from centroinv.signed import SignedPerm, is_top_element, theta_inverse
+from centroinv.perms import Perm
+from centroinv.signed import SignedPerm, is_top_element, unfold_window
 
 
 def _check_shard(shard: int, nshards: int) -> None:
@@ -109,8 +113,46 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
-    """321-avoiding involutions of [m] (filter route)."""
-    return (p for p in involutions(m, shard, nshards) if not contains_321(p))
+    """321-avoiding involutions of [m] by a pruned walk of the involutions
+    recursion: the same objects, in the same order and with the same shards,
+    as filtering involutions(m, shard, nshards) by contains_321.
+
+    Positions before the current point are final, so the linear 321 state of
+    contains_321 (top, the largest value so far, and mid, the largest value
+    below an earlier larger one) travels down the recursion.  A value below
+    mid completes a 321 whatever follows, so that branch is cut: a point
+    already filled by an earlier partner ends the branch, and partners below
+    mid are never tried."""
+    _check_shard(shard, nshards)
+    if m <= 0:
+        if m == 0 and shard == 0:
+            yield ()
+        return
+    vals = [0] * (m + 1)
+
+    def rec(i: int, top: int, mid: int) -> Iterator[Perm]:
+        # a filled point i holds an earlier partner v < i, and point v holds
+        # i, so v is below top and becomes the new mid
+        while i <= m and vals[i]:
+            if vals[i] < mid:
+                return
+            mid = vals[i]
+            i += 1
+        if i > m:
+            yield tuple(vals[1:])
+            return
+        for j in range(max(i, mid), m + 1):
+            if vals[j] or (i == 1 and (j - 1) % nshards != shard):
+                continue
+            vals[i] = j
+            vals[j] = i
+            if j < top:
+                yield from rec(i + 1, top, j)
+            else:
+                yield from rec(i + 1, j, mid)
+            vals[i] = vals[j] = 0
+
+    yield from rec(1, 0, 0)
 
 
 def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -135,8 +177,9 @@ def _six_avoiders(n: int, shard: int, nshards: int) -> Iterator[SignedPerm]:
 # ---------- the class table ----------
 
 
-def _through_theta_inverse(fn: Callable[[Perm], int]) -> Callable[[SignedPerm], int]:
-    return lambda s: fn(theta_inverse(s))
+def _through_unfold(fn: Callable[[Perm], int]) -> Callable[[SignedPerm], int]:
+    # the signed classes only ever hold windows built by signed_perms
+    return lambda s: fn(unfold_window(s))
 
 
 _PERM_STATS = {
@@ -147,7 +190,7 @@ _PERM_STATS = {
     "fp": perms.fixed_point_count,
 }
 
-_SIGNED_STATS = {name: _through_theta_inverse(fn) for name, fn in _PERM_STATS.items()}
+_SIGNED_STATS = {name: _through_unfold(fn) for name, fn in _PERM_STATS.items()}
 
 _SUBSET_STATS = {
     "des+": matchings.subset_des,

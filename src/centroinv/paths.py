@@ -25,7 +25,8 @@ here.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from typing import Iterator
 
 from centroinv.matchings import Subset
@@ -69,15 +70,7 @@ def peak_star(word: str) -> tuple[int, ...]:
     return peak_set(word + "E")
 
 
-def area(word: str) -> int:
-    """Boxes northwest of the path: one per (E step, later N step) pair.
-
-    >>> area("EENN")
-    4
-    >>> area("NENE")
-    1
-    """
-    check_path(word)
+def _area_loop(word: str) -> int:
     total = 0
     ns_after = 0
     for step in reversed(word):
@@ -86,6 +79,43 @@ def area(word: str) -> int:
         else:
             total += ns_after
     return total
+
+
+_HALF = 9
+
+
+@cache
+def _half_words() -> dict[str, tuple[int, int]]:
+    """(area, number of N steps) of every word of at most _HALF letters.
+
+    Built on first use, not at import: most commands never ask for an area."""
+    return {
+        w: (_area_loop(w), w.count("N"))
+        for k in range(_HALF + 1)
+        for w in map("".join, product("NE", repeat=k))
+    }
+
+
+def area(word: str) -> int:
+    """Boxes northwest of the path: one per (E step, later N step) pair.
+
+    A word of at most 18 letters splits after 9 letters into halves L and R,
+    looked up in a table: area(L + R) = area(L) + area(R) + E(L) * N(R).  A lookup miss
+    (a bad letter) or a longer word is checked and counted step by step.
+
+    >>> area("EENN")
+    4
+    >>> area("NENE")
+    1
+    """
+    if len(word) <= 2 * _HALF:
+        table = _half_words()
+        left, right = word[:_HALF], word[_HALF:]
+        lhs, rhs = table.get(left), table.get(right)
+        if lhs and rhs:
+            return lhs[0] + rhs[0] + (len(left) - lhs[1]) * rhs[1]
+    check_path(word)
+    return _area_loop(word)
 
 
 # ---------- Young diagrams ----------

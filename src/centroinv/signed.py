@@ -4,7 +4,8 @@ A signed permutation of [n] is stored as its window (s(1), ..., s(n)), a
 tuple of nonzero integers whose absolute values rearrange 1..n.  The group of
 these is isomorphic to the centrosymmetric subgroup of the symmetric group on
 [2n]: theta reads the second half of a centrosymmetric p and recentres it
-around zero, and theta_inverse rebuilds p from the window.
+around zero, and theta_inverse rebuilds p from the window (unfold_window
+rebuilds it unchecked, for generated windows).
 
 Containment of a signed pattern asks for a subsequence whose absolute values
 are order-isomorphic to those of the pattern and whose signs agree entrywise.
@@ -78,10 +79,16 @@ def theta_inverse(s: SignedPerm) -> Perm:
     (5, 3, 2, 8, 1, 7, 6, 4)
     """
     check_signed(s)
+    return unfold_window(s)
+
+
+def unfold_window(s: SignedPerm) -> Perm:
+    """theta_inverse without the window check, for windows that a generator
+    has just built and that are valid by construction.  Input from outside
+    the program goes through theta_inverse."""
     n = len(s)
     back = [v + n if v > 0 else v + n + 1 for v in s]
-    front = [2 * n + 1 - back[n - 1 - i] for i in range(n)]
-    return tuple(front) + tuple(back)
+    return tuple([2 * n + 1 - v for v in reversed(back)] + back)
 
 
 def signed_contains(s: SignedPerm, t: SignedPerm) -> bool:

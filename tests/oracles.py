@@ -1,7 +1,7 @@
 """Code that only the tests use: reference implementations to compare the
 package against (the exhaustive pattern scan, the pairwise non-nesting test,
-row insertion, the filtered class generator) and small helpers for building
-test cases.
+the subset descent set, the step-by-step area, row insertion, the filtered
+class generator) and small helpers for building test cases.
 """
 
 from bisect import bisect_left, bisect_right
@@ -9,6 +9,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from centroinv.generate import involutions
+from centroinv.matchings import Subset, _descent_mask, _set_bits
 from centroinv.paths import check_path
 from centroinv.perms import (
     Perm,
@@ -94,7 +95,31 @@ def is_nonnesting_pairwise(p: Perm) -> bool:
     return True
 
 
+# ---------- subsets ----------
+
+
+def subset_descents(e: Subset) -> tuple[int, ...]:
+    """{i in E : i+1 not in E}; i = n qualifies whenever n is a member.
+
+    Equals the half descent set of the involution attached to e.
+    """
+    return tuple(_set_bits(_descent_mask(e)))
+
+
 # ---------- paths ----------
+
+
+def area_by_steps(word: str) -> int:
+    """Area as a plain loop in reading order: each N step closes a row of
+    the diagram as long as the number of E steps before it."""
+    check_path(word)
+    total = e_before = 0
+    for step in word:
+        if step == "E":
+            e_before += 1
+        else:
+            total += e_before
+    return total
 
 
 def rotate_first_to_last(word: str) -> str:

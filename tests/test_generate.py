@@ -7,6 +7,7 @@ import pytest
 
 from centroinv.generate import (
     CLASS_LABELS,
+    CLASSES,
     all_paths,
     centro_perms,
     cinv321_even,
@@ -27,6 +28,7 @@ from centroinv.perms import (
     is_centrosymmetric,
     is_involution,
 )
+from centroinv.signed import theta_inverse
 from oracles import filtered_class
 
 
@@ -107,6 +109,27 @@ def test_shards_partition_every_class():
             merged = [obj for chunk in chunks for obj in chunk]
             assert len(merged) == len(serial)
             assert set(merged) == set(serial)
+
+
+def test_pruned_walk_equals_filtered_involutions():
+    # the same objects in the same order, shard by shard
+    for m in range(11):
+        for nshards in (1, 2, 3):
+            for k in range(nshards):
+                assert list(inv321(m, k, nshards)) == [
+                    p for p in involutions(m, k, nshards) if not contains_321(p)
+                ], (m, k, nshards)
+
+
+def test_signed_stats_equal_the_checked_pull_back():
+    perm_stats = CLASSES["inv321"].stats
+    for label in ("signed-all", "signed-sixavoiders"):
+        signed_stats = CLASSES[label].stats
+        assert signed_stats.keys() == perm_stats.keys()
+        for n in range(5):
+            for s in signed_perms(n):
+                for name, fn in perm_stats.items():
+                    assert signed_stats[name](s) == fn(theta_inverse(s)), (name, s)
 
 
 def test_shard_validation():

@@ -1,5 +1,6 @@
 """Subset <-> matching <-> involution bijection and the carried statistics."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,6 @@ from centroinv.matchings import (
     parse_subset,
     subset,
     subset_des,
-    subset_descents,
     subset_involution,
     subset_maj,
 )
@@ -37,7 +37,12 @@ from centroinv.perms import (
     maj,
 )
 
-from oracles import filtered_class, is_nonnesting_pairwise, singletons
+from oracles import (
+    filtered_class,
+    is_nonnesting_pairwise,
+    singletons,
+    subset_descents,
+)
 
 
 def subset_strategy(max_n=10):
@@ -259,6 +264,22 @@ def test_mask_code_matches_set_oracles_exhaustive():
 @given(member_sets(30))
 def test_mask_code_matches_set_oracles_random(n_ms):
     check_mask_code_against_oracles(*n_ms)
+
+
+def test_subset_maj_byte_table_matches_descent_sum():
+    # every mask up to n = 12, then seeded masks that span several bytes
+    for n in range(13):
+        for e in subsets(n):
+            assert subset_maj(e) == sum(subset_descents(e)), e
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(13, 40)
+        e = matchings.Subset(n, rng.getrandbits(n))
+        assert subset_maj(e) == sum(subset_descents(e)), e
+    full = matchings.Subset(40, (1 << 40) - 1)
+    assert subset_maj(full) == 40
+    alternating = matchings.Subset(40, int("01" * 20, 2))
+    assert subset_maj(alternating) == sum(range(1, 41, 2))
 
 
 def test_des_from_subset_examples():

@@ -1,6 +1,7 @@
 """Lattice paths: area, peaks, hooks, and the rectangle bijection g."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -24,7 +25,7 @@ from centroinv.paths import (
     subset_path,
 )
 from centroinv.perms import half_descent_set
-from oracles import rotate_first_to_last
+from oracles import area_by_steps, rotate_first_to_last
 
 word_strategy = st.text(alphabet="NE", min_size=0, max_size=12)
 
@@ -80,6 +81,32 @@ def test_area_examples():
     assert area("NNEE") == 0
     assert area("") == 0
     assert area("EEN") == 2
+
+
+def test_area_table_matches_plain_loop():
+    # every word the two table halves cover, then longer words that split
+    # across the halves or fall back to the loop
+    for n in range(13):
+        for w in map("".join, product("NE", repeat=n)):
+            assert area(w) == area_by_steps(w), w
+    rng = random.Random(11)
+    for _ in range(3000):
+        w = "".join(rng.choice("NE") for _ in range(rng.randint(13, 25)))
+        assert area(w) == area_by_steps(w), w
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["X", "NXE", "ENXEN", "NENENENEX", "NENENENENX", "NENENENENEENNEENX",
+     "NENENENENEENNEENEX", "NENENENENEENNEENENE" + "X", "Q" * 30],
+)
+def test_area_rejects_a_bad_letter_at_every_length(word):
+    # a bad letter in the left half, in the right half, and past 18 letters
+    with pytest.raises(ValueError) as raised:
+        area(word)
+    with pytest.raises(ValueError) as expected:
+        paths.check_path(word)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_partition_round_trip():
@@ -154,12 +181,22 @@ def test_each_public_call_checks_its_word_once(monkeypatch):
     real = paths.check_path
     monkeypatch.setattr(paths, "check_path", lambda w: calls.append(w) or real(w))
     for fn in (
-        peak_set, peak_star, area, path_partition,
+        peak_set, peak_star, path_partition,
         hook_decomposition, hd_star, g_map, g_inverse,
     ):
         calls.clear()
         fn("NNEENE")
         assert len(calls) == 1, fn.__name__
+    # area looks a word of at most 18 letters up by halves in a table whose
+    # keys are exactly the valid words, so a hit is itself the check; a miss
+    # (a bad letter) or a longer word goes through check_path once
+    for word, checks in (("NNEENE", 0), ("NNEENX", 1), ("NNEENE" * 4, 1)):
+        calls.clear()
+        try:
+            area(word)
+        except ValueError:
+            assert "X" in word
+        assert len(calls) == checks, word
 
 
 @given(word_strategy)
