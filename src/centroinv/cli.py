@@ -29,6 +29,10 @@ def _parse_size(raw: str | None) -> tuple[int, ...]:
     return size
 
 
+#: most points or path letters a sized bijection may build, a subset of [n]
+#: building 2n points; a larger --size is rejected before anything is built
+MAX_BUILT = 2**20
+
 # name -> (number of --size parts, apply(text, *size) -> output text)
 BIJECTIONS = {
     "excedance-subset": (
@@ -123,6 +127,12 @@ def _cmd_bijection(args) -> int:
             raise ValueError(f"bijection {args.name!r} takes no --size")
         shape = "N" if parts == 1 else "A,B"
         raise ValueError(f"bijection {args.name!r} needs --size {shape}")
+    built = sum(size) * (2 if args.name in ("subset-involution", "subset-matching") else 1)
+    if built > MAX_BUILT:
+        raise ValueError(
+            f"--size {args.size} would build {built} points or path letters;"
+            f" the limit is {MAX_BUILT}"
+        )
     out = fn(args.text, *size)
     if args.format == "json":
         print(json.dumps({"name": args.name, "input": args.text, "output": out}))

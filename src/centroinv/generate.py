@@ -23,6 +23,7 @@ CLASSES is the one place that names the object classes.
 from __future__ import annotations
 
 from itertools import permutations as _permutations
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms
@@ -97,18 +98,16 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
 
 
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
-    """All subsets of [n] in mask order; worker k of nshards gets every
-    nshards-th mask starting at k."""
+    """All subsets of [n], the pairs (n, mask) in mask order; worker k of
+    nshards gets every nshards-th mask starting at k."""
     _check_shard(shard, nshards)
-    if n < 0:
-        return
-    for mask in range(shard, 1 << n, nshards):
-        yield Subset(n, mask)
+    stop = 1 << n if n >= 0 else 0
+    return zip(repeat(n), range(shard, stop, nshards))
 
 
 def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
-    """All 2**n paths of length n, every rectangle a+b = n at once, in
-    subset order: the paths of subsets(n)."""
+    """All 2**n paths of length n, the paths of subsets(n); grouped by the
+    number of N steps, the paths of every rectangle a+b = n."""
     return map(paths.subset_path, subsets(n, shard, nshards))
 
 
@@ -159,7 +158,7 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """The even class, through the subset bijection."""
     if m % 2:
         raise ValueError("even size required")
-    return (subset_involution(e) for e in subsets(m // 2, shard, nshards))
+    return map(subset_involution, subsets(m // 2, shard, nshards))
 
 
 def cinv321_odd(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:

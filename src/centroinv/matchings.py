@@ -14,11 +14,14 @@ scan E ascending and arc each unmatched i in E to the smallest unmatched
 j > i outside E, then add the mirror arc (2n+1-j, 2n+1-i) unless it is the
 same arc.  The resulting map E -> involution is a bijection from subsets of
 [n] onto the class, with inverse "excedance positions in the first half".
+
+A subset E of [n] is the plain pair (n, mask), bit i-1 of mask set iff i is
+in E.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from centroinv.perms import (
     Perm,
@@ -106,22 +109,14 @@ def matching_permutation(p: Perm) -> Perm:
 # ---------- subsets of [n] ----------
 
 
-class Subset(NamedTuple):
-    """A subset of [n], the free parameter of the bijection.
-
-    mask is the one encoding of the members: bit i-1 is set iff i is a
-    member, so 0 <= mask < 2**n.
-    """
-
-    n: int
-    mask: int
+Subset = tuple[int, int]
 
 
 def subset(n: int, members: Iterable[int]) -> Subset:
     ms = frozenset(members)
     if not all(1 <= i <= n for i in ms):
         raise ValueError(f"members must lie in 1..{n}: {sorted(ms)}")
-    return Subset(n, sum(1 << (i - 1) for i in ms))
+    return n, sum(1 << (i - 1) for i in ms)
 
 
 def _set_bits(mask: int) -> Iterator[int]:
@@ -137,7 +132,8 @@ def parse_subset(text: str, n: int) -> Subset:
 
 
 def format_subset(e: Subset) -> str:
-    return ",".join(map(str, _set_bits(e.mask)))
+    _, mask = e
+    return ",".join(map(str, _set_bits(mask)))
 
 
 def excedance_subset(p: Perm) -> Subset:
@@ -155,7 +151,7 @@ def excedance_subset(p: Perm) -> Subset:
     if contains_321(p):
         raise ValueError("contains 321")
     n = len(p) // 2
-    return Subset(n, sum(1 << i for i in range(n) if p[i] > i + 1))
+    return n, sum(1 << i for i in range(n) if p[i] > i + 1)
 
 
 def subset_involution(e: Subset) -> Perm:
@@ -165,13 +161,14 @@ def subset_involution(e: Subset) -> Perm:
     unmatched j > i outside the subset, and mirror the arc through the
     centre.  A partner always exists, so no error case.
     """
-    total = 2 * e.n
+    n, mask = e
+    total = 2 * n
     partner = list(range(total + 1))  # partner[i] == i: i is still free
-    for i in _set_bits(e.mask):
+    for i in _set_bits(mask):
         if partner[i] != i:
             continue
         j = i + 1
-        while partner[j] != j or e.mask >> (j - 1) & 1:
+        while partner[j] != j or mask >> (j - 1) & 1:
             j += 1
         partner[i], partner[j] = j, i
         si, sj = total + 1 - j, total + 1 - i
@@ -184,7 +181,8 @@ def subset_involution(e: Subset) -> Perm:
 
 def _descent_mask(e: Subset) -> int:
     # bit i-1 set iff i is a member and i+1 is not
-    return e.mask & ~(e.mask >> 1)
+    _, mask = e
+    return mask & ~(mask >> 1)
 
 
 def subset_des(e: Subset) -> int:
@@ -212,8 +210,9 @@ def subset_maj(e: Subset) -> int:
 def des_from_subset(e: Subset) -> int:
     """Full descent count of the attached involution: descents mirror through
     the centre and the two halves overlap exactly when n is a member."""
+    n, mask = e
     d = 2 * subset_des(e)
-    return d - 1 if e.n and e.mask >> (e.n - 1) & 1 else d
+    return d - 1 if n and mask >> (n - 1) & 1 else d
 
 
 # ---------- odd sizes ----------

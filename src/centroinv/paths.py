@@ -18,18 +18,15 @@ Statistics and maps:
   and their sum is the area;
 * g: the bijection of the rectangle that turns peak labels into hook sizes.
 
-Subsets of [n] embed as paths of length n (step i is N iff i is a member),
-which transports descent statistics on the involution side to peak statistics
-here.
+A subset of [n], the pair (n, mask) of matchings, embeds as the path of
+length n whose step i is N iff i is a member; this transports descent
+statistics on the involution side to peak statistics here.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
-from typing import Iterator
-
-from centroinv.matchings import Subset
+from itertools import product
 
 ALPHABET = frozenset("NE")
 _BIT_STEP = str.maketrans("01", "EN")
@@ -45,11 +42,13 @@ def path_counts(word: str) -> tuple[int, int]:
     return word.count("N"), word.count("E")
 
 
-def subset_path(e: Subset) -> str:
-    """Path of length n whose N steps sit at the members of e."""
+def subset_path(e: tuple[int, int]) -> str:
+    """Path of length n whose N steps sit at the members of the subset
+    e = (n, mask)."""
+    n, mask = e
     # bin() writes bit n-1 first; the sentinel bit n keeps the leading zeros
     # and goes, with the "0b" prefix, when the digits are read backwards
-    return bin(e.mask | 1 << e.n)[:2:-1].translate(_BIT_STEP)
+    return bin(mask | 1 << n)[:2:-1].translate(_BIT_STEP)
 
 
 def peak_set(word: str) -> tuple[int, ...]:
@@ -220,14 +219,3 @@ def g_inverse(word: str) -> str:
         px, py = x, y
     out.append("E" * (b - px) + "N" * (a - py))
     return "".join(out)
-
-
-# ---------- enumeration ----------
-
-
-def rect_paths(a: int, b: int) -> Iterator[str]:
-    """All binomial(a+b, a) paths of the a x b rectangle."""
-    n = a + b
-    for north_positions in combinations(range(n), a):
-        chosen = set(north_positions)
-        yield "".join("N" if i in chosen else "E" for i in range(n))

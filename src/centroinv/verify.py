@@ -188,22 +188,22 @@ def _check_odd(n: int) -> str | None:
 
 
 def _check_hdpeak(n: int) -> str | None:
+    images = defaultdict(set)  # a -> images of the paths with a N steps
+    for p in generate.all_paths(n):
+        a, b = paths.path_counts(p)
+        q = paths.g_map(p)
+        if paths.path_counts(q) != (a, b):
+            return f"g({p}) leaves the {a} x {b} rectangle"
+        if paths.hook_decomposition(q) != paths.peak_set(p):
+            return f"hooks of g({p}) = {q} differ from peaks of {p}"
+        if paths.hd_star(q) != paths.peak_star(p):
+            return f"starred hooks of g({p}) differ from starred peaks"
+        if paths.g_inverse(q) != p:
+            return f"g_inverse(g({p})) != {p}"
+        images[a].add(q)
     for a in range(n + 1):
-        b = n - a
-        images = set()
-        for p in paths.rect_paths(a, b):
-            q = paths.g_map(p)
-            if paths.path_counts(q) != (a, b):
-                return f"g({p}) leaves the {a} x {b} rectangle"
-            if paths.hook_decomposition(q) != paths.peak_set(p):
-                return f"hooks of g({p}) = {q} differ from peaks of {p}"
-            if paths.hd_star(q) != paths.peak_star(p):
-                return f"starred hooks of g({p}) differ from starred peaks"
-            if paths.g_inverse(q) != p:
-                return f"g_inverse(g({p})) != {p}"
-            images.add(q)
-        if len(images) != comb(n, a):
-            return f"g is not bijective on the {a} x {b} rectangle"
+        if len(images[a]) != comb(n, a):
+            return f"g is not bijective on the {a} x {n - a} rectangle"
     return None
 
 
@@ -259,9 +259,10 @@ def _check_fp(n: int) -> str | None:
             return f"theta is not injective on the {a} x {b} rectangle"
         if len(images) != comb(n, a):
             return f"domain has {len(domain)} members, rectangle {comb(n, a)}"
-        for lam in paths.rect_paths(a, b):
-            if rsk.theta_rect(rsk.theta_rect_inverse(lam, a, b), a, b) != lam:
-                return f"surjectivity round trip failed at {lam}"
+    for lam in generate.all_paths(n):
+        a, b = paths.path_counts(lam)
+        if a <= b and rsk.theta_rect(rsk.theta_rect_inverse(lam, a, b), a, b) != lam:
+            return f"surjectivity round trip failed at {lam}"
     return None
 
 
@@ -305,15 +306,15 @@ def _check_cor2(n: int) -> str | None:
             want = rsk.maj_poly_by_fixed_points_and_des(n, l, k)
             if got != want:
                 return f"fp = {l}, des = {k}: {got} != difference form {want}"
+    by_hooks = _grouped_polys(
+        generate.all_paths(n),
+        lambda lam: (lam.count("N"), len(paths.hook_decomposition(lam))),
+        paths.area,
+    )
     for a in range(n + 1):
         b = n - a
-        by_hooks = _grouped_polys(
-            paths.rect_paths(a, b),
-            lambda lam: len(paths.hook_decomposition(lam)),
-            paths.area,
-        )
         for k in range(min(a, b) + 1):
-            got = by_hooks.get(k, ZERO)
+            got = by_hooks.get((a, k), ZERO)
             want = pshift(pmul(q_binomial(a, k), q_binomial(b, k)), k * k)
             if got != want:
                 return f"{k}-hook diagrams in {a} x {b}: {got} != {want}"

@@ -1,7 +1,8 @@
 """Code that only the tests use: reference implementations to compare the
 package against (the exhaustive pattern scan, the pairwise non-nesting test,
-the subset descent set, the step-by-step area, row insertion, the filtered
-class generator) and small helpers for building test cases.
+the subset descent set, the step-by-step area, the rectangle path
+enumerator, row insertion, the filtered class generator) and small helpers
+for building test cases.
 """
 
 from bisect import bisect_left, bisect_right
@@ -120,6 +121,15 @@ def area_by_steps(word: str) -> int:
         else:
             total += e_before
     return total
+
+
+def rect_paths(a: int, b: int) -> Iterator[str]:
+    """All binomial(a+b, a) paths of the a x b rectangle, one choice of the
+    N positions at a time."""
+    n = a + b
+    for north_positions in combinations(range(n), a):
+        chosen = set(north_positions)
+        yield "".join("N" if i in chosen else "E" for i in range(n))
 
 
 def rotate_first_to_last(word: str) -> str:

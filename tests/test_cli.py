@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import centroinv
-from centroinv.cli import BIJECTIONS, main
+from centroinv.cli import BIJECTIONS, MAX_BUILT, main
 from centroinv.generate import format_object, generate_class
 from centroinv.verify import THEOREMS
 
@@ -236,6 +236,43 @@ def test_bijection_negative_size_exits_2(capsys, name, size):
     assert code == 2
     assert out == ""
     assert err == f"error: size must be non-negative (got {size})\n"
+
+
+HUGE = 99999999999
+
+
+@pytest.mark.parametrize(
+    "name, text, size, built",
+    [
+        # each raised MemoryError building its points or letters
+        ("subset-involution", "1", HUGE, 2 * HUGE),
+        ("subset-matching", "1", HUGE, 2 * HUGE),
+        ("subset-path", "1", HUGE, HUGE),
+        ("matching-involution", "1-2", HUGE, HUGE),
+        # one past the limit: 2n points for a subset of [n]
+        ("subset-involution", "1", MAX_BUILT // 2 + 1, MAX_BUILT + 2),
+        ("subset-path", "1", MAX_BUILT + 1, MAX_BUILT + 1),
+    ],
+)
+def test_bijection_huge_size_exits_2(capsys, name, text, size, built):
+    code, out, err = run(
+        capsys, "bijection", "--name", name, "--apply", text, "--size", str(size)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --size {size} would build {built} points or path letters;"
+        f" the limit is {MAX_BUILT}\n"
+    )
+
+
+def test_bijection_size_at_the_limit_runs(capsys):
+    code, out, _ = run(
+        capsys, "bijection", "--name", "subset-path", "--apply", "1",
+        "--size", str(MAX_BUILT),
+    )
+    assert code == 0
+    assert out == "N" + "E" * (MAX_BUILT - 1) + "\n"
 
 
 def test_negative_max_n_exits_2(capsys):

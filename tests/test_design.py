@@ -53,3 +53,41 @@ def test_cli_import_leaves_out_the_process_pool():
         check=True,
     )
     assert run.stdout.strip() == "False"
+
+
+def test_benchmark_call_shapes():
+    # perfbench/layers.py and perfbench/run.py call these entry points by
+    # name at larger sizes; each call runs here in the same shape
+    import centroinv
+    from centroinv import distrib, generate, kernels, matchings, paths, verify
+
+    members = [1, 4, 5, 9, 16, 20]
+    e = matchings.subset(20, (i for i in range(1, 21) if i in members))
+    assert matchings.excedance_subset(matchings.subset_involution(e)) == (
+        matchings.subset(20, members)
+    )
+
+    samples = {
+        "cinv321-even": (matchings.subset_involution(matchings.subset(4, (1, 3))),
+                         "2 1 4 3 6 5 8 7"),
+        "paths-rect": ("NENNE", "NENNE"),
+        "signed-all": ((2, -1, 3), "2 -1 3"),
+    }
+    for label, (obj, text) in samples.items():
+        assert generate.format_object(label, obj) == text
+
+    for label, size in (("cinv321-even", 8), ("subsets", 4), ("paths-rect", 4),
+                        ("signed-all", 3)):
+        halves = [*generate.generate_class(label, size, 0, 2),
+                  *generate.generate_class(label, size, 1, 2)]
+        assert sorted(halves) == sorted(generate.generate_class(label, size))
+    assert sum(1 for _ in generate.involutions(6)) == 76
+    assert sum(1 for _ in generate.inv321(6)) == 20
+    assert sum(1 for _ in generate.signed_perms(3)) == 48
+    assert sum(1 for _ in generate.subsets(4)) == 16
+
+    assert kernels.census(8)["count"] == 16
+    assert distrib.distribution("subsets", 4, "maj+").count == 16
+    assert paths.area("EENNE") == 4
+    assert tuple(verify.THEOREMS)[0] == "T-despoly"
+    assert centroinv.BACKEND == "python"

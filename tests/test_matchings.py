@@ -274,11 +274,11 @@ def test_subset_maj_byte_table_matches_descent_sum():
     rng = random.Random(7)
     for _ in range(2000):
         n = rng.randint(13, 40)
-        e = matchings.Subset(n, rng.getrandbits(n))
+        e = (n, rng.getrandbits(n))
         assert subset_maj(e) == sum(subset_descents(e)), e
-    full = matchings.Subset(40, (1 << 40) - 1)
+    full = (40, (1 << 40) - 1)
     assert subset_maj(full) == 40
-    alternating = matchings.Subset(40, int("01" * 20, 2))
+    alternating = (40, int("01" * 20, 2))
     assert subset_maj(alternating) == sum(range(1, 41, 2))
 
 

@@ -21,11 +21,10 @@ from centroinv.paths import (
     path_partition,
     peak_set,
     peak_star,
-    rect_paths,
     subset_path,
 )
 from centroinv.perms import half_descent_set
-from oracles import area_by_steps, rotate_first_to_last
+from oracles import area_by_steps, rect_paths, rotate_first_to_last
 
 word_strategy = st.text(alphabet="NE", min_size=0, max_size=12)
 
@@ -37,6 +36,21 @@ def test_subset_path_and_back():
     # subset with its path and each path with its subset
     for n in range(7):
         assert [subset_path(e) for e in subsets(n)] == list(all_paths(n))
+
+
+def test_all_paths_grouped_by_n_steps_are_the_rectangles():
+    # the rectangle drivers read all_paths(n) grouped by the number of N
+    # steps; the oracle enumerates each rectangle on its own
+    for n in range(13):
+        groups = {}
+        for w in all_paths(n):
+            groups.setdefault(w.count("N"), []).append(w)
+        for a in range(n + 1):
+            words = groups.get(a, [])
+            assert len(words) == comb(n, a)
+            assert set(words) == set(rect_paths(a, n - a))
+    for n in range(7):
+        assert list(subsets(n)) == [(n, mask) for mask in range(2**n)]
 
 
 def oracle_subset_path(n, ms):

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from centroinv.generate import inv321, involutions
-from centroinv.paths import hook_decomposition, path_counts, peak_set, rect_paths
+from centroinv.paths import hook_decomposition, path_counts, peak_set
 from centroinv.perms import contains_321, des, descent_set, fixed_point_count, maj
 from centroinv.qpoly import psum, q_binomial, qpoly
 from centroinv.rsk import (
@@ -22,7 +22,13 @@ from centroinv.rsk import (
     theta_rect,
     theta_rect_inverse,
 )
-from oracles import TwoRowTableau, check_tableau, rsk_tableau, tableau_involution
+from oracles import (
+    TwoRowTableau,
+    check_tableau,
+    rect_paths,
+    rsk_tableau,
+    tableau_involution,
+)
 
 
 def test_rsk_tableau_examples():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from centroinv import kernels, matchings
+from centroinv import kernels, matchings, paths, rsk
 from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS, signed_avoids
 from centroinv.verify import (
@@ -113,9 +113,9 @@ def test_cara_rejects_a_nesting_matching(monkeypatch):
     real = verify_module.subset_involution
 
     def nesting(e):
-        if e.n < 2:
+        if e[0] < 2:
             return real(e)
-        m = 2 * e.n
+        m = 2 * e[0]
         return matchings.parse_matching(f"1-{m},2-{m - 1}", m)
 
     monkeypatch.setattr(verify_module, "subset_involution", nesting)
@@ -198,6 +198,73 @@ def test_cor1_compares_the_central_binomial_once(monkeypatch):
     assert [r.status for r in report.results] == ["fail"] * 4
     assert report.results[2].counterexample == (
         "fp >= 0: (1, 1) != Gaussian binomial (2,1) = (1, 1, 7)"
+    )
+
+
+def test_hdpeak_catches_two_swapped_images(monkeypatch):
+    # g with the images of NE and EN, both in the 1 x 1 rectangle, swapped:
+    # still a bijection of each rectangle, but peaks no longer become hooks
+    real = paths.g_map
+    swap = {"NE": "EN", "EN": "NE"}
+    monkeypatch.setattr(paths, "g_map", lambda w: real(swap.get(w, w)))
+    report = verify("T-hdpeak", 3)
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "pass"]
+    assert report.results[2].counterexample.startswith("hooks of g(NE) = NE differ")
+
+
+def test_fp_catches_two_swapped_images(monkeypatch):
+    # theta with the images of 1 2 and 2 1 in the 1 x 1 rectangle swapped
+    real = rsk.theta_rect
+    swap = {(1, 2): (2, 1), (2, 1): (1, 2)}
+
+    def swapped(p, a, b):
+        return real(swap[p], a, b) if (a, b) == (1, 1) else real(p, a, b)
+
+    monkeypatch.setattr(rsk, "theta_rect", swapped)
+    report = verify("T-fp", 3)
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "pass"]
+    assert report.results[2].counterexample.startswith("hooks of theta(1 2) differ")
+
+
+def test_cor2_catches_a_wrong_area_on_one_hook(monkeypatch):
+    real = paths.area
+    monkeypatch.setattr(
+        paths, "area", lambda w: real(w) + (len(paths.hook_decomposition(w)) == 1)
+    )
+    report = verify("T-cor2", 3)
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
+    assert report.results[2].counterexample.startswith("1-hook diagrams in 1 x 1:")
+
+
+def test_desfull_compares_the_subset_transport(monkeypatch):
+    # one more descent for the empty subset
+    real = matchings.des_from_subset
+    monkeypatch.setattr(
+        matchings, "des_from_subset", lambda e: real(e) + (e[1] == 0)
+    )
+    report = verify("T-desfull", 3)
+    assert [r.status for r in report.results] == ["fail"] * 4
+    assert report.results[2].counterexample == (
+        "subset transport gives (0, 3, 1), closed form (1, 2, 1)"
+    )
+
+
+def test_recr_compares_the_recurrence(monkeypatch):
+    # a wrong area polynomial at n = 3 shows at n = 3 itself and in both
+    # terms of the recurrence, at n = 4 and n = 5
+    real = verify_module.half_maj_poly_by_area
+    monkeypatch.setattr(
+        verify_module,
+        "half_maj_poly_by_area",
+        lambda n: real(n) + (7,) if n == 3 else real(n),
+    )
+    report = verify("T-recr", 6)
+    assert [r.status for r in report.results] == (
+        ["pass"] * 3 + ["fail"] * 3 + ["pass"]
+    )
+    assert report.results[3].counterexample.startswith("recurrence gives ")
+    assert report.results[3].counterexample.endswith(
+        "area enumeration (1, 1, 2, 3, 1, 7)"
     )
 
 
