@@ -5,6 +5,11 @@ q-polynomial), bijection (apply one of the named maps to one object), verify
 (run a theorem driver).  Exit code 0 means success, 1 a verification failure,
 2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
 in ``enumerate ... | head``.
+
+``enumerate`` writes its first object and flushes it at once, then joins the
+rest into writes of at least ``WRITE_CHUNK`` characters, so a reader on a
+pipe is woken once per pipe-full and memory is bounded by one batch.  It has
+no cost budget: it streams, and the reader can stop it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, repeat
+from typing import Iterator
 
 from centroinv import generate, matchings, paths, perms, rsk, signed
 from centroinv.distrib import STATS, distribution, table_json, table_tsv
@@ -94,22 +101,43 @@ BIJECTIONS = {
 }
 
 
+#: characters per write after the first object: the default Linux pipe
+#: capacity, so the reader is woken once per pipe-full, not once per 8 KiB
+WRITE_CHUNK = 1 << 16
+
+
+def _write_batched(head: str, texts: Iterator[str], tail: str) -> None:
+    """Write head, every text and then tail to stdout.  The first text goes out
+    with head and is flushed at once; the rest is joined into writes of at
+    least WRITE_CHUNK characters, the last of which ends with tail.  At most
+    one batch is held in memory."""
+    out = sys.stdout
+    out.write(head + next(texts, ""))
+    out.flush()
+    batch: list[str] = []
+    size = 0
+    for text in texts:
+        batch.append(text)
+        size += len(text)
+        if size >= WRITE_CHUNK:
+            out.write("".join(batch))
+            batch = []
+            size = 0
+    batch.append(tail)
+    out.write("".join(batch))
+
+
 def _cmd_enumerate(args) -> int:
     fmt = generate.object_class(args.label).format
     texts = map(fmt, generate.generate_class(args.label, args.size))
-    out = sys.stdout
     if args.format == "json":
         # the same bytes as json.dumps of the whole document
         head = json.dumps({"class": args.label, "size": args.size, "objects": []})
-        out.write(head[:-2])
-        sep = ""
-        for text in texts:
-            out.write(sep + json.dumps(text))
-            sep = ", "
-        out.write("]}\n")
+        seps = chain(("",), repeat(", "))
+        items = map(str.__add__, seps, map(json.dumps, texts))
+        _write_batched(head[:-2], items, "]}\n")
     else:
-        for text in texts:
-            out.write(text + "\n")
+        _write_batched("", map(str.__add__, texts, repeat("\n")), "")
     return 0
 
 

@@ -44,8 +44,27 @@ def parse_perm(text: str) -> Perm:
     return p
 
 
+class _Text(dict):
+    """Decimal text of small integers; any other value is formatted, not
+    stored, so the table never grows."""
+
+    def __missing__(self, v: int) -> str:
+        return str(v)
+
+
+# every entry of a permutation of up to 64 points or of a signed window of
+# up to 64 letters; a dict lookup is about three times faster than str()
+_TEXT = _Text((v, str(v)) for v in range(-64, 65))
+
+
 def format_perm(p: Perm) -> str:
-    return " ".join(str(v) for v in p)
+    """One-line notation, entries separated by single spaces; negative
+    entries (signed windows) are written with their sign.
+
+    >>> format_perm((2, -1, 100))
+    '2 -1 100'
+    """
+    return " ".join(map(_TEXT.__getitem__, p))
 
 
 def is_involution(p: Perm) -> bool:

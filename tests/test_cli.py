@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import centroinv
-from centroinv.cli import BIJECTIONS, MAX_BUILT, main
-from centroinv.generate import format_object, generate_class
+from centroinv import generate
+from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
+from centroinv.generate import CLASS_LABELS, format_object, generate_class
 from centroinv.verify import THEOREMS
 
 
@@ -311,9 +312,16 @@ def test_bad_integer_names_the_token(capsys, argv):
     assert err == "error: not an integer: 'x'\n"
 
 
+#: output of several WRITE_CHUNK batches in either format
+MULTI_BATCH = [("paths-rect", 14), ("cinv321-even", 24), ("subsets", 14)]
+#: those, and about one batch of signed windows (negative entries)
+BATCHED = [("signed-all", 5)] + MULTI_BATCH
+
+
 @pytest.mark.parametrize(
     "label,size",
-    [("cinv321-even", 6), ("inv321", 0), ("paths-rect", 11), ("signed-all", 2)],
+    [("cinv321-even", 6), ("inv321", 0), ("paths-rect", 11), ("signed-all", 2)]
+    + BATCHED,
 )
 def test_streamed_json_equals_json_dumps(capsys, label, size):
     code, out, _ = run(
@@ -323,25 +331,111 @@ def test_streamed_json_equals_json_dumps(capsys, label, size):
     assert code == 0
     objs = [format_object(label, o) for o in generate_class(label, size)]
     assert out == json.dumps({"class": label, "size": size, "objects": objs}) + "\n"
+    if (label, size) in MULTI_BATCH:
+        assert len(out) > 2 * WRITE_CHUNK
+
+
+#: the smallest size of every class: one object each
+SMALLEST = [(label, 1 if label == "cinv321-odd" else 0) for label in CLASS_LABELS]
+
+
+@pytest.mark.parametrize("label,size", SMALLEST + BATCHED)
+def test_streamed_tsv_equals_format_object(capsys, label, size):
+    code, out, _ = run(capsys, "enumerate", "--class", label, "--size", str(size))
+    assert code == 0
+    assert out == "".join(
+        format_object(label, o) + "\n" for o in generate_class(label, size)
+    )
+    if (label, size) in MULTI_BATCH:
+        assert len(out) > 2 * WRITE_CHUNK
+
+
+class RecordingStream:
+    """A stdout that keeps each write and flush, in order, in a shared log."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def write(self, text):
+        self.log.append(("write", text))
+        return len(text)
+
+    def flush(self):
+        self.log.append(("flush",))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_enumerate_write_pattern(monkeypatch, fmt):
+    label, size = "cinv321-even", 24
+    log = []
+    cls = generate.CLASSES[label]
+
+    def logged(*args):
+        for obj in cls.generate(*args):
+            log.append(("object",))
+            yield obj
+
+    monkeypatch.setitem(generate.CLASSES, label, cls._replace(generate=logged))
+    monkeypatch.setattr(sys, "stdout", RecordingStream(log))
+    assert main(["enumerate", "--class", label, "--size", str(size), "--format", fmt]) == 0
+    writes = [e[1] for e in log if e[0] == "write"]
+    out = "".join(writes)
+
+    first = " ".join(map(str, range(1, size + 1)))
+    if fmt == "json":
+        head = json.dumps({"class": label, "size": size, "objects": []})[:-2]
+        assert writes[0] == head + json.dumps(first)
+    else:
+        assert writes[0] == first + "\n"
+    # the first object is written and flushed before the second is built
+    assert log[:4] == [("object",), ("write", writes[0]), ("flush",), ("object",)]
+    assert all(len(w) >= WRITE_CHUNK for w in writes[1:-1])
+    assert len(writes) <= -(-len(out) // WRITE_CHUNK) + 3
+    assert len(writes) > 3
+
+
+def close_after_first(argv, first):
+    """Run the CLI with stdout on a pipe, read the first bytes, close the
+    pipe, and check that the writer exits 141 with nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "centroinv.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    )
+    assert proc.stdout.read(len(first)) == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_closed_pipe_exits_141():
     # about 1.1 MB of output, far more than a pipe holds, so the writer is
     # still writing when the reader goes away
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "centroinv.cli",
-            "enumerate", "--class", "paths-rect", "--size", "16",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=CHILD_ENV,
+    close_after_first(
+        ["enumerate", "--class", "paths-rect", "--size", "16"], b"E" * 16 + b"\n"
     )
-    assert proc.stdout.readline() == b"E" * 16 + b"\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (
+            ["enumerate", "--class", "paths-rect", "--size", "16", "--format", "json"],
+            b'{"class": "paths-rect", "size": 16, "objects": ["' + b"E" * 16 + b'"',
+        ),
+        # a walk over far more objects than could ever be listed: enumerate
+        # has no cost budget, the reader stops it
+        (
+            ["enumerate", "--class", "inv321", "--size", "40"],
+            " ".join(map(str, range(1, 41))).encode() + b"\n",
+        ),
+    ],
+    ids=["paths-rect-16-json", "inv321-40"],
+)
+def test_closed_pipe_exits_141_other_streams(argv, first):
+    close_after_first(argv, first)
 
 
 def test_verify_tsv(capsys):

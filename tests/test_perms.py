@@ -44,6 +44,15 @@ def test_parse_format_round_trip():
         parse_perm("1 1 2")
 
 
+def test_format_perm_table():
+    # the table holds -64..64; values past either edge are formatted on a
+    # miss and not stored
+    size = len(perms._TEXT)
+    for p in [(), tuple(range(-70, 71)), (10**6, -(10**6))]:
+        assert format_perm(p) == " ".join(map(str, p))
+    assert len(perms._TEXT) == size
+
+
 def test_basic_ops():
     assert identity(4) == (1, 2, 3, 4)
     assert inverse((3, 1, 2)) == (2, 3, 1)
