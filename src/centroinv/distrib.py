@@ -4,18 +4,23 @@ distribution(label, size, stat) streams a class and tallies one statistic;
 the result records the tally as a polynomial (coefficient of q^i counts the
 objects with statistic i) plus the stream length.
 
-With jobs > 1 the stream is split into shards, one per worker process, by
-the generator's shard rule (see centroinv.generate), and the per-shard
-tallies are added; tally addition is commutative, so a sharded run is
-byte-identical to a serial one.  jobs is capped at os.cpu_count().
+With jobs > 1 the stream is split into jobs shards by the generator's shard
+rule (see centroinv.generate).  The caller tallies shard 0 itself; shards 1
+to jobs - 1 are tallied by children made with os.fork, each of which sends
+its tally back over a pipe as marshal.dumps((ok, payload)) and leaves with
+os._exit.  The tallies are added; tally addition is commutative, so a
+sharded run is byte-identical to a serial one.  jobs is capped at
+os.cpu_count(), and at 1 on a platform without os.fork, which then runs
+serially.  The package starts no threads, so forking the caller is safe.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from centroinv import generate
 from centroinv.qpoly import QPoly, peval, tally_poly
@@ -33,8 +38,7 @@ def stat_function(label: str, stat: str):
     return table[stat]
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     label: str
     size: int
     stat: str
@@ -42,10 +46,77 @@ class DistributionTable:
     count: int
 
 
-def _shard_tally(args: tuple[str, int, str, int, int]) -> Counter:
-    label, size, stat, shard, nshards = args
+def _shard_tally(label: str, size: int, stat: str, shard: int, nshards: int) -> Counter:
     fn = stat_function(label, stat)
     return Counter(map(fn, generate.generate_class(label, size, shard, nshards)))
+
+
+def _fork_shard(label: str, size: int, stat: str, shard: int, nshards: int) -> tuple[int, int]:
+    """Start a child that tallies one shard; returns its pid and the read end
+    of the pipe that carries marshal.dumps((ok, payload)): the tally as a
+    dict, or the text "<ExcType>: <message>" of what the shard raised."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    # the child: whatever happens, leave by os._exit, so the caller's stdio
+    # buffers are never flushed twice and no exit handler runs here
+    try:
+        os.close(read_fd)
+        try:
+            reply = (True, dict(_shard_tally(label, size, stat, shard, nshards)))
+        except BaseException as exc:
+            reply = (False, f"{type(exc).__name__}: {exc}")
+        data = memoryview(marshal.dumps(reply))
+        while data:
+            data = data[os.write(write_fd, data):]
+    finally:
+        os._exit(0)
+
+
+def _read_shard(fd: int, shard: int, nshards: int) -> dict:
+    """Read one child's reply to end of file; raise if the shard failed or
+    the child ended without a reply."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        ok, payload = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError):
+        raise RuntimeError(f"shard {shard} of {nshards} ended without a result") from None
+    if not ok:
+        raise RuntimeError(f"shard {shard} of {nshards} failed: {payload}")
+    return payload
+
+
+def _sharded_tally(label: str, size: int, stat: str, jobs: int) -> Counter:
+    """Tally shard 0 here and shards 1..jobs-1 in forked children.  Every
+    child is reaped before this returns or raises; on failure the children
+    still running are killed first."""
+    children: list[tuple[int, int]] = []
+    try:
+        for shard in range(1, jobs):
+            children.append(_fork_shard(label, size, stat, shard, jobs))
+        tally = _shard_tally(label, size, stat, 0, jobs)
+        for shard, (_, fd) in enumerate(children, 1):
+            tally.update(_read_shard(fd, shard, jobs))
+        return tally
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
 
 
 def distribution(
@@ -56,21 +127,16 @@ def distribution(
     >>> distribution("cinv321-even", 4, "des").poly
     (1, 2, 1)
     """
-    # reject bad requests before forking workers
+    # reject bad requests before forking
     stat_function(label, stat)
     generate.generate_class(label, size)
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if jobs == 1:
-        tally = _shard_tally((label, size, stat, 0, 1))
+        tally = _shard_tally(label, size, stat, 0, 1)
     else:
-        # loaded here, so a run without workers never imports multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        argses = [(label, size, stat, k, jobs) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tally = sum(pool.map(_shard_tally, argses), Counter())
+        tally = _sharded_tally(label, size, stat, jobs)
     poly = tally_poly(tally)
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 

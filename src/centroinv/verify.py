@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from math import comb
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from centroinv import generate, kernels, matchings, paths, perms, rsk
 from centroinv.distrib import distribution
@@ -47,15 +46,13 @@ from centroinv.signed import (
 RAW_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class SizeResult:
+class SizeResult(NamedTuple):
     n: int
     status: str
     counterexample: str | None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: str
     results: tuple[SizeResult, ...]
     duration_s: float

@@ -13,7 +13,9 @@ from math import comb
 from pathlib import Path
 from time import perf_counter
 
-from centroinv import kernels
+import pytest
+
+from centroinv import distrib, kernels
 from centroinv.distrib import distribution
 from centroinv.generate import involutions
 from centroinv.perms import des, fixed_point_count, is_centrosymmetric, maj
@@ -124,10 +126,14 @@ def test_criterion_11():
             assert f == qpoly(
                 tally[i] for i in range(max(tally, default=0) + 1)
             )
-    # four workers tally exactly what one does
-    for stat in ("des+", "maj+", "des"):
-        serial = distribution("cinv321-even", 24, stat)
-        assert distribution("cinv321-even", 24, stat, jobs=4) == serial
+    # four workers tally exactly what one does, and so do two and three; the
+    # CPU count is set to 4 so that no run is capped below its jobs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distrib.os, "cpu_count", lambda: 4)
+        for stat in ("des+", "maj+", "des"):
+            serial = distribution("cinv321-even", 24, stat)
+            for jobs in (2, 3, 4):
+                assert distribution("cinv321-even", 24, stat, jobs=jobs) == serial
 
 
 def test_readme_library_example():

@@ -55,6 +55,31 @@ def test_cli_import_leaves_out_the_process_pool():
     assert run.stdout.strip() == "False"
 
 
+def test_cli_import_and_sharded_run_leave_out_heavy_modules():
+    # importing the CLI loads no dataclasses (nor the inspect module it
+    # pulls in) and no process pool; a sharded run forks, and still loads
+    # neither multiprocessing nor concurrent.futures
+    code = (
+        "import os, sys, centroinv.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'concurrent.futures'} & set(sys.modules)))\n"
+        "from centroinv import distrib\n"
+        "os.cpu_count = lambda: 2\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "assert distrib.distribution('subsets', 6, 'des', jobs=2).count == 64\n"
+        "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.splitlines() == ["[]", "1 []"]
+
+
 def test_benchmark_call_shapes():
     # perfbench/layers.py and perfbench/run.py call these entry points by
     # name at larger sizes; each call runs here in the same shape

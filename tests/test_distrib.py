@@ -1,7 +1,10 @@
 """Distribution tables: serial, sharded, and their text forms."""
 
-import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import product
 
@@ -15,7 +18,7 @@ from centroinv.distrib import (
     table_json,
     table_tsv,
 )
-from centroinv.generate import CLASS_LABELS
+from centroinv.generate import CLASS_LABELS, CLASSES
 from centroinv.paths import area, peak_star
 from centroinv.qpoly import (
     full_des_poly,
@@ -69,81 +72,168 @@ def test_signed_distributions():
     assert t.count == 8
 
 
+#: a small size per class, for runs over every class and statistic
+SMALL = {
+    "cinv321-even": 6,
+    "cinv321-odd": 7,
+    "inv321": 5,
+    "signed-all": 3,
+    "signed-sixavoiders": 3,
+    "subsets": 5,
+    "paths-rect": 5,
+}
+
+
 def test_every_legal_pair_runs():
-    sizes = {
-        "cinv321-even": 6,
-        "cinv321-odd": 7,
-        "inv321": 5,
-        "signed-all": 3,
-        "signed-sixavoiders": 3,
-        "subsets": 5,
-        "paths-rect": 5,
-    }
     for label in CLASS_LABELS:
         for stat in STATS:
             try:
                 stat_function(label, stat)
             except ValueError:
                 continue
-            t = distribution(label, sizes[label], stat)
+            t = distribution(label, SMALL[label], stat)
             assert t.count == peval(t.poly, 1)
             assert t.count > 0
 
 
-def test_parallel_matches_serial():
-    cases = (
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the forks distrib makes; each call goes on to the real fork."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(distrib.os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_matches_serial(monkeypatch, forks):
+    # 4 CPUs whatever the machine has, so 3 and 4 shards really run
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    cases = [
         ("cinv321-even", 12, "maj+"),
         ("cinv321-odd", 11, "des+"),
         ("inv321", 8, "maj"),
         ("subsets", 8, "des"),
         ("paths-rect", 8, "area"),
-    )
+    ]
+    cases += [(label, SMALL[label], stat) for label in CLASSES for stat in CLASSES[label].stats]
     for label, size, stat in cases:
         serial = distribution(label, size, stat)
-        for jobs in (2, 4):
-            assert distribution(label, size, stat, jobs=jobs) == serial
+        for jobs in (2, 3, 4):
+            assert distribution(label, size, stat, jobs=jobs) == serial, (label, stat, jobs)
+    assert len(forks) == len(cases) * (1 + 2 + 3)
+    assert_no_child_left()
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    shards in this process."""
-
-    created: list[int] = []
-
-    def __init__(self, max_workers):
-        FakePool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_jobs_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+def test_jobs_capped_at_cpu_count(monkeypatch, forks):
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(FakePool, "created", [])
     serial = distribution("cinv321-even", 10, "maj+")
     for jobs in (2, 3, 5):
         assert distribution("cinv321-even", 10, "maj+", jobs=jobs) == serial
-    assert FakePool.created == [2, 2, 2]
+    # capped at 2 jobs: the caller and one child per run
+    assert len(forks) == 3
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: None)
     assert distribution("cinv321-even", 10, "maj+", jobs=3) == serial
-    assert FakePool.created == [2, 2, 2]
+    assert len(forks) == 3
 
 
-def test_bad_size_rejected_before_workers(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(FakePool, "created", [])
+def test_bad_size_rejected_before_workers(monkeypatch, forks):
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
     with pytest.raises(ValueError, match="non-negative"):
         distribution("subsets", -1, "des", jobs=2)
     with pytest.raises(ValueError, match="even size"):
         distribution("cinv321-even", 5, "des", jobs=2)
-    assert FakePool.created == []
+    assert forks == []
+
+
+def _patch_shards(monkeypatch, child=None, caller=None):
+    """Replace _shard_tally: shard 0 runs caller, shards >= 1 run child, and
+    a missing hook runs the real tally.  Forked children inherit the patch.
+    The CPU count is set to 4, so up to 4 shards run."""
+    tally = distrib._shard_tally
+
+    def patched(label, size, stat, shard, nshards):
+        hook = caller if shard == 0 else child
+        if hook is not None:
+            hook()
+        return tally(label, size, stat, shard, nshards)
+
+    monkeypatch.setattr(distrib, "_shard_tally", patched)
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+
+
+def boom():
+    raise ValueError("boom")
+
+
+def test_failed_shard_reaches_the_caller(monkeypatch):
+    _patch_shards(monkeypatch, child=boom)
+    with pytest.raises(RuntimeError, match="shard 1 of 3 failed: ValueError: boom"):
+        distribution("subsets", 8, "des", jobs=3)
+    assert_no_child_left()
+
+
+def test_child_without_result_raises(monkeypatch):
+    _patch_shards(monkeypatch, child=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="shard 1 of 2 ended without a result"):
+        distribution("subsets", 8, "des", jobs=2)
+    assert_no_child_left()
+
+
+def test_every_child_reaped(monkeypatch):
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    serial = distribution("subsets", 8, "des")
+    assert distribution("subsets", 8, "des", jobs=4) == serial
+    assert_no_child_left()
+    # the caller's own shard fails while the children are still busy: they
+    # are killed, not waited out
+    _patch_shards(monkeypatch, child=lambda: time.sleep(60), caller=boom)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="boom"):
+        distribution("subsets", 8, "des", jobs=4)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_no_fork_runs_serially(monkeypatch):
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(distrib.os, "fork")
+    serial = distribution("cinv321-even", 10, "maj+")
+    assert distribution("cinv321-even", 10, "maj+", jobs=2) == serial
+
+
+def test_children_leave_stdio_alone():
+    # text the caller has buffered but not flushed is written once: a child
+    # leaves by os._exit and never flushes its copy of the buffer (stdout is
+    # a pipe here, so it is block-buffered unless PYTHONUNBUFFERED is set)
+    code = (
+        "import os, sys\n"
+        "from centroinv import distrib\n"
+        "os.cpu_count = lambda: 3\n"
+        "sys.stdout.write('before ')\n"
+        "print(distrib.distribution('subsets', 6, 'des', jobs=3).count)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={
+            **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+            "PYTHONPATH": distrib.__file__.rsplit(os.sep, 2)[0],
+        },
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout == "before 64\n"
+    assert run.stderr == ""
 
 
 def test_error_paths():
