@@ -4,11 +4,11 @@ distribution(label, size, stat) streams a class and tallies one statistic;
 the result records the tally as a polynomial (coefficient of q^i counts the
 objects with statistic i) plus the stream length.
 
-With jobs > 1 the stream is split into jobs shards by the generator's shard
-rule (see centroinv.generate).  The caller tallies shard 0 itself; shards 1
-to jobs - 1 are tallied by children made with os.fork, each of which sends
-its tally back over a pipe as marshal.dumps((ok, payload)) and leaves with
-os._exit.  The tallies are added; tally addition is commutative, so a
+The stream is split into jobs shards by the generator's shard rule (see
+centroinv.generate).  The caller tallies shard 0 itself; shards 1 to jobs - 1
+(none for one job) are tallied by children made with os.fork, each of which
+sends its tally back over a pipe as marshal.dumps((ok, payload)) and leaves
+with os._exit.  The tallies are added; tally addition is commutative, so a
 sharded run is byte-identical to a serial one.  jobs is capped at
 os.cpu_count(), and at 1 on a platform without os.fork, which then runs
 serially.  The package starts no threads, so forking the caller is safe.
@@ -133,11 +133,7 @@ def distribution(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if jobs == 1:
-        tally = _shard_tally(label, size, stat, 0, 1)
-    else:
-        tally = _sharded_tally(label, size, stat, jobs)
-    poly = tally_poly(tally)
+    poly = tally_poly(_sharded_tally(label, size, stat, jobs))
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 
 

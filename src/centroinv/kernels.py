@@ -3,12 +3,12 @@ tallies the statistics the theorem drivers compare against.
 
 This is the brute-force side of the counting and distribution checks, kept
 independent of the generators: it builds the 321-avoiding centrosymmetric
-involutions of [m] in its own recursion and evaluates 321-avoidance and the
-descent statistics inline.  Every arc is placed together with its mirror under
-the half-turn i -> m+1-i, so the walk visits only the centrosymmetric
-involutions (OEIS A000898: 6512 at m = 14 and 15) instead of all involutions
-(2.4 million and 10.3 million).  ``census`` is cached, so repeated theorem
-checks in one process pay for each sweep once.
+involutions of [m] in its own recursion, cuts each branch at its first 321
+and tallies the descent statistics on the way down.  Every arc is placed
+together with its mirror under the half-turn i -> m+1-i, so the walk stays
+among the centrosymmetric involutions (OEIS A000898: 6512 at m = 14 and 15),
+not all involutions (2.4 million and 10.3 million).  ``census`` is cached, so
+repeated theorem checks in one process pay for each sweep once.
 """
 
 from __future__ import annotations
@@ -21,8 +21,13 @@ BACKEND = "python"
 
 @lru_cache(maxsize=None)
 def census(m: int) -> MappingProxyType:
-    """One pass over the centrosymmetric involutions of [m]: count those that
-    avoid 321 and tally the statistics the theorem drivers read.
+    """One pass over the 321-avoiding centrosymmetric involutions of [m]:
+    count them and tally the statistics the theorem drivers read.
+
+    Positions before the smallest unplaced point are final, so the walk
+    carries their linear 321 state (top, the largest value so far; mid, the
+    largest value below an earlier larger one) and their descent counts d,
+    dp and mjp.  A value below mid ends the branch; passing m adds a member.
 
     Returns a read-only mapping with "count" plus three tally tuples ("des",
     "des+", "maj+") where entry i counts members with statistic i.
@@ -35,41 +40,32 @@ def census(m: int) -> MappingProxyType:
     majp_t = [0] * (n * (n + 1) // 2 + 1)
     count = 0
 
-    perm = [0] * (m + 1)  # 1-based; 0 marks unassigned
+    perm = [0] * (m + 1)  # 1-based; 0 marks unassigned, and perm[0] stays 0
 
-    def visit() -> None:
+    def rec(i: int, top: int, mid: int, d: int, dp: int, mjp: int) -> None:
         nonlocal count
-        best_mid = 0
-        prefix_max = 0
-        for i in range(1, m + 1):
-            v = perm[i]
-            if v < best_mid:
-                return
-            if v < prefix_max:
-                if v > best_mid:
-                    best_mid = v
-            else:
-                prefix_max = v
-        d = dp = mjp = 0
-        for i in range(1, m):
-            if perm[i] > perm[i + 1]:
-                d += 1
-                if i <= n:
-                    dp += 1
-                    mjp += i
-        count += 1
-        des_t[d] += 1
-        desp_t[dp] += 1
-        majp_t[mjp] += 1
-
-    def rec(i: int) -> None:
-        # the smallest unplaced point i is fixed (j == i) or paired with j > i
         while i <= m and perm[i]:
+            v = perm[i]
+            if v < mid:
+                return
+            if v < top:
+                mid = v
+            else:
+                top = v
+            if perm[i - 1] > v:  # a descent at i - 1
+                d += 1
+                if i <= n + 1:
+                    dp += 1
+                    mjp += i - 1
             i += 1
         if i > m:
-            visit()
+            count += 1
+            des_t[d] += 1
+            desp_t[dp] += 1
+            majp_t[mjp] += 1
             return
-        for j in range(i, m + 1):
+        # point i is fixed (j == i) or paired with j > i; j below mid is cut
+        for j in range(max(i, mid), m + 1):
             if perm[j]:
                 continue
             placed = []
@@ -80,11 +76,11 @@ def census(m: int) -> MappingProxyType:
                 elif perm[a] != b:  # the mirror arc clashes with this one
                     break
             else:
-                rec(i + 1)
+                rec(i, top, mid, d, dp, mjp)
             for a in placed:
                 perm[a] = 0
 
-    rec(1)
+    rec(1, 0, 0, 0, 0, 0)
     return MappingProxyType(
         {"count": count, "des": tuple(des_t), "des+": tuple(desp_t),
          "maj+": tuple(majp_t)}

@@ -41,6 +41,19 @@ def test_every_package_name_has_a_caller():
     assert not unused, "only the tests call " + ", ".join(unused)
 
 
+def test_census_imports_nothing_from_the_package():
+    # the census is the raw route the drivers compare the generators and the
+    # closed forms against, so it must build its class on its own
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE / "kernels.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert not [name for name in imported if name.startswith(("centroinv", "."))]
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only a sharded run (jobs > 1) needs multiprocessing; a fresh interpreter
     # shows what importing the CLI alone loads

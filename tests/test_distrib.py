@@ -137,6 +137,7 @@ def test_parallel_matches_serial(monkeypatch, forks):
 def test_jobs_capped_at_cpu_count(monkeypatch, forks):
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: 2)
     serial = distribution("cinv321-even", 10, "maj+")
+    assert forks == []  # one job tallies in the caller
     for jobs in (2, 3, 5):
         assert distribution("cinv321-even", 10, "maj+", jobs=jobs) == serial
     # capped at 2 jobs: the caller and one child per run

@@ -187,9 +187,10 @@ def test_paths_class_covers_every_rectangle():
 
 
 def test_census_counts():
-    for n in range(8):
-        assert census(2 * n)["count"] == 2**n
-        assert census(2 * n + 1)["count"] == comb(n, n // 2)
+    # every size the census accepts
+    for m in range(21):
+        n = m // 2
+        assert census(m)["count"] == (comb(n, n // 2) if m % 2 else 2**n)
 
 
 def test_census_range_guard():
@@ -200,16 +201,22 @@ def test_census_range_guard():
 
 
 def streamed_census(m):
-    """The same tallies, built from the reference generator and the
-    statistic functions instead of the fused kernel loop."""
+    """The same tallies, built from a generator and the statistic functions
+    instead of the fused kernel walk: the reference generator filtered_class
+    up to m = 12, where it still walks every involution quickly, and the
+    class generators above that."""
     n = m // 2
+    if m <= 12:
+        members = filtered_class(m)
+    else:
+        members = (cinv321_odd if m % 2 else cinv321_even)(m)
     out = {
         "count": 0,
         "des": [0] * max(m, 1),
         "des+": [0] * (n + 1),
         "maj+": [0] * (n * (n + 1) // 2 + 1),
     }
-    for p in filtered_class(m):
+    for p in members:
         out["count"] += 1
         out["des"][des(p)] += 1
         out["des+"][half_des(p)] += 1
@@ -220,7 +227,7 @@ def streamed_census(m):
 
 
 def test_census_matches_streamed_statistics():
-    for m in range(13):
+    for m in range(21):
         assert dict(census(m)) == streamed_census(m)
 
 

@@ -268,6 +268,31 @@ def test_recr_compares_the_recurrence(monkeypatch):
     )
 
 
+def test_every_compared_route_can_fail(monkeypatch):
+    # the matrix of every (driver, route) pair the comparator sees at sizes
+    # 0..3, the reference left out: a wrong value in that one route alone
+    # fails the driver, and the counterexample names that route
+    real = verify_module._disagreement
+    seen = []
+    target = None
+
+    def wrapped(routes):
+        seen.append((driver, *routes))
+        if target in routes:
+            routes = {**routes, target: routes[target] + (7,)}
+        return real(routes)
+
+    monkeypatch.setattr(verify_module, "_disagreement", wrapped)
+    for driver in THEOREMS:
+        assert verify(driver, 3).ok
+    pairs = dict.fromkeys((d, route) for d, _, *others in seen for route in others)
+    assert len(pairs) >= 20  # five distribution drivers hold 20 today
+    for driver, target in pairs:
+        failing = [r.counterexample for r in verify(driver, 3).results if r.status == "fail"]
+        assert failing, (driver, target)
+        assert all(cx.startswith(f"{target} gives ") for cx in failing), failing
+
+
 def test_report_json_schema():
     report = verify("T-recr", max_size=5)
     doc = json.loads(report_json(report))
