@@ -120,8 +120,9 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     contains_321 (top, the largest value so far, and mid, the largest value
     below an earlier larger one) travels down the recursion.  A value below
     mid completes a 321 whatever follows, so that branch is cut: a point
-    already filled by an earlier partner ends the branch, and partners below
-    mid are never tried."""
+    already filled by an earlier partner below mid ends the branch, and so
+    does an unplaced point i below mid, since the value i will land right of
+    mid.  Every partner j >= i is then above mid."""
     _check_shard(shard, nshards)
     if m <= 0:
         if m == 0 and shard == 0:
@@ -140,7 +141,9 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
         if i > m:
             yield tuple(vals[1:])
             return
-        for j in range(max(i, mid), m + 1):
+        if mid > i:  # the value i lands right of mid: a 321
+            return
+        for j in range(i, m + 1):
             if vals[j] or (i == 1 and (j - 1) % nshards != shard):
                 continue
             vals[i] = j

@@ -27,7 +27,9 @@ def census(m: int) -> MappingProxyType:
     Positions before the smallest unplaced point are final, so the walk
     carries their linear 321 state (top, the largest value so far; mid, the
     largest value below an earlier larger one) and their descent counts d,
-    dp and mjp.  A value below mid ends the branch; passing m adds a member.
+    dp and mjp.  A value below mid ends the branch, and so does an unplaced
+    point i below mid, since the value i will land right of mid; passing m
+    adds a member.
 
     Returns a read-only mapping with "count" plus three tally tuples ("des",
     "des+", "maj+") where entry i counts members with statistic i.
@@ -64,8 +66,10 @@ def census(m: int) -> MappingProxyType:
             desp_t[dp] += 1
             majp_t[mjp] += 1
             return
-        # point i is fixed (j == i) or paired with j > i; j below mid is cut
-        for j in range(max(i, mid), m + 1):
+        if mid > i:  # the value i lands right of mid: a 321
+            return
+        # point i is fixed (j == i) or paired with j > i
+        for j in range(i, m + 1):
             if perm[j]:
                 continue
             placed = []

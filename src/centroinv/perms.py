@@ -80,7 +80,9 @@ def is_centrosymmetric(p: Perm) -> bool:
     False
     """
     m = len(p)
-    return all(p[i] + p[m - 1 - i] == m + 1 for i in range(m))
+    # the pair condition is symmetric, so the first half of the positions,
+    # with the middle one when m is odd, covers every pair
+    return all(p[i] + p[m - 1 - i] == m + 1 for i in range((m + 1) // 2))
 
 
 def descent_set(p: Perm) -> tuple[int, ...]:
@@ -149,11 +151,3 @@ def contains_321(p: Perm) -> bool:
             prefix_max = v
     return False
 
-
-def _rank_word(vals: Sequence[int]) -> tuple[int, ...]:
-    # relative order of a sequence of distinct entries
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    rank = [0] * len(vals)
-    for r, idx in enumerate(order, start=1):
-        rank[idx] = r
-    return tuple(rank)

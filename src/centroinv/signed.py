@@ -8,7 +8,9 @@ around zero, and theta_inverse rebuilds p from the window (unfold_window
 rebuilds it unchecked, for generated windows).
 
 Containment of a signed pattern asks for a subsequence whose absolute values
-are order-isomorphic to those of the pattern and whose signs agree entrywise.
+are order-isomorphic to those of the pattern and whose signs agree entrywise;
+signed_patterns collects the signed patterns of every length-k subsequence
+in one pass, so s avoids t iff t is not among signed_patterns(s, len(t)).
 Avoiding the six patterns in TOP_PATTERNS characterises the image under theta
 of the 321-avoiding centrosymmetric permutations; these are the fully
 commutative top elements of the hyperoctahedral group.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from centroinv.perms import Perm, _rank_word, is_centrosymmetric, parse_ints
+from centroinv.perms import Perm, is_centrosymmetric, parse_ints
 
 SignedPerm = tuple[int, ...]
 
@@ -91,31 +93,24 @@ def unfold_window(s: SignedPerm) -> Perm:
     return tuple([2 * n + 1 - v for v in reversed(back)] + back)
 
 
-def signed_contains(s: SignedPerm, t: SignedPerm) -> bool:
-    """True iff some subsequence of s matches t in |value| order and in sign.
+def signed_patterns(s: SignedPerm, k: int) -> set[SignedPerm]:
+    """Signed patterns of the length-k subsequences of s, in one pass: each
+    entry becomes the rank of its |value| within the subsequence, carrying
+    the entry's sign.  The |values| of a window are distinct, so an entry's
+    index in the sorted |values| is its rank.
 
-    >>> signed_contains((-4, 3, 2, -1), (3, 2, -1))
-    True
-    >>> signed_contains((1, 2), (1, -2))
-    False
+    >>> sorted(signed_patterns((3, -1, 2), 2))
+    [(-1, 2), (2, -1), (2, 1)]
+    >>> signed_patterns((1, 2), 0), signed_patterns((1, 2), 3)
+    ({()}, set())
     """
-    k = len(t)
-    if k > len(s):
-        return False
-    if k == 0:
-        return True
-    target = _rank_word([abs(v) for v in t])
-    for pos in combinations(range(len(s)), k):
-        window = [s[i] for i in pos]
-        if all((w > 0) == (v > 0) for w, v in zip(window, t)) and _rank_word(
-            [abs(w) for w in window]
-        ) == target:
-            return True
-    return False
-
-
-def signed_avoids(s: SignedPerm, t: SignedPerm) -> bool:
-    return not signed_contains(s, t)
+    found = set()
+    for sub in combinations(s, k):
+        order = sorted(map(abs, sub))
+        found.add(
+            tuple(order.index(v) + 1 if v > 0 else -order.index(-v) - 1 for v in sub)
+        )
+    return found
 
 
 def is_top_element(s: SignedPerm) -> bool:

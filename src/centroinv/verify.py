@@ -35,12 +35,7 @@ from centroinv.qpoly import (
     half_des_poly, half_des_poly_even_part, half_des_poly_rec,
     half_maj_poly, half_maj_poly_by_area, half_maj_poly_diff, half_maj_poly_rec,
 )
-from centroinv.signed import (
-    TOP_PATTERNS,
-    is_top_element,
-    signed_avoids,
-    theta,
-)
+from centroinv.signed import TOP_PATTERNS, is_top_element, signed_patterns, theta
 
 #: largest half-size for the raw census cross-check at the double size
 RAW_LIMIT = 7
@@ -125,16 +120,15 @@ def _check_desfull(n: int) -> str | None:
 def _check_cara(n: int) -> str | None:
     seen = set()
     for e in generate.subsets(n):
-        name = format_subset(e) or "{}"
         # matching_permutation checks symmetry and non-nesting, and
         # excedance_subset checks that its input lies in the class
         try:
             p = matchings.matching_permutation(subset_involution(e))
             back = matchings.excedance_subset(p)
         except ValueError as exc:
-            return f"image of {name} rejected: {exc}"
+            return f"image of {format_subset(e) or '{}'} rejected: {exc}"
         if back != e:
-            return f"round trip failed at {name}"
+            return f"round trip failed at {format_subset(e) or '{}'}"
         seen.add(p)
     if len(seen) != 1 << n:
         return f"only {len(seen)} distinct images for {1 << n} subsets"
@@ -218,13 +212,18 @@ def _check_recr(n: int) -> str | None:
 
 def _check_sixpat(n: int) -> str | None:
     windows = list(generate.signed_perms(n))
+    # the literal scan: s avoids every pattern iff no length that the
+    # patterns use shows one among the signed patterns of s, shortest first
+    lengths = sorted({len(t) for t in TOP_PATTERNS})
     routes = {
         "theta image": {
             theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)
         },
         "linear scan": {s for s in windows if is_top_element(s)},
         "literal scan": {
-            s for s in windows if all(signed_avoids(s, t) for t in TOP_PATTERNS)
+            s
+            for s in windows
+            if all(signed_patterns(s, k).isdisjoint(TOP_PATTERNS) for k in lengths)
         },
     }
     # agreeing with the first route, the reference, makes all three agree

@@ -1,26 +1,26 @@
 """Code that only the tests use: reference implementations to compare the
-package against (the exhaustive pattern scan, the pairwise non-nesting test,
-the subset descent set, the step-by-step area, the rectangle path
-enumerator, row insertion, the filtered class generator) and small helpers
-for building test cases.
+package against (the exhaustive pattern scans, plain and signed, the
+pairwise non-nesting test, the subset descent set, the step-by-step area,
+the rectangle path enumerator, row insertion, the filtered class generator)
+and small helpers for building test cases.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from centroinv.generate import involutions
 from centroinv.matchings import Subset, _descent_mask, _set_bits
 from centroinv.paths import check_path
 from centroinv.perms import (
     Perm,
-    _rank_word,
     check_perm,
     contains_321,
     is_centrosymmetric,
     is_involution,
 )
 from centroinv.rsk import Contains321Error, NotInvolutionError, ShapeMismatchError
+from centroinv.signed import SignedPerm
 
 
 def identity(m: int) -> Perm:
@@ -40,6 +40,15 @@ def complement(p: Perm) -> Perm:
 
 
 # ---------- pattern containment ----------
+
+
+def _rank_word(vals: Sequence[int]) -> tuple[int, ...]:
+    # relative order of a sequence of distinct entries
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    rank = [0] * len(vals)
+    for r, idx in enumerate(order, start=1):
+        rank[idx] = r
+    return tuple(rank)
 
 
 def contains_123(p: Perm) -> bool:
@@ -74,6 +83,33 @@ def contains_pattern(p: Perm, t: Perm) -> bool:
 
 def avoids(p: Perm, t: Perm) -> bool:
     return not contains_pattern(p, t)
+
+
+def signed_contains(s: SignedPerm, t: SignedPerm) -> bool:
+    """True iff some subsequence of s matches t in |value| order and in sign.
+
+    >>> signed_contains((-4, 3, 2, -1), (3, 2, -1))
+    True
+    >>> signed_contains((1, 2), (1, -2))
+    False
+    """
+    k = len(t)
+    if k > len(s):
+        return False
+    if k == 0:
+        return True
+    target = _rank_word([abs(v) for v in t])
+    for pos in combinations(range(len(s)), k):
+        window = [s[i] for i in pos]
+        if all((w > 0) == (v > 0) for w, v in zip(window, t)) and _rank_word(
+            [abs(w) for w in window]
+        ) == target:
+            return True
+    return False
+
+
+def signed_avoids(s: SignedPerm, t: SignedPerm) -> bool:
+    return not signed_contains(s, t)
 
 
 # ---------- matchings ----------

@@ -121,6 +121,18 @@ def test_pruned_walk_equals_filtered_involutions():
                 ], (m, k, nshards)
 
 
+def test_cut_walk_equals_filtered_involutions_to_12():
+    # an unplaced point below mid ends the branch; the cut must lose nothing
+    # and keep the order.  The test above covers m <= 10, this one the rest
+    # of m <= 12
+    for m in (11, 12):
+        for nshards in (1, 2, 3):
+            for k in range(nshards):
+                assert list(inv321(m, k, nshards)) == [
+                    p for p in involutions(m, k, nshards) if not contains_321(p)
+                ], (m, k, nshards)
+
+
 def test_signed_stats_equal_the_checked_pull_back():
     perm_stats = CLASSES["inv321"].stats
     for label in ("signed-all", "signed-sixavoiders"):

@@ -1,5 +1,7 @@
 """Statistics and pattern checks on plain permutations."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,6 +67,13 @@ def test_membership_predicates():
     assert is_centrosymmetric((2, 1, 4, 3))
     assert is_centrosymmetric((2, 1, 3, 5, 4))
     assert not is_centrosymmetric((1, 3, 2))
+
+
+def test_half_scan_centrosymmetry_equals_the_full_scan():
+    for m in range(8):
+        for p in permutations(range(1, m + 1)):
+            full = all(p[i] + p[m - 1 - i] == m + 1 for i in range(m))
+            assert is_centrosymmetric(p) == full, p
 
 
 def test_descent_statistics():

@@ -10,12 +10,11 @@ from centroinv.signed import (
     check_signed,
     is_top_element,
     parse_signed,
-    signed_avoids,
-    signed_contains,
+    signed_patterns,
     theta,
     theta_inverse,
 )
-from oracles import avoids
+from oracles import avoids, signed_avoids, signed_contains
 
 
 @st.composite
@@ -78,6 +77,29 @@ def test_signed_contains_examples():
     assert signed_contains((5, 1), ())
     assert not signed_contains((1,), (1, 2))
     assert signed_avoids((1, 2, 3), (3, 2, 1))
+
+
+def test_signed_patterns_examples():
+    # the signed_contains examples, read off the set of patterns
+    assert (3, 2, -1) in signed_patterns((-4, 3, 2, -1), 3)
+    assert (1, -2) not in signed_patterns((1, 2), 2)
+    assert (2, -1) in signed_patterns((3, -1, 2), 2)
+    assert (-1, -2) not in signed_patterns((3, -1, 2), 2)
+    assert (1, -2) in signed_patterns((1, -2), 2)
+    assert signed_patterns((5, 1), 0) == {()}
+    assert signed_patterns((1,), 2) == set()
+    assert (3, 2, 1) not in signed_patterns((1, 2, 3), 3)
+
+
+def test_signed_patterns_equal_the_exhaustive_scan():
+    # every signed pattern of length k is a window of size k
+    words = [list(signed_perms(k)) for k in range(6)]
+    for n in range(5):
+        for s in signed_perms(n):
+            for k in range(n + 2):
+                assert signed_patterns(s, k) == {
+                    t for t in words[k] if signed_contains(s, t)
+                }, (s, k)
 
 
 @given(windows())

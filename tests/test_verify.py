@@ -6,7 +6,7 @@ import pytest
 
 from centroinv import kernels, matchings, paths, rsk
 from centroinv import verify as verify_module
-from centroinv.signed import TOP_PATTERNS, signed_avoids
+from centroinv.signed import TOP_PATTERNS
 from centroinv.verify import (
     THEOREMS,
     SizeResult,
@@ -15,6 +15,7 @@ from centroinv.verify import (
     report_tsv,
     verify,
 )
+from oracles import signed_avoids
 
 EXPECTED_IDS = (
     "T-despoly",
@@ -138,6 +139,22 @@ def test_sixpat_catches_a_broken_fast_check(monkeypatch):
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
     assert report.results[2].counterexample == (
         "theta image and linear scan differ, e.g. 1 -2 (linear scan only)"
+    )
+
+
+def test_sixpat_catches_a_broken_literal_scan(monkeypatch):
+    # a literal scan that never sees the pattern (1, -2) accepts (1, -2) at
+    # n = 2; the theta image and the linear scan both reject it
+    real = verify_module.signed_patterns
+
+    def without_1_minus_2(s, k):
+        return real(s, k) - {(1, -2)}
+
+    monkeypatch.setattr(verify_module, "signed_patterns", without_1_minus_2)
+    report = verify("T-sixpat", 3)
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
+    assert report.results[2].counterexample == (
+        "theta image and literal scan differ, e.g. 1 -2 (literal scan only)"
     )
 
 
