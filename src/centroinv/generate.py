@@ -9,6 +9,14 @@ inv321 is a pruned walk of the involutions recursion, not a filter of its
 stream: it cuts every branch whose final prefix already contains 321, and
 yields the same objects in the same order as the filter would.
 
+all_paths and signed_perms run on C-level iterators, with one Python step per
+block of objects rather than per object, and keep the order and shards of the
+one-mask-at-a-time construction.  all_paths joins the words of the low
+LOW_BITS bits of a mask, built once, to each word of its high bits as those
+stream from subsets, so it holds at most 2**LOW_BITS words for any n.
+signed_perms takes, for each tau, itertools.product over the sign pairs of
+tau, with the shard rule deciding beforehand which signs position 1 may take.
+
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard: with nshards workers, worker k gets the
 objects whose first-position branch hashes to k, or for subsets and the
@@ -22,14 +30,19 @@ CLASSES is the one place that names the object classes.
 
 from __future__ import annotations
 
+from itertools import chain, product, repeat
 from itertools import permutations as _permutations
-from itertools import repeat
+from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms
 from centroinv.matchings import Subset, odd_join, subset_involution
 from centroinv.perms import Perm
 from centroinv.signed import SignedPerm, is_top_element, unfold_window
+
+
+#: bits of a path mask whose words all_paths builds once and reuses
+LOW_BITS = 10
 
 
 def _check_shard(shard: int, nshards: int) -> None:
@@ -84,17 +97,35 @@ def centro_perms(m: int) -> Iterator[Perm]:
 
 
 def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPerm]:
-    """All 2^n n! signed permutation windows."""
+    """All 2^n n! signed permutation windows: for each tau, the signs in mask
+    order, bit i-1 set when entry i is negative.
+
+    itertools.product varies its last factor fastest, so the sign pairs
+    (v, -v) are listed from the last position to the first and each product
+    is read back to front.  The shard rule only decides which signs position
+    1 may take, so those are picked before the product."""
     _check_shard(shard, nshards)
     if n <= 0:
-        if n == 0 and shard == 0:
-            yield ()
-        return
-    for tau in _permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            if (2 * (tau[0] - 1) + (mask & 1)) % nshards != shard:
-                continue
-            yield tuple(-tau[i] if mask >> i & 1 else tau[i] for i in range(n))
+        return iter([()] if n == 0 and shard == 0 else [])
+    return chain.from_iterable(
+        map(_BACK_TO_FRONT, product(*_sign_pairs(tau, shard, nshards)))
+        for tau in _permutations(range(1, n + 1))
+    )
+
+
+# a reversed slice keeps a 1-tuple a tuple, which itemgetter(0) would not
+_BACK_TO_FRONT = itemgetter(slice(None, None, -1))
+
+
+def _sign_pairs(tau: Perm, shard: int, nshards: int) -> list[tuple[int, ...]]:
+    # the signs of positions n, ..., 2, then the signs of position 1 that
+    # shard takes: 2(tau_1 - 1) + [s_1 < 0] is congruent to shard
+    first = tau[0]
+    signs = tuple(
+        v for neg, v in enumerate((first, -first))
+        if (2 * (first - 1) + neg) % nshards == shard
+    )
+    return [(v, -v) for v in tau[:0:-1]] + [signs]
 
 
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
@@ -106,9 +137,24 @@ def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
 
 
 def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
-    """All 2**n paths of length n, the paths of subsets(n); grouped by the
-    number of N steps, the paths of every rectangle a+b = n."""
-    return map(paths.subset_path, subsets(n, shard, nshards))
+    """All 2**n paths of length n, the paths of subsets(n) in mask order;
+    grouped by the number of N steps, the paths of every rectangle a+b = n.
+
+    A mask is h * 2**k + l with k = min(n, LOW_BITS), and its path is the
+    path of the k low bits l followed by the path of the high bits h.  The
+    2**k low words are built once; the high words stream from subsets(n - k),
+    so memory stays bounded for any n.  Worker s of nshards takes, under each
+    h, the low words l = s - h * 2**k modulo nshards: every nshards-th mask
+    starting at s, as for subsets."""
+    _check_shard(shard, nshards)
+    if n < 0:
+        return iter([])
+    k = min(n, LOW_BITS)
+    low = list(map(paths.subset_path, subsets(k)))
+    return chain.from_iterable(
+        map(add, low[(shard - (h << k)) % nshards :: nshards], repeat(high))
+        for h, high in enumerate(map(paths.subset_path, subsets(n - k)))
+    )
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:

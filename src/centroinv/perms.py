@@ -11,6 +11,8 @@ Both membership tests run in linear time.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import gt
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -91,16 +93,20 @@ def descent_set(p: Perm) -> tuple[int, ...]:
     >>> descent_set((3, 4, 1, 2))
     (2,)
     """
-    return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
+    return tuple(compress(range(1, len(p)), map(gt, p, p[1:])))
 
 
 def des(p: Perm) -> int:
-    return len(descent_set(p))
+    return sum(map(gt, p, p[1:]))
 
 
 def maj(p: Perm) -> int:
     """Sum of the descent positions."""
-    return sum(descent_set(p))
+    return sum(compress(range(1, len(p)), map(gt, p, p[1:])))
+
+
+# the half versions compare p(i) with p(i+1) for i = 1..floor(m/2); map
+# stops at its shortest input, so slicing the second argument is enough
 
 
 def half_descent_set(p: Perm) -> tuple[int, ...]:
@@ -110,15 +116,16 @@ def half_descent_set(p: Perm) -> tuple[int, ...]:
     half: i is a descent iff m-i is.
     """
     n = len(p) // 2
-    return tuple(i for i in range(1, n + 1) if p[i - 1] > p[i])
+    return tuple(compress(range(1, n + 1), map(gt, p, p[1 : n + 1])))
 
 
 def half_des(p: Perm) -> int:
-    return len(half_descent_set(p))
+    return sum(map(gt, p, p[1 : len(p) // 2 + 1]))
 
 
 def half_maj(p: Perm) -> int:
-    return sum(half_descent_set(p))
+    n = len(p) // 2
+    return sum(compress(range(1, n + 1), map(gt, p, p[1 : n + 1])))
 
 
 def fixed_point_count(p: Perm) -> int:

@@ -27,6 +27,7 @@ is_top_element checks in one pass:
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from centroinv.perms import Perm, is_centrosymmetric, parse_ints
@@ -88,9 +89,18 @@ def unfold_window(s: SignedPerm) -> Perm:
     """theta_inverse without the window check, for windows that a generator
     has just built and that are valid by construction.  Input from outside
     the program goes through theta_inverse."""
-    n = len(s)
-    back = [v + n if v > 0 else v + n + 1 for v in s]
-    return tuple([2 * n + 1 - v for v in reversed(back)] + back)
+    second, first = _unfold_tables(len(s))
+    return (*map(first, reversed(s)), *map(second, s))
+
+
+@cache
+def _unfold_tables(n: int):
+    # entry v of a window of [n] is p(n+i): v + n for v > 0 and v + n + 1 for
+    # v < 0, which index -|v| reads from the end of the table; its mirror
+    # p(n+1-i) is 2n+1 minus that
+    second = [0, *range(n + 1, 2 * n + 1), *range(1, n + 1)]
+    first = [2 * n + 1 - v for v in second]
+    return second.__getitem__, first.__getitem__
 
 
 def signed_patterns(s: SignedPerm, k: int) -> set[SignedPerm]:

@@ -151,9 +151,9 @@ def _check_odd(n: int) -> str | None:
             return f"join of {format_perm(a)} leaves the class"
         if odd_split(p) != a:
             return f"split(join) failed at {format_perm(a)}"
+        # equal descent sets carry des+ to des and maj+ to maj
         if (
-            perms.half_des(p) != perms.des(a)
-            or perms.half_maj(p) != perms.maj(a)
+            perms.half_descent_set(p) != perms.descent_set(a)
             or perms.des(p) != 2 * perms.des(a)
         ):
             return f"statistic transport failed at {format_perm(a)}"

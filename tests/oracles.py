@@ -1,17 +1,18 @@
 """Code that only the tests use: reference implementations to compare the
 package against (the exhaustive pattern scans, plain and signed, the
-pairwise non-nesting test, the subset descent set, the step-by-step area,
-the rectangle path enumerator, row insertion, the filtered class generator)
-and small helpers for building test cases.
+descent scans, the pairwise non-nesting test, the subset descent set, the
+step-by-step area, the rectangle path enumerator, row insertion, the
+filtered class generator, the per-mask path and signed-window streams, the
+arithmetic unfolding of a window) and small helpers for building test cases.
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
 
-from centroinv.generate import involutions
+from centroinv.generate import involutions, subsets
 from centroinv.matchings import Subset, _descent_mask, _set_bits
-from centroinv.paths import check_path
+from centroinv.paths import check_path, subset_path
 from centroinv.perms import (
     Perm,
     check_perm,
@@ -112,6 +113,22 @@ def signed_avoids(s: SignedPerm, t: SignedPerm) -> bool:
     return not signed_contains(s, t)
 
 
+# ---------- descents ----------
+
+
+def descent_set_scan(p: Perm) -> tuple[int, ...]:
+    """Positions i with p(i) > p(i+1), one comparison at a time; des is its
+    length and maj its sum."""
+    return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def half_descent_set_scan(p: Perm) -> tuple[int, ...]:
+    """The descents at positions at most floor(m/2), one at a time; des+ is
+    its length and maj+ its sum."""
+    n = len(p) // 2
+    return tuple(i for i in range(1, n + 1) if p[i - 1] > p[i])
+
+
 # ---------- matchings ----------
 
 
@@ -175,6 +192,39 @@ def rotate_first_to_last(word: str) -> str:
     if not word:
         raise ValueError("empty path")
     return word[1:] + word[0]
+
+
+def paths_by_mask(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
+    """The path of every mask of subsets(n), one mask at a time: the order
+    and the shards all_paths must keep."""
+    return map(subset_path, subsets(n, shard, nshards))
+
+
+# ---------- signed windows ----------
+
+
+def signed_windows_by_mask(n: int) -> list[tuple[int, SignedPerm]]:
+    """Every signed window, one sign mask at a time under each tau (bit i-1
+    set when entry i is negative), with its first-position branch
+    2(tau_1 - 1) + bit 0: worker k of nshards must yield, in this order, the
+    windows whose branch is k modulo nshards."""
+    if n <= 0:
+        return [(0, ())] if n == 0 else []
+    return [
+        (2 * (tau[0] - 1) + (mask & 1),
+         tuple(-tau[i] if mask >> i & 1 else tau[i] for i in range(n)))
+        for tau in permutations(range(1, n + 1))
+        for mask in range(1 << n)
+    ]
+
+
+def unfold_by_arithmetic(s: SignedPerm) -> Perm:
+    """The centrosymmetric permutation of [2n] behind a window, entry by
+    entry: v + n for v > 0 and v + n + 1 for v < 0 in the second half, the
+    mirror 2n + 1 minus those in the first."""
+    n = len(s)
+    back = [v + n if v > 0 else v + n + 1 for v in s]
+    return tuple([2 * n + 1 - v for v in reversed(back)] + back)
 
 
 # ---------- row insertion ----------

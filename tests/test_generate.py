@@ -1,6 +1,8 @@
 """Generators, the census kernel, and shard determinism."""
 
+import tracemalloc
 from collections import Counter
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -29,7 +31,7 @@ from centroinv.perms import (
     is_involution,
 )
 from centroinv.signed import theta_inverse
-from oracles import filtered_class
+from oracles import filtered_class, paths_by_mask, signed_windows_by_mask
 
 
 def involution_count(m):
@@ -109,6 +111,43 @@ def test_shards_partition_every_class():
             merged = [obj for chunk in chunks for obj in chunk]
             assert len(merged) == len(serial)
             assert set(merged) == set(serial)
+
+
+STREAM_SHARDS = (1, 2, 3, 4, 7)
+
+
+def test_paths_keep_the_mask_order_shard_by_shard():
+    # n = 11 and 12 put one and two high bits above the reused low words
+    for n in range(-1, 13):
+        for nshards in STREAM_SHARDS:
+            for k in range(nshards):
+                assert list(all_paths(n, k, nshards)) == list(
+                    paths_by_mask(n, k, nshards)
+                ), (n, k, nshards)
+
+
+def test_signed_windows_keep_the_mask_order_shard_by_shard():
+    for n in range(-1, 7):
+        windows = signed_windows_by_mask(n)
+        for nshards in STREAM_SHARDS:
+            for k in range(nshards):
+                assert list(signed_perms(n, k, nshards)) == [
+                    s for branch, s in windows if branch % nshards == k
+                ], (n, k, nshards)
+
+
+def test_streams_start_at_once_in_bounded_memory():
+    # streaming, not a list first: 2**60 paths and 2**12 12! windows
+    assert next(all_paths(60)) == "E" * 60
+    assert next(signed_perms(12)) == tuple(range(1, 13))
+    tracemalloc.start()
+    try:
+        words = sum(1 for _ in islice(all_paths(40), 10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == 10_000
+    assert peak < 1 << 20
 
 
 def test_pruned_walk_equals_filtered_involutions():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centroinv import perms
-from centroinv.generate import centro_perms, involutions
+from centroinv.generate import centro_perms, involutions, signed_perms
 from centroinv.matchings import excedance_subset, subset
 from centroinv.perms import (
     contains_321,
@@ -15,18 +15,23 @@ from centroinv.perms import (
     des,
     fixed_point_count,
     half_descent_set,
+    half_des,
+    half_maj,
     is_centrosymmetric,
     is_involution,
     maj,
     parse_perm,
     format_perm,
 )
+from centroinv.signed import unfold_window
 from oracles import (
     avoids,
     complement,
     contains_123,
     contains_pattern,
     contains_pattern_naive,
+    descent_set_scan,
+    half_descent_set_scan,
     identity,
     inverse,
 )
@@ -85,6 +90,18 @@ def test_descent_statistics():
     assert half_descent_set((2, 1, 4, 3)) == (1,)
     assert half_descent_set((4, 3, 2, 1)) == (1, 2)
     assert half_descent_set(()) == ()
+
+
+def test_descent_evaluators_equal_the_scans():
+    # every permutation of [m], m <= 7, and every unfolded window of n <= 4
+    cases = [p for m in range(8) for p in permutations(range(1, m + 1))]
+    cases += [unfold_window(s) for n in range(5) for s in signed_perms(n)]
+    for p in cases:
+        full, half = descent_set_scan(p), half_descent_set_scan(p)
+        assert descent_set(p) == full, p
+        assert (des(p), maj(p)) == (len(full), sum(full)), p
+        assert half_descent_set(p) == half, p
+        assert (half_des(p), half_maj(p)) == (len(half), sum(half)), p
 
 
 def test_excedance_and_fixed_points():

@@ -13,8 +13,14 @@ from centroinv.signed import (
     signed_patterns,
     theta,
     theta_inverse,
+    unfold_window,
 )
-from oracles import avoids, signed_avoids, signed_contains
+from oracles import (
+    avoids,
+    signed_avoids,
+    signed_contains,
+    unfold_by_arithmetic,
+)
 
 
 @st.composite
@@ -60,6 +66,12 @@ def test_round_trip_exhaustive():
             assert theta(theta_inverse(s)) == s
         for p in centro_perms(2 * n):
             assert theta_inverse(theta(p)) == p
+
+
+def test_unfold_window_equals_the_arithmetic():
+    for n in range(6):
+        for s in signed_perms(n):
+            assert unfold_window(s) == unfold_by_arithmetic(s), s
 
 
 @given(windows())
