@@ -17,6 +17,14 @@ stream from subsets, so it holds at most 2**LOW_BITS words for any n.
 signed_perms takes, for each tau, itertools.product over the sign pairs of
 tau, with the shard rule deciding beforehand which signs position 1 may take.
 
+cinv321_even is built the same way, on the FIFO view of the subset bijection
+(see centroinv.matchings): the scans of the low EVEN_LOW_BITS bits of a mask,
+built once, and the scans of its high bits, built for one high word at a
+time, become itemgetters, and each object is two of those gathers and one
+tuple concatenation.  It yields the objects of map(subset_involution,
+subsets(n)) in the same order and with the same shards, but shares no code
+with subset_involution, which stays the per-object definition.
+
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard: with nshards workers, worker k gets the
 objects whose first-position branch hashes to k, or for subsets and the
@@ -30,19 +38,23 @@ CLASSES is the one place that names the object classes.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, product, repeat
 from itertools import permutations as _permutations
 from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms
-from centroinv.matchings import Subset, odd_join, subset_involution
+from centroinv.matchings import Subset, odd_join
 from centroinv.perms import Perm
 from centroinv.signed import SignedPerm, is_top_element, unfold_window
 
 
 #: bits of a path mask whose words all_paths builds once and reuses
 LOW_BITS = 10
+
+#: bits of a subset mask whose FIFO scans cinv321_even builds once and reuses
+EVEN_LOW_BITS = 8
 
 
 def _check_shard(shard: int, nshards: int) -> None:
@@ -204,10 +216,129 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
 
 
 def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
-    """The even class, through the subset bijection."""
+    """The even class, the images under subset_involution of subsets(m // 2)
+    in mask order, built in blocks rather than one mask at a time.
+
+    A mask of n = m // 2 bits is h * 2**k + l with k = min(n, EVEN_LOW_BITS).
+    The FIFO scan of the k low bits (see centroinv.matchings) fixes the
+    values of the low positions that l pairs among themselves and leaves r
+    openers a_1 < ... < a_r pending.  The scan of the high bits h, with r
+    openers coming in, is the same for every l with that r: its values are
+    constants, an a_t or a mirror 2n+1 - a_t.  So the low table, built once,
+    holds for each l its constants, its source P_l + M_l + (0, ..., 2n)
+    (M_l the mirrors of P_l) and a gather of the whole object; the high
+    table, built for one h at a time, holds for each r a gather that reads
+    the high values, the partners of the r openers and all their mirrors
+    out of a source.  One object is then two itemgetter calls and one tuple
+    concatenation.  Worker s of nshards takes, under each h, the masks l =
+    s - h * 2**k modulo nshards: every nshards-th mask starting at s, as for
+    subsets."""
     if m % 2:
         raise ValueError("even size required")
-    return map(subset_involution, subsets(m // 2, shard, nshards))
+    _check_shard(shard, nshards)
+    n = m // 2
+    if n < 0:
+        return iter([])
+    k = min(n, EVEN_LOW_BITS)
+    counts, sources, consts, gathers = _even_low_table(n, k)
+
+    def block(h: int) -> Iterator[Perm]:
+        pick = slice((shard - (h << k)) % nshards, None, nshards)
+        highs = _even_high_table(n, k, h)
+        high = map(_CALL, map(highs.__getitem__, counts[pick]), sources[pick])
+        return map(_CALL, gathers[pick], map(add, consts[pick], high))
+
+    return chain.from_iterable(map(block, range(1 << (n - k))))
+
+
+# itemgetter's own call slot, applied by map to (getter, source) pairs; it
+# runs faster there than operator.call and exists before Python 3.11
+_CALL = itemgetter.__call__
+
+# itemgetter of no index cannot be built.  Every gather below takes values
+# together with their mirrors, so none has exactly one index, which
+# itemgetter would return as a bare value
+_NOTHING = itemgetter(slice(0))
+
+
+def _gather(indices: list[int]) -> Callable[[tuple], tuple]:
+    return itemgetter(*indices) if indices else _NOTHING
+
+
+def _even_low_table(n: int, k: int) -> tuple[list, list, list, list]:
+    """For each l < 2**k: the number r of openers the FIFO scan of l leaves
+    pending; the source P_l + M_l + (0, ..., 2n) that the high gathers read;
+    the values of positions 1..k followed by their mirrors; and the gather
+    that reads the whole object out of those values and a high gather's
+    output."""
+    total = 2 * n + 1
+    values = tuple(range(total))
+    # the scan of positions 1..i for every value of the i low bits at once,
+    # one position at a time: the values so far, a pending opener holding a
+    # placeholder 0, and the openers still pending, oldest first
+    scans = [((), ())]
+    for i in range(1, k + 1):
+        outside = []
+        for first, pending in scans:
+            if pending:
+                a = pending[0]
+                outside.append(((*first[: a - 1], i, *first[a:], a), pending[1:]))
+            else:
+                outside.append(((*first, i), ()))
+        scans = outside + [((*first, 0), (*pending, i)) for first, pending in scans]
+    # where each position reads its value from the constants of l followed
+    # by a high gather's output; a pending opener reads its partner there
+    at = [*range(k), *range(2 * k, n + k)]
+    counts, sources, consts, gathers = [], [], [], []
+    for first, pending in scans:
+        r = len(pending)
+        width = n - k + r  # values in a high gather's output, then mirrors
+        reads = at.copy()
+        for t, a in enumerate(pending):
+            reads[a - 1] = k + n + t
+        counts.append(r)
+        sources.append((*pending, *[total - a for a in pending], *values))
+        consts.append((*first, *[total - v for v in first]))
+        gathers.append(
+            _gather(reads + [j + k if j < k else j + width for j in reversed(reads)])
+        )
+    return counts, sources, consts, gathers
+
+
+def _even_high_table(n: int, k: int, h: int) -> list[Callable[[tuple], tuple]]:
+    """Entry r gathers, from a source P + M + (0, ..., 2n) with r pending
+    low openers P, the values of positions k+1..n under the high bits h,
+    then the partners of the r openers, then the mirrors of all of these."""
+    total = 2 * n + 1
+    highs = []
+    for r in range(k + 1):
+        # the pending openers as (source index of the opener, output slot
+        # of its partner); the incoming ones come first, oldest first
+        pending = deque((t, n - k + t) for t in range(r))
+        out = [0] * (n - k + r)
+        for i in range(k + 1, n + 1):
+            slot, here = i - k - 1, 2 * r + i
+            if h >> slot & 1:
+                pending.append((here, slot))
+            elif pending:
+                there, other = pending.popleft()
+                out[slot], out[other] = there, here
+            else:
+                out[slot] = here
+        # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
+        for (_, slot), (there, _) in zip(pending, reversed(pending)):
+            out[slot] = _mirror_index(there, r, total)
+        highs.append(_gather(out + [_mirror_index(j, r, total) for j in out]))
+    return highs
+
+
+def _mirror_index(j: int, r: int, total: int) -> int:
+    """Index, in a source P + M + (0, ..., total - 1) with r entries in P,
+    of total minus the value at index j: P and M mirror each other, and the
+    constant c sits at index 2r + c."""
+    if j < 2 * r:
+        return j + r if j < r else j - r
+    return 2 * r + total - (j - 2 * r)
 
 
 def cinv321_odd(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:

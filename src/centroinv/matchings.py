@@ -15,6 +15,14 @@ j > i outside E, then add the mirror arc (2n+1-j, 2n+1-i) unless it is the
 same arc.  The resulting map E -> involution is a bijection from subsets of
 [n] onto the class, with inverse "excedance positions in the first half".
 
+The same map is a FIFO scan of the first half.  Scan 1..n with a queue of
+pending openers: a member of E joins the queue; a non-member is arced to the
+oldest pending opener, or is a fixed point if none is pending.  The q
+openers a_1 < ... < a_q still pending at the end cross the centre,
+p(a_k) = 2n+1 - a_{q+1-k}, and the second half is the mirror of the first,
+p(2n+1-i) = 2n+1 - p(i).  centroinv.generate builds the class in blocks on
+this view; subset_involution keeps the arc-by-arc form above.
+
 A subset E of [n] is the plain pair (n, mask), bit i-1 of mask set iff i is
 in E.
 """
@@ -42,7 +50,7 @@ def parse_matching(text: str, points: int) -> Perm:
     arcs = []
     for chunk in filter(None, (c.strip() for c in text.split(","))):
         try:
-            left, right = map(int, chunk.split("-"))
+            left, right = parse_ints(chunk.split("-"))
         except ValueError:
             raise ValueError(f"bad arc {chunk!r}, expected i-j") from None
         arcs.append((min(left, right), max(left, right)))

@@ -25,11 +25,21 @@ def check_perm(p: Sequence[int]) -> None:
 
 
 def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
-    """Read each token as an integer; a ValueError names the first bad one."""
+    """Read each token as a plain integer, an optional "-" and ASCII digits,
+    with surrounding blanks ignored; a ValueError names the first bad one.
+    int() alone would also take "1_0", "+1" and non-ASCII digits.
+
+    >>> parse_ints([" 3", "-12"])
+    (3, -12)
+    """
     out = []
     for tok in tokens:
+        text = tok.strip()
+        digits = text[1:] if text.startswith("-") else text
         try:
-            out.append(int(tok))
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            out.append(int(text))  # which also refuses over 4300 digits
         except ValueError:
             raise ValueError(f"not an integer: {tok!r}") from None
     return tuple(out)

@@ -312,6 +312,38 @@ def test_bad_integer_names_the_token(capsys, argv):
     assert err == "error: not an integer: 'x'\n"
 
 
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        # int() read the first as the member 10 and the second as (1, 2)
+        (("--name", "subset-involution", "--apply", "1_0", "--size", "12"), "1_0"),
+        (("--name", "theta-inverse", "--apply", "+1 \u0662"), "+1"),
+        (("--name", "excedance-subset", "--apply", "2 \u0661"), "\u0661"),
+        (("--name", "theta-rect", "--apply", "2 1 4 3", "--size", "2,+2"), "+2"),
+        (("--name", "matching-involution", "--apply", "1-\u0662", "--size", "2"), None),
+    ],
+)
+def test_only_plain_integers_are_read(capsys, argv, token):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert code == 2
+    assert out == ""
+    if token is None:
+        assert err == f"error: bad arc {argv[3]!r}, expected i-j\n"
+    else:
+        assert err == f"error: not an integer: {token!r}\n"
+
+
+def test_plain_integers_keep_their_output(capsys):
+    code, out, _ = run(
+        capsys, "bijection", "--name", "subset-involution", "--apply", "1, 10",
+        "--size", "12",
+    )
+    assert code == 0
+    assert out == "2 1 3 4 5 6 7 8 9 11 10 12 13 15 14 16 17 18 19 20 21 22 24 23\n"
+    code, out, _ = run(capsys, "bijection", "--name", "theta-inverse", "--apply", "-4 3 2 -1")
+    assert (code, out) == (0, "5 3 2 8 1 7 6 4\n")
+
+
 #: output of several WRITE_CHUNK batches in either format
 MULTI_BATCH = [("paths-rect", 14), ("cinv321-even", 24), ("subsets", 14)]
 #: those, and about one batch of signed windows (negative entries)

@@ -22,6 +22,7 @@ from centroinv.generate import (
     subsets,
 )
 from centroinv.kernels import BACKEND, census
+from centroinv.matchings import subset_involution
 from centroinv.perms import (
     contains_321,
     des,
@@ -126,6 +127,23 @@ def test_paths_keep_the_mask_order_shard_by_shard():
                 ), (n, k, nshards)
 
 
+def test_even_class_keeps_the_mask_order_shard_by_shard():
+    # the block construction against subset_involution, one mask at a time:
+    # n = 8, 9 and 13 put zero, one and five high bits above the low scans
+    for n in range(14):
+        image = list(map(subset_involution, subsets(n)))
+        for nshards in STREAM_SHARDS:
+            for k in range(nshards):
+                assert list(cinv321_even(2 * n, k, nshards)) == [
+                    image[mask] for _, mask in subsets(n, k, nshards)
+                ], (n, k, nshards)
+    # n = 16 runs 256 high words, under which the offset of shard 3 of 7
+    # takes every value mod 7
+    assert list(cinv321_even(32, 3, 7)) == list(
+        map(subset_involution, subsets(16, 3, 7))
+    )
+
+
 def test_signed_windows_keep_the_mask_order_shard_by_shard():
     for n in range(-1, 7):
         windows = signed_windows_by_mask(n)
@@ -148,6 +166,25 @@ def test_streams_start_at_once_in_bounded_memory():
         tracemalloc.stop()
     assert words == 10_000
     assert peak < 1 << 20
+
+
+def test_even_class_streams_one_high_word_at_a_time():
+    # 2**40 objects: the first comes at once, and memory stays at the low
+    # table plus the high table of the current high word
+    assert next(cinv321_even(80)) == tuple(range(1, 81))
+    tracemalloc.start()
+    try:
+        stream = cinv321_even(60)
+        head = sum(1 for _ in islice(stream, 1_000))
+        early = tracemalloc.get_traced_memory()[0]
+        head += sum(1 for _ in islice(stream, 9_000))
+        late, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head == 10_000
+    assert peak < 1 << 20
+    # 35 more high words went by: none of their tables may stay behind
+    assert late - early < 16 << 10
 
 
 def test_pruned_walk_equals_filtered_involutions():

@@ -73,6 +73,7 @@ def test_matching_text_round_trip():
     assert format_matching(mch) == "1-2,5-6"
     assert parse_matching("1-2,5-6", 6) == mch
     assert parse_matching("", 4) == (1, 2, 3, 4)
+    assert parse_matching(" 1 - 2 , 4-3 ", 4) == (2, 1, 4, 3)
     assert format_matching((1, 2, 3, 4)) == ""
     assert singletons(mch) == (3, 4)
     # every partial matching on up to 10 points
@@ -82,7 +83,8 @@ def test_matching_text_round_trip():
 
 
 def test_parse_matching_names_bad_chunk():
-    for text in ("1-2-3", "1-x", "12"):
+    # int() would read "1_0" as 10 and "\u0662" as 2
+    for text in ("1-2-3", "1-x", "12", "1-1_0", "\u0661-2", "+1-2", "1--2"):
         with pytest.raises(ValueError) as exc:
             parse_matching("4-5," + text, 6)
         assert str(exc.value) == f"bad arc {text!r}, expected i-j"

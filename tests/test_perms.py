@@ -51,6 +51,15 @@ def test_parse_format_round_trip():
         parse_perm("1 1 2")
 
 
+def test_parse_ints_takes_only_plain_integers():
+    assert perms.parse_ints(["12", "-3", " 4 ", "0", "-0", "007"]) == (12, -3, 4, 0, 0, 7)
+    # int() takes the first four; none is a plain integer
+    for tok in ("1_0", "+1", "\u0662", "1\u0662", "\u00b2", "-", "", "1.0", "0x1", "--1", "- 1", "9" * 5000):
+        with pytest.raises(ValueError) as exc:
+            perms.parse_ints(["1", tok])
+        assert str(exc.value) == f"not an integer: {tok!r}"
+
+
 def test_format_perm_table():
     # the table holds -64..64; values past either edge are formatted on a
     # miss and not stored

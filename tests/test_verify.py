@@ -1,6 +1,7 @@
 """The theorem drivers and their reports."""
 
 import json
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from centroinv import kernels, matchings, paths, rsk
 from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS
 from centroinv.verify import (
+    RAW_LIMIT,
     THEOREMS,
     SizeResult,
     VerificationReport,
@@ -48,6 +50,15 @@ def test_all_drivers_pass_at_small_sizes():
         assert [r.n for r in report.results] == [0, 1, 2, 3]
         assert all(r.counterexample is None for r in report.results)
         assert report.duration_s >= 0
+
+
+def test_raw_routes_stay_inside_the_census_guard():
+    # the raw routes read census(2n) and census(2n + 1) for n <= RAW_LIMIT;
+    # a RAW_LIMIT raised past the census guard (m <= 20) fails here, not in
+    # a driver at run time
+    m = 2 * RAW_LIMIT + 1
+    assert m <= 20
+    assert kernels.census(m)["count"] == comb(RAW_LIMIT, RAW_LIMIT // 2)
 
 
 def test_unknown_theorem():
