@@ -26,6 +26,11 @@ from centroinv.distrib import STATS, distribution, table_json, table_tsv
 from centroinv.verify import THEOREMS, report_json, report_tsv, verify
 
 
+def _int(raw: str) -> int:
+    """An integer option, read as parse_ints reads every integer of the CLI."""
+    return perms.parse_ints([raw])[0]
+
+
 def _parse_size(raw: str | None) -> tuple[int, ...]:
     if raw is None:
         return ()
@@ -40,62 +45,63 @@ def _parse_size(raw: str | None) -> tuple[int, ...]:
 #: building 2n points; a larger --size is rejected before anything is built
 MAX_BUILT = 2**20
 
-# name -> (number of --size parts, apply(text, *size) -> output text)
+# name -> (number of --size parts, points or path letters built per unit of
+# --size, apply(text, *size) -> output text)
 BIJECTIONS = {
     "excedance-subset": (
-        0,
+        0, 1,
         lambda text: matchings.format_subset(
             matchings.excedance_subset(perms.parse_perm(text))
         ),
     ),
     "subset-involution": (
-        1,
+        1, 2,
         lambda text, n: perms.format_perm(
             matchings.subset_involution(matchings.parse_subset(text, n))
         ),
     ),
     "subset-matching": (
-        1,
+        1, 2,
         lambda text, n: matchings.format_matching(
             matchings.subset_involution(matchings.parse_subset(text, n))
         ),
     ),
     "involution-matching": (
-        0,
+        0, 1,
         lambda text: matchings.format_matching(
             matchings.involution_matching(perms.parse_perm(text))
         ),
     ),
     "matching-involution": (
-        1,
+        1, 1,
         lambda text, points: perms.format_perm(
             matchings.matching_permutation(matchings.parse_matching(text, points))
         ),
     ),
     "subset-path": (
-        1,
+        1, 1,
         lambda text, n: paths.subset_path(matchings.parse_subset(text, n)),
     ),
-    "g": (0, paths.g_map),
-    "g-inverse": (0, paths.g_inverse),
+    "g": (0, 1, paths.g_map),
+    "g-inverse": (0, 1, paths.g_inverse),
     "theta": (
-        0,
+        0, 1,
         lambda text: perms.format_perm(signed.theta(perms.parse_perm(text))),
     ),
     "theta-inverse": (
-        0,
+        0, 1,
         lambda text: perms.format_perm(signed.theta_inverse(signed.parse_signed(text))),
     ),
     "rsk-path": (
-        0,
+        0, 1,
         lambda text: rsk.involution_path(perms.parse_perm(text)),
     ),
     "theta-rect": (
-        2,
+        2, 1,
         lambda text, a, b: rsk.theta_rect(perms.parse_perm(text), a, b),
     ),
     "theta-rect-inverse": (
-        2,
+        2, 1,
         lambda text, a, b: perms.format_perm(rsk.theta_rect_inverse(text, a, b)),
     ),
 }
@@ -128,11 +134,12 @@ def _write_batched(head: str, texts: Iterator[str], tail: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    size = _int(args.size)
     fmt = generate.object_class(args.label).format
-    texts = map(fmt, generate.generate_class(args.label, args.size))
+    texts = map(fmt, generate.generate_class(args.label, size))
     if args.format == "json":
         # the same bytes as json.dumps of the whole document
-        head = json.dumps({"class": args.label, "size": args.size, "objects": []})
+        head = json.dumps({"class": args.label, "size": size, "objects": []})
         seps = chain(("",), repeat(", "))
         items = map(str.__add__, seps, map(json.dumps, texts))
         _write_batched(head[:-2], items, "]}\n")
@@ -142,20 +149,20 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    table = distribution(args.label, args.size, args.stat, jobs=args.jobs)
+    table = distribution(args.label, _int(args.size), args.stat, jobs=_int(args.jobs))
     print(table_json(table) if args.format == "json" else table_tsv(table))
     return 0
 
 
 def _cmd_bijection(args) -> int:
-    parts, fn = BIJECTIONS[args.name]
+    parts, factor, fn = BIJECTIONS[args.name]
     size = _parse_size(args.size)
     if len(size) != parts:
         if not parts:
             raise ValueError(f"bijection {args.name!r} takes no --size")
         shape = "N" if parts == 1 else "A,B"
         raise ValueError(f"bijection {args.name!r} needs --size {shape}")
-    built = sum(size) * (2 if args.name in ("subset-involution", "subset-matching") else 1)
+    built = sum(size) * factor
     if built > MAX_BUILT:
         raise ValueError(
             f"--size {args.size} would build {built} points or path letters;"
@@ -171,7 +178,8 @@ def _cmd_bijection(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(THEOREMS) if args.name == "all" else [args.name]
-    reports = [verify(name, args.max_n) for name in names]
+    max_n = None if args.max_n is None else _int(args.max_n)
+    reports = [verify(name, max_n) for name in names]
     if args.format == "json":
         if len(reports) == 1:
             print(report_json(reports[0]))
@@ -197,15 +205,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     en = sub.add_parser("enumerate", help="stream every object of a class")
     en.add_argument("--class", dest="label", required=True, choices=generate.CLASS_LABELS)
-    en.add_argument("--size", type=int, required=True)
+    en.add_argument("--size", required=True)
     en.add_argument("--format", choices=("tsv", "json"), default="tsv")
     en.set_defaults(func=_cmd_enumerate)
 
     st = sub.add_parser("stats", help="statistic distribution over a class")
     st.add_argument("--class", dest="label", required=True, choices=generate.CLASS_LABELS)
-    st.add_argument("--size", type=int, required=True)
+    st.add_argument("--size", required=True)
     st.add_argument("--stat", required=True, choices=STATS)
-    st.add_argument("--jobs", type=int, default=1)
+    st.add_argument("--jobs", default="1")
     st.add_argument("--format", choices=("tsv", "json"), default="tsv")
     st.set_defaults(func=_cmd_stats)
 
@@ -218,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run a theorem driver")
     vf.add_argument("--name", required=True, choices=sorted(THEOREMS) + ["all"])
-    vf.add_argument("--max-n", dest="max_n", type=int, default=None)
+    vf.add_argument("--max-n", dest="max_n", default=None)
     vf.add_argument("--format", choices=("tsv", "json"), default="tsv")
     vf.set_defaults(func=_cmd_verify)
 

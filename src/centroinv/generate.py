@@ -32,6 +32,8 @@ classes built on them every nshards-th mask starting at k, so a sharded run
 covers the stream exactly once.  Aggregation downstream is commutative, which
 keeps sharded output identical to serial.  centro_perms only serves as a check
 and takes no shard.  Every generator yields nothing for a negative size.
+Calling a generator checks its arguments and builds no table until the
+stream is read, so a stream that is made and dropped costs next to nothing.
 
 CLASSES is the one place that names the object classes.
 """
@@ -68,9 +70,7 @@ def involutions(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     Shards split on the choice made at point 1."""
     _check_shard(shard, nshards)
     if m <= 0:
-        if m == 0 and shard == 0:
-            yield ()
-        return
+        return iter([()] if m == 0 and shard == 0 else [])
     vals = [0] * (m + 1)
 
     def rec(i: int) -> Iterator[Perm]:
@@ -87,7 +87,7 @@ def involutions(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
             yield from rec(i + 1)
             vals[i] = vals[j] = 0
 
-    yield from rec(1)
+    return rec(1)
 
 
 def centro_perms(m: int) -> Iterator[Perm]:
@@ -159,14 +159,15 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
     h, the low words l = s - h * 2**k modulo nshards: every nshards-th mask
     starting at s, as for subsets."""
     _check_shard(shard, nshards)
-    if n < 0:
-        return iter([])
+    return chain.from_iterable(_path_blocks(n, shard, nshards) if n >= 0 else ())
+
+
+def _path_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[str]]:
+    # one block of paths per high word; the low words are built on first read
     k = min(n, LOW_BITS)
     low = list(map(paths.subset_path, subsets(k)))
-    return chain.from_iterable(
-        map(add, low[(shard - (h << k)) % nshards :: nshards], repeat(high))
-        for h, high in enumerate(map(paths.subset_path, subsets(n - k)))
-    )
+    for h, high in enumerate(map(paths.subset_path, subsets(n - k))):
+        yield map(add, low[(shard - (h << k)) % nshards :: nshards], repeat(high))
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -183,9 +184,7 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     mid.  Every partner j >= i is then above mid."""
     _check_shard(shard, nshards)
     if m <= 0:
-        if m == 0 and shard == 0:
-            yield ()
-        return
+        return iter([()] if m == 0 and shard == 0 else [])
     vals = [0] * (m + 1)
 
     def rec(i: int, top: int, mid: int) -> Iterator[Perm]:
@@ -212,7 +211,7 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
                 yield from rec(i + 1, j, mid)
             vals[i] = vals[j] = 0
 
-    yield from rec(1, 0, 0)
+    return rec(1, 0, 0)
 
 
 def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -236,19 +235,19 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     if m % 2:
         raise ValueError("even size required")
     _check_shard(shard, nshards)
-    n = m // 2
-    if n < 0:
-        return iter([])
+    return chain.from_iterable(_even_blocks(m // 2, shard, nshards) if m >= 0 else ())
+
+
+def _even_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[Perm]]:
+    # one block of objects per high word h; the low table is built on first
+    # read, and the high table of h only when its block is reached
     k = min(n, EVEN_LOW_BITS)
     counts, sources, consts, gathers = _even_low_table(n, k)
-
-    def block(h: int) -> Iterator[Perm]:
+    for h in range(1 << (n - k)):
         pick = slice((shard - (h << k)) % nshards, None, nshards)
         highs = _even_high_table(n, k, h)
         high = map(_CALL, map(highs.__getitem__, counts[pick]), sources[pick])
-        return map(_CALL, gathers[pick], map(add, consts[pick], high))
-
-    return chain.from_iterable(map(block, range(1 << (n - k))))
+        yield map(_CALL, gathers[pick], map(add, consts[pick], high))
 
 
 # itemgetter's own call slot, applied by map to (getter, source) pairs; it

@@ -6,10 +6,12 @@ never substituted for the brute-force side; where a result has several
 equivalent forms, all of them are pitted against the same enumeration.
 
 A distribution driver states its routes as data: an ordered dict from route
-name to polynomial, the first entry the reference, with the raw census tally
-added for half-sizes up to RAW_LIMIT.  The routes share no code; only the
-comparison is shared, and the first route that differs gives the
-counterexample "<route> gives <value>, <reference> <value>".
+name to a zero-argument callable (a thunk, which looks its names up when
+called), the first entry the reference, with the raw census tally added for
+half-sizes up to RAW_LIMIT.  The comparator calls the routes in order; the
+first that differs gives "<route> gives <value>, <reference> <value>".  No two
+routes share package code outside the qpoly ring but the pairs, with reasons,
+that tests/test_design.py::test_compared_routes_share_no_code allows.
 
 verify(theorem_id) runs one driver over a size range and returns a report
 with a per-size pass/fail status; a failure carries a concrete
@@ -57,14 +59,30 @@ class VerificationReport(NamedTuple):
         return all(r.status == "pass" for r in self.results)
 
 
-def _disagreement(routes: dict[str, object]) -> str | None:
-    """Compare every route with the first, the reference: the counterexample
-    "<route> gives <value>, <reference> <value>" for the first route that
-    differs, or None when all agree."""
-    (ref, want), *others = routes.items()
-    for name, got in others:
+def _disagreement(routes: dict[str, Callable[[], object]]) -> str | None:
+    """Call the routes in order and compare each with the first, the
+    reference: the counterexample "<route> gives <value>, <reference>
+    <value>" for the first route that differs, or None when all agree."""
+    (ref, reference), *others = routes.items()
+    want = reference()
+    for name, route in others:
+        got = route()
         if got != want:
             return f"{name} gives {got}, {ref} {want}"
+    return None
+
+
+def _set_disagreement(routes: dict[str, Callable[[], set]]) -> str | None:
+    """_disagreement for routes that give sets of windows; the text names the
+    least window that one side alone holds, and that side."""
+    (ref, reference), *others = routes.items()
+    want = reference()
+    for name, route in others:
+        got = route()
+        if got != want:
+            diff = min(want ^ got)
+            side = ref if diff in want else name
+            return f"{ref} and {name} differ, e.g. {format_perm(diff)} ({side} only)"
     return None
 
 
@@ -79,42 +97,42 @@ def _grouped_polys(objs: Iterable, key, stat) -> dict:
 # ---------- drivers ----------
 
 
-def _check_despoly(n: int) -> str | None:
-    routes = {
-        "closed form": half_des_poly(n),
-        "recurrence": half_des_poly_rec(n),
-        "even part of (1+t)^(n+1)": half_des_poly_even_part(n),
-        "brute force": distribution("cinv321-even", 2 * n, "des+").poly,
-    }
+def _even_class(n: int, stat: str) -> dict[str, Callable[[], object]]:
+    """The enumerated routes of the even class of size 2n: the generator's
+    stream, and the raw census tally for n <= RAW_LIMIT."""
+    routes = {"brute force": lambda: distribution("cinv321-even", 2 * n, stat).poly}
     if n <= RAW_LIMIT:
-        routes["raw filter"] = qpoly(kernels.census(2 * n)["des+"])
-    return _disagreement(routes)
+        routes["raw filter"] = lambda: qpoly(kernels.census(2 * n)[stat])
+    return routes
+
+
+def _check_despoly(n: int) -> str | None:
+    return _disagreement({
+        "closed form": lambda: half_des_poly(n),
+        "recurrence": lambda: half_des_poly_rec(n),
+        "even part of (1+t)^(n+1)": lambda: half_des_poly_even_part(n),
+        **_even_class(n, "des+"),
+    })
 
 
 def _check_majpoly(n: int) -> str | None:
-    routes = {
-        "binomial sum": half_maj_poly(n),
-        "difference form": half_maj_poly_diff(n),
-        "recurrence": half_maj_poly_rec(n),
-        "area enumeration": half_maj_poly_by_area(n),
-        "brute force": distribution("cinv321-even", 2 * n, "maj+").poly,
-    }
-    if n <= RAW_LIMIT:
-        routes["raw filter"] = qpoly(kernels.census(2 * n)["maj+"])
-    return _disagreement(routes)
+    return _disagreement({
+        "binomial sum": lambda: half_maj_poly(n),
+        "difference form": lambda: half_maj_poly_diff(n),
+        "recurrence": lambda: half_maj_poly_rec(n),
+        "area enumeration": lambda: half_maj_poly_by_area(n),
+        **_even_class(n, "maj+"),
+    })
 
 
 def _check_desfull(n: int) -> str | None:
-    routes = {
-        "closed form": full_des_poly(n),
-        "subset transport": tally_poly(
+    return _disagreement({
+        "closed form": lambda: full_des_poly(n),
+        "subset transport": lambda: tally_poly(
             Counter(map(matchings.des_from_subset, generate.subsets(n)))
         ),
-        "brute force": distribution("cinv321-even", 2 * n, "des").poly,
-    }
-    if n <= RAW_LIMIT:
-        routes["raw filter"] = qpoly(kernels.census(2 * n)["des"])
-    return _disagreement(routes)
+        **_even_class(n, "des"),
+    })
 
 
 def _check_cara(n: int) -> str | None:
@@ -165,13 +183,13 @@ def _check_odd(n: int) -> str | None:
         if count != len(members):
             return f"raw filter count {count} != {len(members)}"
     stats = {"des+": perms.half_des, "maj+": perms.half_maj, "des": perms.des}
-    for (key, stat), closed in zip(stats.items(), odd_case_polys(n)):
+    for i, (key, stat) in enumerate(stats.items()):
         routes = {
-            "closed form": closed,
-            f"{key} brute force": tally_poly(Counter(map(stat, members))),
+            "closed form": lambda: odd_case_polys(n)[i],
+            f"{key} brute force": lambda: tally_poly(Counter(map(stat, members))),
         }
         if n <= RAW_LIMIT:
-            routes[f"raw {key} tally"] = qpoly(kernels.census(2 * n + 1)[key])
+            routes[f"raw {key} tally"] = lambda: qpoly(kernels.census(2 * n + 1)[key])
         cx = _disagreement(routes)
         if cx:
             return cx
@@ -199,11 +217,11 @@ def _check_hdpeak(n: int) -> str | None:
 
 
 def _check_recr(n: int) -> str | None:
-    routes = {"area enumeration": half_maj_poly_by_area(n)}
+    routes = {"area enumeration": lambda: half_maj_poly_by_area(n)}
     if n <= 1:
-        routes["initial value"] = half_maj_poly_rec(n)
+        routes["initial value"] = lambda: half_maj_poly_rec(n)
     else:
-        routes["recurrence"] = padd(
+        routes["recurrence"] = lambda: padd(
             pmul(ONE_PLUS_Q, half_maj_poly_by_area(n - 1)),
             pmul(psub(pshift(ONE, n), Q), half_maj_poly_by_area(n - 2)),
         )
@@ -215,25 +233,17 @@ def _check_sixpat(n: int) -> str | None:
     # the literal scan: s avoids every pattern iff no length that the
     # patterns use shows one among the signed patterns of s, shortest first
     lengths = sorted({len(t) for t in TOP_PATTERNS})
-    routes = {
-        "theta image": {
+    return _set_disagreement({
+        "theta image": lambda: {
             theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)
         },
-        "linear scan": {s for s in windows if is_top_element(s)},
-        "literal scan": {
+        "linear scan": lambda: {s for s in windows if is_top_element(s)},
+        "literal scan": lambda: {
             s
             for s in windows
             if all(signed_patterns(s, k).isdisjoint(TOP_PATTERNS) for k in lengths)
         },
-    }
-    # agreeing with the first route, the reference, makes all three agree
-    (x, sx), *others = routes.items()
-    for y, sy in others:
-        if sx != sy:
-            diff = sorted(sx ^ sy)[0]
-            side = x if diff in sx else y
-            return f"{x} and {y} differ, e.g. {format_perm(diff)} ({side} only)"
-    return None
+    })
 
 
 def _check_fp(n: int) -> str | None:

@@ -333,6 +333,24 @@ def test_only_plain_integers_are_read(capsys, argv, token):
         assert err == f"error: not an integer: {token!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        # argparse's int() read each: 1024 subsets, size 3, one job, sizes 0..1
+        (("enumerate", "--class", "subsets", "--size", "1_0"), "1_0"),
+        (("stats", "--class", "subsets", "--size", "\u0663", "--stat", "des+"), "\u0663"),
+        (("stats", "--class", "subsets", "--size", "3", "--stat", "des+", "--jobs", "1_0"),
+         "1_0"),
+        (("verify", "--name", "T-recr", "--max-n", "0_1"), "0_1"),
+    ],
+)
+def test_integer_options_read_only_plain_integers(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not an integer: {token!r}\n"
+
+
 def test_plain_integers_keep_their_output(capsys):
     code, out, _ = run(
         capsys, "bijection", "--name", "subset-involution", "--apply", "1, 10",

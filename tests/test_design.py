@@ -4,7 +4,13 @@ import ast
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
+
+import pytest
+
+import centroinv
+from centroinv import kernels, paths, qpoly, signed, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "centroinv"
@@ -129,3 +135,99 @@ def test_benchmark_call_shapes():
     assert paths.area("EENNE") == 4
     assert tuple(verify.THEOREMS)[0] == "T-despoly"
     assert centroinv.BACKEND == "python"
+
+
+#: the q-polynomial ring every route may use; tests/test_qpoly.py checks it
+#: against its own oracles
+RING = {
+    f"qpoly.{name}"
+    for name in (
+        "qpoly", "tally_poly", "padd", "pneg", "psub", "pmul", "psum", "pscale",
+        "pshift", "ppow", "peval", "subst_q_square",
+    )
+}
+
+#: (driver, route, later route) -> the package functions both may call
+SHARED = {
+    # both closed forms are sums of Gaussian binomials
+    ("T-majpoly", "binomial sum", "difference form"): {"qpoly.q_binomial"},
+    # the subsets stream and the even class check their shard arguments alike
+    ("T-desfull", "subset transport", "brute force"): {"generate._check_shard"},
+    # the theorem: the area enumeration satisfies the recurrence, so the
+    # recurrence is built from the area enumeration at n - 1 and n - 2
+    ("T-recr", "area enumeration", "recurrence"): {
+        "qpoly.half_maj_poly_by_area", "paths.area", "paths._half_words",
+        "paths._area_loop",
+    },
+}
+
+
+def _package_calls(route) -> tuple[object, set[str]]:
+    """route() and the package functions it calls, nested code (generator
+    expressions, the census's rec) counted as its top-level function.  The
+    route's own body and the ring are left out."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    package = Path(centroinv.__file__).resolve().parent
+    own = route.__code__
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value = route()
+    finally:
+        sys.setprofile(old)
+    calls = {
+        f"{Path(code.co_filename).stem}.{code.co_qualname.split('.')[0]}"
+        for code in codes
+        if Path(code.co_filename).resolve().parent == package
+        and not (
+            code.co_filename == own.co_filename
+            and code.co_qualname.startswith(own.co_qualname)
+        )
+    }
+    return value, calls - RING
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
+def test_compared_routes_share_no_code(monkeypatch):
+    # every comparison of every driver at sizes 0..3, each route traced
+    # alone from cold caches: two routes of one comparison share no package
+    # function outside the ring and SHARED, and a raw census route reads the
+    # census alone.  The ring is left out because tests/test_qpoly.py checks
+    # it against its own oracles
+    shared, raw, compared = {}, set(), set()
+    driver = None
+
+    def traced(real):
+        def compare(routes):
+            values, calls = {}, {}
+            for name, route in routes.items():
+                for cached in (kernels.census, qpoly.q_binomial,
+                               paths._half_words, signed._unfold_tables):
+                    cached.cache_clear()
+                values[name], calls[name] = _package_calls(route)
+            for a, b in combinations(routes, 2):
+                if calls[a] & calls[b]:
+                    shared.setdefault((driver, a, b), set()).update(calls[a] & calls[b])
+            for name in routes:
+                if name.startswith("raw "):
+                    assert calls[name] == {"kernels.census"}, (driver, name)
+                    raw.add((driver, name))
+            compared.add(driver)
+            return real({name: (lambda v=v: v) for name, v in values.items()})
+
+        return compare
+
+    monkeypatch.setattr(verify, "_disagreement", traced(verify._disagreement))
+    monkeypatch.setattr(verify, "_set_disagreement", traced(verify._set_disagreement))
+    for driver in verify.THEOREMS:
+        assert verify.verify(driver, 3).ok, driver
+    assert compared == {
+        "T-despoly", "T-majpoly", "T-desfull", "T-odd", "T-recr", "T-sixpat",
+    }
+    assert len(raw) == 3 + 3  # the even drivers' raw filters, T-odd's tallies
+    assert shared == SHARED

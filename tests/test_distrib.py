@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from centroinv import distrib
+from centroinv import distrib, generate
 from centroinv.distrib import (
     STATS,
     distribution,
@@ -154,6 +154,23 @@ def test_bad_size_rejected_before_workers(monkeypatch, forks):
     with pytest.raises(ValueError, match="even size"):
         distribution("cinv321-even", 5, "des", jobs=2)
     assert forks == []
+
+
+def test_even_low_table_built_once_per_distribution(monkeypatch):
+    # distribution's check-only call to generate_class builds nothing, and
+    # neither does any stream that is made and dropped unread
+    calls = []
+    real = generate._even_low_table
+    monkeypatch.setattr(
+        generate, "_even_low_table", lambda n, k: calls.append(n) or real(n, k)
+    )
+    generate.generate_class("cinv321-even", 28)
+    generate.cinv321_even(16, 1, 3)
+    assert calls == []
+    assert distribution("cinv321-even", 8, "des").count == 16
+    assert calls == [4]
+    assert distribution("cinv321-even", 12, "maj+").count == 64
+    assert calls == [4, 6]
 
 
 def _patch_shards(monkeypatch, child=None, caller=None):

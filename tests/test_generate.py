@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from centroinv import paths
 from centroinv.generate import (
     CLASS_LABELS,
     CLASSES,
@@ -229,6 +230,25 @@ def test_shard_validation():
         list(subsets(4, -1, 3))
     with pytest.raises(ValueError):
         list(generate_class("paths-rect", 4, 0, 0))
+
+
+def test_streams_check_their_arguments_when_called(monkeypatch):
+    # a bad shard or size raises before the stream is read, and a stream
+    # that is made and dropped builds no path words
+    for label, cls in CLASSES.items():
+        with pytest.raises(ValueError, match="bad shard"):
+            cls.generate(3 if label == "cinv321-odd" else 2, 2, 2)
+    with pytest.raises(ValueError, match="even size"):
+        cinv321_even(5)
+    with pytest.raises(ValueError, match="odd size"):
+        cinv321_odd(4)
+    built = []
+    real = paths.subset_path
+    monkeypatch.setattr(paths, "subset_path", lambda e: built.append(e) or real(e))
+    all_paths(18, 1, 2)
+    assert built == []
+    assert next(all_paths(18, 1, 2)) == "NEEEEEEEEEEEEEEEEE"
+    assert len(built) == (1 << 10) + 1  # the low words, then one high word
 
 
 def test_negative_size_rejected_up_front():

@@ -181,9 +181,12 @@ def _perturbed_census(monkeypatch, key):
 
 
 def test_despoly_compares_the_raw_census(monkeypatch):
+    # the census route runs for n <= RAW_LIMIT only
     _perturbed_census(monkeypatch, "des+")
-    report = verify("T-despoly", 9)
-    assert [r.status for r in report.results] == ["fail"] * 8 + ["pass"] * 2
+    report = verify("T-despoly", RAW_LIMIT + 2)
+    assert [r.status for r in report.results] == (
+        ["fail"] * (RAW_LIMIT + 1) + ["pass"] * 2
+    )
     assert report.results[3].counterexample == (
         "raw filter gives (2, 6, 1), closed form (1, 6, 1)"
     )
@@ -298,8 +301,8 @@ def test_recr_compares_the_recurrence(monkeypatch):
 
 def test_every_compared_route_can_fail(monkeypatch):
     # the matrix of every (driver, route) pair the comparator sees at sizes
-    # 0..3, the reference left out: a wrong value in that one route alone
-    # fails the driver, and the counterexample names that route
+    # 0..3, the reference left out: a wrong value from that one route's
+    # thunk alone fails the driver, and the counterexample names that route
     real = verify_module._disagreement
     seen = []
     target = None
@@ -307,7 +310,8 @@ def test_every_compared_route_can_fail(monkeypatch):
     def wrapped(routes):
         seen.append((driver, *routes))
         if target in routes:
-            routes = {**routes, target: routes[target] + (7,)}
+            route = routes[target]
+            routes = {**routes, target: lambda: route() + (7,)}
         return real(routes)
 
     monkeypatch.setattr(verify_module, "_disagreement", wrapped)
