@@ -41,9 +41,20 @@ def _parse_size(raw: str | None) -> tuple[int, ...]:
     return size
 
 
-#: most points or path letters a sized bijection may build, a subset of [n]
-#: building 2n points; a larger --size is rejected before anything is built
+#: most points or path letters one object may hold: a bijection's output (a
+#: subset of [n] building 2n points) or an object of enumerate and stats (a
+#: class of size m holding m).  A larger --size is rejected before anything
+#: is built; this bounds one object, not the cost of a run
 MAX_BUILT = 2**20
+
+
+def _check_built(raw: str, built: int) -> None:
+    if built > MAX_BUILT:
+        raise ValueError(
+            f"--size {raw} would build {built} points or path letters;"
+            f" the limit is {MAX_BUILT}"
+        )
+
 
 # name -> (number of --size parts, points or path letters built per unit of
 # --size, apply(text, *size) -> output text)
@@ -135,6 +146,7 @@ def _write_batched(head: str, texts: Iterator[str], tail: str) -> None:
 
 def _cmd_enumerate(args) -> int:
     size = _int(args.size)
+    _check_built(args.size, size)
     fmt = generate.object_class(args.label).format
     texts = map(fmt, generate.generate_class(args.label, size))
     if args.format == "json":
@@ -149,7 +161,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    table = distribution(args.label, _int(args.size), args.stat, jobs=_int(args.jobs))
+    size = _int(args.size)
+    _check_built(args.size, size)
+    table = distribution(args.label, size, args.stat, jobs=_int(args.jobs))
     print(table_json(table) if args.format == "json" else table_tsv(table))
     return 0
 
@@ -162,12 +176,7 @@ def _cmd_bijection(args) -> int:
             raise ValueError(f"bijection {args.name!r} takes no --size")
         shape = "N" if parts == 1 else "A,B"
         raise ValueError(f"bijection {args.name!r} needs --size {shape}")
-    built = sum(size) * factor
-    if built > MAX_BUILT:
-        raise ValueError(
-            f"--size {args.size} would build {built} points or path letters;"
-            f" the limit is {MAX_BUILT}"
-        )
+    _check_built(args.size, sum(size) * factor)
     out = fn(args.text, *size)
     if args.format == "json":
         print(json.dumps({"name": args.name, "input": args.text, "output": out}))

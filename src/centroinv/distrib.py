@@ -4,9 +4,11 @@ distribution(label, size, stat) streams a class and tallies one statistic;
 the result records the tally as a polynomial (coefficient of q^i counts the
 objects with statistic i) plus the stream length.
 
-The stream is split into jobs shards by the generator's shard rule (see
-centroinv.generate).  The caller tallies shard 0 itself; shards 1 to jobs - 1
-(none for one job) are tallied by children made with os.fork, each of which
+The stream is split into jobs shards by the one shard rule of the generators
+(see centroinv.generate), and all jobs shard streams are made, which checks
+the request and builds nothing, before any child is forked.  The caller
+tallies shard 0 itself; shards 1 to jobs - 1 (none for one job) are tallied
+by children made with os.fork, each reading the stream it inherits, and each
 sends its tally back over a pipe as marshal.dumps((ok, payload)) and leaves
 with os._exit.  The tallies are added; tally addition is commutative, so a
 sharded run is byte-identical to a serial one.  jobs is capped at
@@ -46,15 +48,11 @@ class DistributionTable(NamedTuple):
     count: int
 
 
-def _shard_tally(label: str, size: int, stat: str, shard: int, nshards: int) -> Counter:
-    fn = stat_function(label, stat)
-    return Counter(map(fn, generate.generate_class(label, size, shard, nshards)))
-
-
-def _fork_shard(label: str, size: int, stat: str, shard: int, nshards: int) -> tuple[int, int]:
-    """Start a child that tallies one shard; returns its pid and the read end
-    of the pipe that carries marshal.dumps((ok, payload)): the tally as a
-    dict, or the text "<ExcType>: <message>" of what the shard raised."""
+def _fork_shard(fn, stream, shard: int, nshards: int) -> tuple[int, int]:
+    """Start a child that tallies fn over one shard stream; returns its pid
+    and the read end of the pipe that carries marshal.dumps((ok, payload)):
+    the tally as a dict, or the text "<ExcType>: <message>" of what the
+    shard raised."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -70,7 +68,7 @@ def _fork_shard(label: str, size: int, stat: str, shard: int, nshards: int) -> t
     try:
         os.close(read_fd)
         try:
-            reply = (True, dict(_shard_tally(label, size, stat, shard, nshards)))
+            reply = (True, dict(Counter(map(fn, stream))))
         except BaseException as exc:
             reply = (False, f"{type(exc).__name__}: {exc}")
         data = memoryview(marshal.dumps(reply))
@@ -95,15 +93,16 @@ def _read_shard(fd: int, shard: int, nshards: int) -> dict:
     return payload
 
 
-def _sharded_tally(label: str, size: int, stat: str, jobs: int) -> Counter:
-    """Tally shard 0 here and shards 1..jobs-1 in forked children.  Every
-    child is reaped before this returns or raises; on failure the children
-    still running are killed first."""
+def _sharded_tally(fn, streams: list) -> Counter:
+    """Tally fn over shard 0 here and over shards 1.. in forked children.
+    Every child is reaped before this returns or raises; on failure the
+    children still running are killed first."""
+    jobs = len(streams)
     children: list[tuple[int, int]] = []
     try:
         for shard in range(1, jobs):
-            children.append(_fork_shard(label, size, stat, shard, jobs))
-        tally = _shard_tally(label, size, stat, 0, jobs)
+            children.append(_fork_shard(fn, streams[shard], shard, jobs))
+        tally = Counter(map(fn, streams[0]))
         for shard, (_, fd) in enumerate(children, 1):
             tally.update(_read_shard(fd, shard, jobs))
         return tally
@@ -127,13 +126,13 @@ def distribution(
     >>> distribution("cinv321-even", 4, "des").poly
     (1, 2, 1)
     """
-    # reject bad requests before forking
-    stat_function(label, stat)
-    generate.generate_class(label, size)
+    fn = stat_function(label, stat)
     if jobs < 1:
         raise ValueError("jobs must be positive")
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    poly = tally_poly(_sharded_tally(label, size, stat, jobs))
+    # making the streams checks the request, so a bad one fails before forking
+    streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
+    poly = tally_poly(_sharded_tally(fn, streams))
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 
 

@@ -10,30 +10,33 @@ stream: it cuts every branch whose final prefix already contains 321, and
 yields the same objects in the same order as the filter would.
 
 all_paths and signed_perms run on C-level iterators, with one Python step per
-block of objects rather than per object, and keep the order and shards of the
-one-mask-at-a-time construction.  all_paths joins the words of the low
-LOW_BITS bits of a mask, built once, to each word of its high bits as those
-stream from subsets, so it holds at most 2**LOW_BITS words for any n.
+block of objects rather than per object.  all_paths joins the words of the
+low LOW_BITS bits of a mask, built once, to each word of its high bits as
+those stream from subsets, so it holds at most 2**LOW_BITS words for any n.
 signed_perms takes, for each tau, itertools.product over the sign pairs of
-tau, with the shard rule deciding beforehand which signs position 1 may take.
+tau.
 
 cinv321_even is built the same way, on the FIFO view of the subset bijection
-(see centroinv.matchings): the scans of the low EVEN_LOW_BITS bits of a mask,
+(see centroinv.matchings): the scans of the low LOW_BITS bits of a mask,
 built once, and the scans of its high bits, built for one high word at a
 time, become itemgetters, and each object is two of those gathers and one
 tuple concatenation.  It yields the objects of map(subset_involution,
-subsets(n)) in the same order and with the same shards, but shares no code
-with subset_involution, which stays the per-object definition.
+subsets(n)) in the same order, but shares no code with subset_involution,
+which stays the per-object definition.
 
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
-cinv321_odd take an optional shard: with nshards workers, worker k gets the
-objects whose first-position branch hashes to k, or for subsets and the
-classes built on them every nshards-th mask starting at k, so a sharded run
-covers the stream exactly once.  Aggregation downstream is commutative, which
-keeps sharded output identical to serial.  centro_perms only serves as a check
-and takes no shard.  Every generator yields nothing for a negative size.
-Calling a generator checks its arguments and builds no table until the
-stream is read, so a stream that is made and dropped costs next to nothing.
+cinv321_odd take an optional shard, under one rule: shard s of nshards takes
+every nshards-th step of the stream's outermost loop, starting at step s, and
+everything below those steps.  The outer loop runs over the partner of point
+1 for the walks, tau for signed_perms, the mask for subsets and the high word
+for all_paths and cinv321_even.  So each shard is an in-order subsequence of
+the serial stream and a sharded run covers the stream exactly once; a stream
+with fewer outer steps than shards leaves the last shards empty.
+Aggregation downstream is commutative, which keeps sharded output identical
+to serial.  centro_perms only serves as a check and takes no shard.  Every
+generator yields nothing for a negative size.  Calling a generator checks its
+arguments and builds no table until the stream is read, so a stream that is
+made and dropped costs next to nothing.
 
 CLASSES is the one place that names the object classes.
 """
@@ -41,7 +44,7 @@ CLASSES is the one place that names the object classes.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from itertools import permutations as _permutations
 from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -52,11 +55,9 @@ from centroinv.perms import Perm
 from centroinv.signed import SignedPerm, is_top_element, unfold_window
 
 
-#: bits of a path mask whose words all_paths builds once and reuses
-LOW_BITS = 10
-
-#: bits of a subset mask whose FIFO scans cinv321_even builds once and reuses
-EVEN_LOW_BITS = 8
+#: bits of a mask whose words (all_paths) or FIFO scans (cinv321_even) are
+#: built once per stream and joined to every high word
+LOW_BITS = 8
 
 
 def _check_shard(shard: int, nshards: int) -> None:
@@ -114,14 +115,12 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
 
     itertools.product varies its last factor fastest, so the sign pairs
     (v, -v) are listed from the last position to the first and each product
-    is read back to front.  The shard rule only decides which signs position
-    1 may take, so those are picked before the product."""
+    is read back to front."""
     _check_shard(shard, nshards)
-    if n <= 0:
-        return iter([()] if n == 0 and shard == 0 else [])
+    taus = _permutations(range(1, n + 1)) if n >= 0 else ()
     return chain.from_iterable(
-        map(_BACK_TO_FRONT, product(*_sign_pairs(tau, shard, nshards)))
-        for tau in _permutations(range(1, n + 1))
+        map(_BACK_TO_FRONT, product(*[(v, -v) for v in reversed(tau)]))
+        for tau in islice(taus, shard, None, nshards)
     )
 
 
@@ -129,20 +128,8 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
 _BACK_TO_FRONT = itemgetter(slice(None, None, -1))
 
 
-def _sign_pairs(tau: Perm, shard: int, nshards: int) -> list[tuple[int, ...]]:
-    # the signs of positions n, ..., 2, then the signs of position 1 that
-    # shard takes: 2(tau_1 - 1) + [s_1 < 0] is congruent to shard
-    first = tau[0]
-    signs = tuple(
-        v for neg, v in enumerate((first, -first))
-        if (2 * (first - 1) + neg) % nshards == shard
-    )
-    return [(v, -v) for v in tau[:0:-1]] + [signs]
-
-
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
-    """All subsets of [n], the pairs (n, mask) in mask order; worker k of
-    nshards gets every nshards-th mask starting at k."""
+    """All subsets of [n], the pairs (n, mask) in mask order."""
     _check_shard(shard, nshards)
     stop = 1 << n if n >= 0 else 0
     return zip(repeat(n), range(shard, stop, nshards))
@@ -155,9 +142,7 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
     A mask is h * 2**k + l with k = min(n, LOW_BITS), and its path is the
     path of the k low bits l followed by the path of the high bits h.  The
     2**k low words are built once; the high words stream from subsets(n - k),
-    so memory stays bounded for any n.  Worker s of nshards takes, under each
-    h, the low words l = s - h * 2**k modulo nshards: every nshards-th mask
-    starting at s, as for subsets."""
+    so memory stays bounded for any n."""
     _check_shard(shard, nshards)
     return chain.from_iterable(_path_blocks(n, shard, nshards) if n >= 0 else ())
 
@@ -166,8 +151,8 @@ def _path_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[str]]:
     # one block of paths per high word; the low words are built on first read
     k = min(n, LOW_BITS)
     low = list(map(paths.subset_path, subsets(k)))
-    for h, high in enumerate(map(paths.subset_path, subsets(n - k))):
-        yield map(add, low[(shard - (h << k)) % nshards :: nshards], repeat(high))
+    for high in map(paths.subset_path, subsets(n - k, shard, nshards)):
+        yield map(add, low, repeat(high))
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -218,7 +203,7 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """The even class, the images under subset_involution of subsets(m // 2)
     in mask order, built in blocks rather than one mask at a time.
 
-    A mask of n = m // 2 bits is h * 2**k + l with k = min(n, EVEN_LOW_BITS).
+    A mask of n = m // 2 bits is h * 2**k + l with k = min(n, LOW_BITS).
     The FIFO scan of the k low bits (see centroinv.matchings) fixes the
     values of the low positions that l pairs among themselves and leaves r
     openers a_1 < ... < a_r pending.  The scan of the high bits h, with r
@@ -229,9 +214,7 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     table, built for one h at a time, holds for each r a gather that reads
     the high values, the partners of the r openers and all their mirrors
     out of a source.  One object is then two itemgetter calls and one tuple
-    concatenation.  Worker s of nshards takes, under each h, the masks l =
-    s - h * 2**k modulo nshards: every nshards-th mask starting at s, as for
-    subsets."""
+    concatenation."""
     if m % 2:
         raise ValueError("even size required")
     _check_shard(shard, nshards)
@@ -239,15 +222,15 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
 
 
 def _even_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[Perm]]:
-    # one block of objects per high word h; the low table is built on first
-    # read, and the high table of h only when its block is reached
-    k = min(n, EVEN_LOW_BITS)
+    # one block of objects per high word h of the shard; the low table is
+    # built on first read, and the high table of h only when its block is
+    # reached
+    k = min(n, LOW_BITS)
     counts, sources, consts, gathers = _even_low_table(n, k)
-    for h in range(1 << (n - k)):
-        pick = slice((shard - (h << k)) % nshards, None, nshards)
+    for h in range(shard, 1 << (n - k), nshards):
         highs = _even_high_table(n, k, h)
-        high = map(_CALL, map(highs.__getitem__, counts[pick]), sources[pick])
-        yield map(_CALL, gathers[pick], map(add, consts[pick], high))
+        high = map(_CALL, map(highs.__getitem__, counts), sources)
+        yield map(_CALL, gathers, map(add, consts, high))
 
 
 # itemgetter's own call slot, applied by map to (getter, source) pairs; it

@@ -3,14 +3,15 @@ package against (the exhaustive pattern scans, plain and signed, the
 descent scans, the pairwise non-nesting test, the subset descent set, the
 step-by-step area, the rectangle path enumerator, row insertion, the
 filtered class generator, the per-mask path and signed-window streams, the
-arithmetic unfolding of a window) and small helpers for building test cases.
+arithmetic unfolding of a window), the shard rule by its definition, and
+small helpers for building test cases.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from centroinv.generate import involutions, subsets
+from centroinv.generate import LOW_BITS, involutions
 from centroinv.matchings import Subset, _descent_mask, _set_bits
 from centroinv.paths import check_path, subset_path
 from centroinv.perms import (
@@ -194,27 +195,41 @@ def rotate_first_to_last(word: str) -> str:
     return word[1:] + word[0]
 
 
-def paths_by_mask(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
-    """The path of every mask of subsets(n), one mask at a time: the order
-    and the shards all_paths must keep."""
-    return map(subset_path, subsets(n, shard, nshards))
+def paths_by_mask(n: int) -> list[list[str]]:
+    """The path of every mask of subsets(n), one mask at a time, in the
+    blocks of mask_blocks: the order and the outer steps all_paths keeps."""
+    return [list(map(subset_path, block)) for block in mask_blocks(n)]
+
+
+# ---------- shards ----------
+
+
+def by_outer_step(blocks: Sequence[Iterable], shard: int, nshards: int) -> list:
+    """The shard rule by its definition.  blocks holds the serial stream cut
+    at the steps of its outermost loop, one block per step: shard s of
+    nshards is every nshards-th block starting at block s, in order."""
+    return [obj for block in blocks[shard::nshards] for obj in block]
+
+
+def mask_blocks(n: int) -> list[list[Subset]]:
+    """The subsets of [n] in mask order, one block per high word h: the
+    masks h * 2**k + l for every l < 2**k, k = min(n, LOW_BITS)."""
+    if n < 0:
+        return []
+    k = min(n, LOW_BITS)
+    return [[(n, h << k | l) for l in range(1 << k)] for h in range(1 << (n - k))]
 
 
 # ---------- signed windows ----------
 
 
-def signed_windows_by_mask(n: int) -> list[tuple[int, SignedPerm]]:
+def signed_windows_by_mask(n: int) -> list[list[SignedPerm]]:
     """Every signed window, one sign mask at a time under each tau (bit i-1
-    set when entry i is negative), with its first-position branch
-    2(tau_1 - 1) + bit 0: worker k of nshards must yield, in this order, the
-    windows whose branch is k modulo nshards."""
-    if n <= 0:
-        return [(0, ())] if n == 0 else []
+    set when entry i is negative), one block per tau."""
     return [
-        (2 * (tau[0] - 1) + (mask & 1),
-         tuple(-tau[i] if mask >> i & 1 else tau[i] for i in range(n)))
-        for tau in permutations(range(1, n + 1))
-        for mask in range(1 << n)
+        [tuple(-tau[i] if mask >> i & 1 else tau[i] for i in range(n))
+         for mask in range(1 << n)]
+        for tau in (permutations(range(1, n + 1)) if n >= 0 else ())
     ]
 
 

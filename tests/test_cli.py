@@ -267,6 +267,26 @@ def test_bijection_huge_size_exits_2(capsys, name, text, size, built):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each exited 1 with a MemoryError traceback
+        ("enumerate", "--class", "subsets", "--size", str(HUGE + 1)),
+        ("enumerate", "--class", "inv321", "--size", str(HUGE + 1)),
+        ("enumerate", "--class", "cinv321-even", "--size", str(2 * HUGE + 2)),
+        ("stats", "--class", "paths-rect", "--size", str(HUGE + 1), "--stat", "area"),
+    ],
+)
+def test_huge_class_size_exits_2(capsys, argv):
+    # one object of the class would hold more than MAX_BUILT points or
+    # letters: refused before any stream is made
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bijection_size_at_the_limit_runs(capsys):
     code, out, _ = run(
         capsys, "bijection", "--name", "subset-path", "--apply", "1",

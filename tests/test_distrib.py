@@ -174,18 +174,25 @@ def test_even_low_table_built_once_per_distribution(monkeypatch):
 
 
 def _patch_shards(monkeypatch, child=None, caller=None):
-    """Replace _shard_tally: shard 0 runs caller, shards >= 1 run child, and
-    a missing hook runs the real tally.  Forked children inherit the patch.
-    The CPU count is set to 4, so up to 4 shards run."""
-    tally = distrib._shard_tally
+    """Wrap the shard streams distribution makes: when shard 0 is first read
+    it runs caller, when a shard >= 1 is first read it runs child, and a
+    missing hook reads the real stream alone.  The streams are made before
+    the fork, so each forked child reads its wrapped stream.  The CPU count
+    is set to 4, so up to 4 shards run."""
+    real = generate.generate_class
 
-    def patched(label, size, stat, shard, nshards):
+    def patched(label, size, shard=0, nshards=1):
+        stream = real(label, size, shard, nshards)
         hook = caller if shard == 0 else child
-        if hook is not None:
-            hook()
-        return tally(label, size, stat, shard, nshards)
 
-    monkeypatch.setattr(distrib, "_shard_tally", patched)
+        def wrapped():
+            if hook is not None:
+                hook()
+            yield from stream
+
+        return wrapped()
+
+    monkeypatch.setattr(generate, "generate_class", patched)
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
 
 

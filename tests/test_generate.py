@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from centroinv import paths
+from centroinv import generate, paths
 from centroinv.generate import (
     CLASS_LABELS,
     CLASSES,
@@ -33,7 +33,13 @@ from centroinv.perms import (
     is_involution,
 )
 from centroinv.signed import theta_inverse
-from oracles import filtered_class, paths_by_mask, signed_windows_by_mask
+from oracles import (
+    by_outer_step,
+    filtered_class,
+    mask_blocks,
+    paths_by_mask,
+    signed_windows_by_mask,
+)
 
 
 def involution_count(m):
@@ -115,16 +121,52 @@ def test_shards_partition_every_class():
             assert set(merged) == set(serial)
 
 
+def test_shards_are_in_order_subsequences_of_the_serial_stream():
+    # every shard keeps the serial order: its objects appear in the serial
+    # stream in the order the shard yields them
+    for label, size in SHARD_CASES:
+        pos = {obj: i for i, obj in enumerate(generate_class(label, size))}
+        for nshards in (2, 3, 4, 7):
+            for k in range(nshards):
+                places = [pos[obj] for obj in generate_class(label, size, k, nshards)]
+                assert places == sorted(set(places)), (label, k, nshards)
+
+
+def test_jobs2_queries_split_evenly():
+    # the stats queries that the sharded benchmark runs with --jobs 2: each
+    # shard takes half of the outer steps and so half of the objects
+    for label, size, half in (
+        ("cinv321-even", 28, 8_192),
+        ("subsets", 18, 131_072),
+        ("paths-rect", 18, 131_072),
+        ("signed-all", 6, 23_040),
+    ):
+        for k in (0, 1):
+            assert sum(1 for _ in generate_class(label, size, k, 2)) == half, (label, k)
+
+
+def test_even_shard_builds_only_its_high_tables(monkeypatch):
+    # 2**6 high words at n = 14: shard 1 of 2 builds the tables of its 32
+    calls = []
+    real = generate._even_high_table
+    monkeypatch.setattr(
+        generate, "_even_high_table", lambda n, k, h: calls.append(h) or real(n, k, h)
+    )
+    assert sum(1 for _ in cinv321_even(28, 1, 2)) == 8_192
+    assert calls == list(range(1, 64, 2))
+
+
 STREAM_SHARDS = (1, 2, 3, 4, 7)
 
 
 def test_paths_keep_the_mask_order_shard_by_shard():
-    # n = 11 and 12 put one and two high bits above the reused low words
+    # n = 9 and 12 put one and four high bits above the reused low words
     for n in range(-1, 13):
+        blocks = paths_by_mask(n)
         for nshards in STREAM_SHARDS:
             for k in range(nshards):
-                assert list(all_paths(n, k, nshards)) == list(
-                    paths_by_mask(n, k, nshards)
+                assert list(all_paths(n, k, nshards)) == by_outer_step(
+                    blocks, k, nshards
                 ), (n, k, nshards)
 
 
@@ -132,27 +174,26 @@ def test_even_class_keeps_the_mask_order_shard_by_shard():
     # the block construction against subset_involution, one mask at a time:
     # n = 8, 9 and 13 put zero, one and five high bits above the low scans
     for n in range(14):
-        image = list(map(subset_involution, subsets(n)))
+        blocks = [list(map(subset_involution, b)) for b in mask_blocks(n)]
         for nshards in STREAM_SHARDS:
             for k in range(nshards):
-                assert list(cinv321_even(2 * n, k, nshards)) == [
-                    image[mask] for _, mask in subsets(n, k, nshards)
-                ], (n, k, nshards)
-    # n = 16 runs 256 high words, under which the offset of shard 3 of 7
-    # takes every value mod 7
-    assert list(cinv321_even(32, 3, 7)) == list(
-        map(subset_involution, subsets(16, 3, 7))
-    )
+                assert list(cinv321_even(2 * n, k, nshards)) == by_outer_step(
+                    blocks, k, nshards
+                ), (n, k, nshards)
+    # n = 16 runs 256 high words, of which shard 3 of 7 takes 37; only
+    # those blocks are read
+    blocks = [map(subset_involution, b) for b in mask_blocks(16)]
+    assert list(cinv321_even(32, 3, 7)) == by_outer_step(blocks, 3, 7)
 
 
 def test_signed_windows_keep_the_mask_order_shard_by_shard():
     for n in range(-1, 7):
-        windows = signed_windows_by_mask(n)
+        blocks = signed_windows_by_mask(n)
         for nshards in STREAM_SHARDS:
             for k in range(nshards):
-                assert list(signed_perms(n, k, nshards)) == [
-                    s for branch, s in windows if branch % nshards == k
-                ], (n, k, nshards)
+                assert list(signed_perms(n, k, nshards)) == by_outer_step(
+                    blocks, k, nshards
+                ), (n, k, nshards)
 
 
 def test_streams_start_at_once_in_bounded_memory():
@@ -247,8 +288,8 @@ def test_streams_check_their_arguments_when_called(monkeypatch):
     monkeypatch.setattr(paths, "subset_path", lambda e: built.append(e) or real(e))
     all_paths(18, 1, 2)
     assert built == []
-    assert next(all_paths(18, 1, 2)) == "NEEEEEEEEEEEEEEEEE"
-    assert len(built) == (1 << 10) + 1  # the low words, then one high word
+    assert next(all_paths(18, 1, 2)) == "EEEEEEEENEEEEEEEEE"
+    assert len(built) == (1 << 8) + 1  # the low words, then one high word
 
 
 def test_negative_size_rejected_up_front():

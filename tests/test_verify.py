@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from centroinv import kernels, matchings, paths, rsk
+from centroinv import generate, kernels, matchings, paths, rsk
 from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS
 from centroinv.verify import (
@@ -117,6 +117,29 @@ def test_cara_count_check_catches_a_missing_member(monkeypatch):
     assert report.results[3].counterexample == (
         "raw census counts 9 class members, 8 images"
     )
+
+
+def test_drivers_catch_a_repeated_object(monkeypatch):
+    # a stream that yields its first object twice, in place of its second,
+    # has the right length; each driver that reads it must still fail at n = 3
+    def repeating_first(real):
+        def stream(*args):
+            objs = list(real(*args))
+            objs[1:2] = objs[:1]
+            return iter(objs)
+
+        return stream
+
+    for name, stream, text in (
+        ("T-cara", "subsets", "only 7 distinct images for 8 subsets"),
+        ("T-odd", "inv321", "join is not injective"),
+        ("T-fp", "inv321", "theta is not injective on the 0 x 3 rectangle"),
+        ("T-hdpeak", "all_paths", "g is not bijective on the 1 x 2 rectangle"),
+        ("T-cor2", "inv321", "fp >= 3, des = 0: (2,) != product form (1,)"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(generate, stream, repeating_first(getattr(generate, stream)))
+            assert THEOREMS[name][2](3) == text, (name, stream)
 
 
 def test_cara_rejects_a_nesting_matching(monkeypatch):
