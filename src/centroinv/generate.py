@@ -17,12 +17,15 @@ signed_perms takes, for each tau, itertools.product over the sign pairs of
 tau.
 
 cinv321_even is built the same way, on the FIFO view of the subset bijection
-(see centroinv.matchings): the scans of the low LOW_BITS bits of a mask,
-built once, and the scans of its high bits, built for one high word at a
-time, become itemgetters, and each object is two of those gathers and one
-tuple concatenation.  It yields the objects of map(subset_involution,
-subsets(n)) in the same order, but shares no code with subset_involution,
-which stays the per-object definition.
+(see centroinv.matchings): the scans of the low k bits of a mask, built once,
+and the scans of its high bits, built for one high word at a time, become
+itemgetters, and each object is two of those gathers and one tuple
+concatenation.  It yields the objects of map(subset_involution, subsets(n))
+in the same order, but shares no code with subset_involution, which stays
+the per-object definition.  Each low scan holds O(n) values, so k is
+LOW_BITS only up to n = 255 and then loses one bit for each further bit of
+n, which keeps the low table under 2**(2 * LOW_BITS) cells; the two mask
+streams split a mask alike up to n = 255 only.
 
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard, under one rule: shard s of nshards takes
@@ -203,7 +206,8 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """The even class, the images under subset_involution of subsets(m // 2)
     in mask order, built in blocks rather than one mask at a time.
 
-    A mask of n = m // 2 bits is h * 2**k + l with k = min(n, LOW_BITS).
+    A mask of n = m // 2 bits is h * 2**k + l with k = min(n, LOW_BITS,
+    2 * LOW_BITS - n.bit_length()), and k = 0 once that is negative.
     The FIFO scan of the k low bits (see centroinv.matchings) fixes the
     values of the low positions that l pairs among themselves and leaves r
     openers a_1 < ... < a_r pending.  The scan of the high bits h, with r
@@ -224,8 +228,9 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
 def _even_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[Perm]]:
     # one block of objects per high word h of the shard; the low table is
     # built on first read, and the high table of h only when its block is
-    # reached
-    k = min(n, LOW_BITS)
+    # reached.  A low entry holds O(n) values, so k shrinks as n grows and
+    # the low table stays under 2**(2 * LOW_BITS) cells
+    k = min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
     counts, sources, consts, gathers = _even_low_table(n, k)
     for h in range(shard, 1 << (n - k), nshards):
         highs = _even_high_table(n, k, h)

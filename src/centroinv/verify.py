@@ -5,13 +5,19 @@ finite set honestly, compute both sides, compare exactly.  Closed forms are
 never substituted for the brute-force side; where a result has several
 equivalent forms, all of them are pitted against the same enumeration.
 
-A distribution driver states its routes as data: an ordered dict from route
-name to a zero-argument callable (a thunk, which looks its names up when
-called), the first entry the reference, with the raw census tally added for
-half-sizes up to RAW_LIMIT.  The comparator calls the routes in order; the
-first that differs gives "<route> gives <value>, <reference> <value>".  No two
-routes share package code outside the qpoly ring but the pairs, with reasons,
-that tests/test_design.py::test_compared_routes_share_no_code allows.
+ROUTES, beside THEOREMS, maps each comparing driver to routes(n), the ordered
+tables it compares at size n.  A table maps route names to thunks
+(zero-argument callables that look their names up when called), the first
+the reference; the raw census tally joins it for half-sizes up to RAW_LIMIT.
+One comparer looks up ROUTES[name] when called and returns the first
+counterexample, "<route> gives <value>, <reference> <value>", or for T-sixpat's
+sets of windows the least window that one side alone holds.  T-odd checks its
+centre join object by object first.  T-cara, T-hdpeak and T-fp check
+bijections object by object and have no table; nor have T-cor1 and T-cor2,
+whose texts name a cell and its closed form, which the comparer cannot say.
+No two routes of a table share package code outside the qpoly ring but the
+pairs, with reasons, that tests/test_design.py::test_compared_routes_share_no_code
+allows; that test and the mutation matrix in tests/test_verify.py read ROUTES.
 
 verify(theorem_id) runs one driver over a size range and returns a report
 with a per-size pass/fail status; a failure carries a concrete
@@ -94,7 +100,7 @@ def _grouped_polys(objs: Iterable, key, stat) -> dict:
     return {k: tally_poly(c) for k, c in groups.items()}
 
 
-# ---------- drivers ----------
+# ---------- route tables ----------
 
 
 def _even_class(n: int, stat: str) -> dict[str, Callable[[], object]]:
@@ -106,33 +112,85 @@ def _even_class(n: int, stat: str) -> dict[str, Callable[[], object]]:
     return routes
 
 
-def _check_despoly(n: int) -> str | None:
-    return _disagreement({
+def _odd_table(n: int, i: int, key: str) -> dict[str, Callable[[], object]]:
+    """T-odd's table for the i-th polynomial of odd_case_polys, statistic key:
+    the closed form, the odd class's stream, and the raw census tally for
+    n <= RAW_LIMIT."""
+    routes = {
+        "closed form": lambda: odd_case_polys(n)[i],
+        f"{key} brute force": lambda: distribution("cinv321-odd", 2 * n + 1, key).poly,
+    }
+    if n <= RAW_LIMIT:
+        routes[f"raw {key} tally"] = lambda: qpoly(kernels.census(2 * n + 1)[key])
+    return routes
+
+
+def _recr_table(n: int) -> dict[str, Callable[[], object]]:
+    routes = {"area enumeration": lambda: half_maj_poly_by_area(n)}
+    if n <= 1:
+        routes["initial value"] = lambda: half_maj_poly_rec(n)
+    else:
+        routes["recurrence"] = lambda: padd(
+            pmul(ONE_PLUS_Q, half_maj_poly_by_area(n - 1)),
+            pmul(psub(pshift(ONE, n), Q), half_maj_poly_by_area(n - 2)),
+        )
+    return routes
+
+
+def _sixpat_table(n: int) -> dict[str, Callable[[], set]]:
+    windows = list(generate.signed_perms(n))
+    # the literal scan: s avoids every pattern iff no length that the
+    # patterns use shows one among the signed patterns of s, shortest first
+    lengths = sorted({len(t) for t in TOP_PATTERNS})
+    return {
+        "theta image": lambda: {
+            theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)
+        },
+        "linear scan": lambda: {s for s in windows if is_top_element(s)},
+        "literal scan": lambda: {
+            s
+            for s in windows
+            if all(signed_patterns(s, k).isdisjoint(TOP_PATTERNS) for k in lengths)
+        },
+    }
+
+
+#: driver name -> routes(n), the ordered tables that the driver compares at
+#: size n; the first route of each table is its reference
+ROUTES: dict[str, Callable[[int], list[dict[str, Callable[[], object]]]]] = {
+    "T-despoly": lambda n: [{
         "closed form": lambda: half_des_poly(n),
         "recurrence": lambda: half_des_poly_rec(n),
         "even part of (1+t)^(n+1)": lambda: half_des_poly_even_part(n),
         **_even_class(n, "des+"),
-    })
-
-
-def _check_majpoly(n: int) -> str | None:
-    return _disagreement({
+    }],
+    "T-majpoly": lambda n: [{
         "binomial sum": lambda: half_maj_poly(n),
         "difference form": lambda: half_maj_poly_diff(n),
         "recurrence": lambda: half_maj_poly_rec(n),
         "area enumeration": lambda: half_maj_poly_by_area(n),
         **_even_class(n, "maj+"),
-    })
-
-
-def _check_desfull(n: int) -> str | None:
-    return _disagreement({
+    }],
+    "T-desfull": lambda n: [{
         "closed form": lambda: full_des_poly(n),
         "subset transport": lambda: tally_poly(
             Counter(map(matchings.des_from_subset, generate.subsets(n)))
         ),
         **_even_class(n, "des"),
-    })
+    }],
+    "T-odd": lambda n: [_odd_table(n, i, key) for i, key in enumerate(("des+", "maj+", "des"))],
+    "T-recr": lambda n: [_recr_table(n)],
+    "T-sixpat": lambda n: [_sixpat_table(n)],
+}
+
+
+def _comparer(name: str, differ=_disagreement) -> Callable[[int], str | None]:
+    """The driver that looks up ROUTES[name] when called, compares its tables
+    at size n in order and returns the first counterexample."""
+    return lambda n: next(filter(None, map(differ, ROUTES[name](n))), None)
+
+
+# ---------- drivers ----------
 
 
 def _check_cara(n: int) -> str | None:
@@ -182,18 +240,7 @@ def _check_odd(n: int) -> str | None:
         count = kernels.census(2 * n + 1)["count"]
         if count != len(members):
             return f"raw filter count {count} != {len(members)}"
-    stats = {"des+": perms.half_des, "maj+": perms.half_maj, "des": perms.des}
-    for i, (key, stat) in enumerate(stats.items()):
-        routes = {
-            "closed form": lambda: odd_case_polys(n)[i],
-            f"{key} brute force": lambda: tally_poly(Counter(map(stat, members))),
-        }
-        if n <= RAW_LIMIT:
-            routes[f"raw {key} tally"] = lambda: qpoly(kernels.census(2 * n + 1)[key])
-        cx = _disagreement(routes)
-        if cx:
-            return cx
-    return None
+    return _comparer("T-odd")(n)
 
 
 def _check_hdpeak(n: int) -> str | None:
@@ -216,36 +263,6 @@ def _check_hdpeak(n: int) -> str | None:
     return None
 
 
-def _check_recr(n: int) -> str | None:
-    routes = {"area enumeration": lambda: half_maj_poly_by_area(n)}
-    if n <= 1:
-        routes["initial value"] = lambda: half_maj_poly_rec(n)
-    else:
-        routes["recurrence"] = lambda: padd(
-            pmul(ONE_PLUS_Q, half_maj_poly_by_area(n - 1)),
-            pmul(psub(pshift(ONE, n), Q), half_maj_poly_by_area(n - 2)),
-        )
-    return _disagreement(routes)
-
-
-def _check_sixpat(n: int) -> str | None:
-    windows = list(generate.signed_perms(n))
-    # the literal scan: s avoids every pattern iff no length that the
-    # patterns use shows one among the signed patterns of s, shortest first
-    lengths = sorted({len(t) for t in TOP_PATTERNS})
-    return _set_disagreement({
-        "theta image": lambda: {
-            theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)
-        },
-        "linear scan": lambda: {s for s in windows if is_top_element(s)},
-        "literal scan": lambda: {
-            s
-            for s in windows
-            if all(signed_patterns(s, k).isdisjoint(TOP_PATTERNS) for k in lengths)
-        },
-    })
-
-
 def _check_fp(n: int) -> str | None:
     members = list(generate.inv321(n))
     for a in range(n // 2 + 1):
@@ -265,10 +282,6 @@ def _check_fp(n: int) -> str | None:
             return f"theta is not injective on the {a} x {b} rectangle"
         if len(images) != comb(n, a):
             return f"domain has {len(domain)} members, rectangle {comb(n, a)}"
-    for lam in generate.all_paths(n):
-        a, b = paths.path_counts(lam)
-        if a <= b and rsk.theta_rect(rsk.theta_rect_inverse(lam, a, b), a, b) != lam:
-            return f"surjectivity round trip failed at {lam}"
     return None
 
 
@@ -330,14 +343,14 @@ def _check_cor2(n: int) -> str | None:
 # ---------- registry and runner ----------
 
 THEOREMS: dict[str, tuple[str, int, Callable[[int], str | None]]] = {
-    "T-despoly": ("half-descent distribution equals the binomial closed form", 12, _check_despoly),
-    "T-majpoly": ("half-major distribution: six routes agree", 12, _check_majpoly),
-    "T-desfull": ("full descent distribution equals (1+q)^n", 12, _check_desfull),
+    "T-despoly": ("half-descent distribution equals the binomial closed form", 12, _comparer("T-despoly")),
+    "T-majpoly": ("half-major distribution: six routes agree", 12, _comparer("T-majpoly")),
+    "T-desfull": ("full descent distribution equals (1+q)^n", 12, _comparer("T-desfull")),
     "T-cara": ("subsets of [n] biject onto the even class", 12, _check_cara),
     "T-odd": ("odd class: centre join and its three distributions", 7, _check_odd),
     "T-hdpeak": ("rectangle bijection g turns peaks into hooks", 12, _check_hdpeak),
-    "T-recr": ("area enumeration satisfies the two-term recurrence", 12, _check_recr),
-    "T-sixpat": ("window image equals the six-pattern avoiders", 5, _check_sixpat),
+    "T-recr": ("area enumeration satisfies the two-term recurrence", 12, _comparer("T-recr")),
+    "T-sixpat": ("window image equals the six-pattern avoiders", 5, _comparer("T-sixpat", _set_disagreement)),
     "T-fp": ("rectangle embedding is bijective and carries descents to hooks", 10, _check_fp),
     "T-cor1": ("major index refined by fixed points", 10, _check_cor1),
     "T-cor2": ("major index refined by fixed points and descents", 10, _check_cor2),

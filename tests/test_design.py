@@ -193,41 +193,30 @@ def _package_calls(route) -> tuple[object, set[str]]:
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
-def test_compared_routes_share_no_code(monkeypatch):
-    # every comparison of every driver at sizes 0..3, each route traced
-    # alone from cold caches: two routes of one comparison share no package
+def test_compared_routes_share_no_code():
+    # every table of verify.ROUTES at sizes 0..3, each route traced alone
+    # from cold caches: two routes of one table agree and share no package
     # function outside the ring and SHARED, and a raw census route reads the
     # census alone.  The ring is left out because tests/test_qpoly.py checks
     # it against its own oracles
-    shared, raw, compared = {}, set(), set()
-    driver = None
-
-    def traced(real):
-        def compare(routes):
-            values, calls = {}, {}
-            for name, route in routes.items():
-                for cached in (kernels.census, qpoly.q_binomial,
-                               paths._half_words, signed._unfold_tables):
-                    cached.cache_clear()
-                values[name], calls[name] = _package_calls(route)
-            for a, b in combinations(routes, 2):
-                if calls[a] & calls[b]:
-                    shared.setdefault((driver, a, b), set()).update(calls[a] & calls[b])
-            for name in routes:
-                if name.startswith("raw "):
-                    assert calls[name] == {"kernels.census"}, (driver, name)
-                    raw.add((driver, name))
-            compared.add(driver)
-            return real({name: (lambda v=v: v) for name, v in values.items()})
-
-        return compare
-
-    monkeypatch.setattr(verify, "_disagreement", traced(verify._disagreement))
-    monkeypatch.setattr(verify, "_set_disagreement", traced(verify._set_disagreement))
-    for driver in verify.THEOREMS:
-        assert verify.verify(driver, 3).ok, driver
-    assert compared == {
-        "T-despoly", "T-majpoly", "T-desfull", "T-odd", "T-recr", "T-sixpat",
-    }
+    shared, raw = {}, set()
+    for driver, routes in verify.ROUTES.items():
+        for n in range(4):
+            for table in routes(n):
+                values, calls = [], {}
+                for name, route in table.items():
+                    for cached in (kernels.census, qpoly.q_binomial,
+                                   paths._half_words, signed._unfold_tables):
+                        cached.cache_clear()
+                    value, calls[name] = _package_calls(route)
+                    values.append(value)
+                assert all(v == values[0] for v in values), (driver, n, table)
+                for a, b in combinations(table, 2):
+                    if calls[a] & calls[b]:
+                        shared.setdefault((driver, a, b), set()).update(calls[a] & calls[b])
+                for name in table:
+                    if name.startswith("raw "):
+                        assert calls[name] == {"kernels.census"}, (driver, name)
+                        raw.add((driver, name))
     assert len(raw) == 3 + 3  # the even drivers' raw filters, T-odd's tallies
     assert shared == SHARED

@@ -229,6 +229,25 @@ def test_even_class_streams_one_high_word_at_a_time():
     assert late - early < 16 << 10
 
 
+def test_even_class_low_table_shrinks_as_the_size_grows():
+    # a low entry holds O(n) values, so from n = 256 on k falls below
+    # LOW_BITS and the low table stays under 2**16 cells: the first object of
+    # size 8 000 takes a few MB, where 2**8 low entries took about 70 MB
+    tracemalloc.start()
+    try:
+        first = next(cinv321_even(8_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(1, 8_001))
+    assert peak < 12 << 20
+    # at n = 256, k = 7: blocks of 128 masks, so shard 1 of 3 starts with
+    # the serial stream's second block and goes on with its fifth
+    serial = list(islice(cinv321_even(512), 1 << 10))
+    assert serial == list(map(subset_involution, islice(subsets(256), 1 << 10)))
+    assert list(islice(cinv321_even(512, 1, 3), 129)) == serial[128:256] + serial[512:513]
+
+
 def test_pruned_walk_equals_filtered_involutions():
     # the same objects in the same order, shard by shard
     for m in range(11):

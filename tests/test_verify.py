@@ -10,6 +10,7 @@ from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS
 from centroinv.verify import (
     RAW_LIMIT,
+    ROUTES,
     THEOREMS,
     SizeResult,
     VerificationReport,
@@ -323,29 +324,49 @@ def test_recr_compares_the_recurrence(monkeypatch):
 
 
 def test_every_compared_route_can_fail(monkeypatch):
-    # the matrix of every (driver, route) pair the comparator sees at sizes
-    # 0..3, the reference left out: a wrong value from that one route's
-    # thunk alone fails the driver, and the counterexample names that route
-    real = verify_module._disagreement
-    seen = []
-    target = None
+    # the matrix of every (driver, route) pair in the tables of ROUTES at
+    # sizes 0..3, the references left out: a table in which that one route
+    # gives a wrong value fails the driver, and the counterexample names
+    # that route.  T-sixpat's routes give sets of windows and get a foreign
+    # window; the others give polynomials and get one more coefficient
+    def mutated(routes, target, wrong):
+        return lambda n: [
+            {name: (lambda r=r: wrong(r())) if name == target else r
+             for name, r in table.items()}
+            for table in routes(n)
+        ]
 
-    def wrapped(routes):
-        seen.append((driver, *routes))
-        if target in routes:
-            route = routes[target]
-            routes = {**routes, target: lambda: route() + (7,)}
-        return real(routes)
-
-    monkeypatch.setattr(verify_module, "_disagreement", wrapped)
-    for driver in THEOREMS:
-        assert verify(driver, 3).ok
-    pairs = dict.fromkeys((d, route) for d, _, *others in seen for route in others)
-    assert len(pairs) >= 20  # five distribution drivers hold 20 today
+    pairs = dict.fromkeys(
+        (driver, name)
+        for driver, routes in ROUTES.items()
+        for n in range(4)
+        for table in routes(n)
+        for name in list(table)[1:]
+    )
+    assert sum(driver != "T-sixpat" for driver, _ in pairs) >= 20
+    assert ("T-sixpat", "linear scan") in pairs and ("T-sixpat", "literal scan") in pairs
     for driver, target in pairs:
-        failing = [r.counterexample for r in verify(driver, 3).results if r.status == "fail"]
+        if driver == "T-sixpat":
+            wrong, text = (lambda v: v | {(0,)}), (
+                f"theta image and {target} differ, e.g. 0 ({target} only)"
+            )
+        else:
+            wrong, text = (lambda v: v + (7,)), f"{target} gives "
+        with monkeypatch.context() as patch:
+            patch.setitem(ROUTES, driver, mutated(ROUTES[driver], target, wrong))
+            results = verify(driver, 3).results
+        failing = [r.counterexample for r in results if r.status == "fail"]
         assert failing, (driver, target)
-        assert all(cx.startswith(f"{target} gives ") for cx in failing), failing
+        assert all(cx.startswith(text) for cx in failing), failing
+
+
+def test_drivers_without_a_route_table():
+    # T-cara, T-hdpeak and T-fp check bijections object by object, with no
+    # distributions to compare; T-cor1 and T-cor2 compare cell by cell, and
+    # their texts name the cell and its closed form, which the comparator's
+    # "<route> gives <value>" cannot say
+    no_table = {"T-cara", "T-hdpeak", "T-fp", "T-cor1", "T-cor2"}
+    assert set(ROUTES) == set(THEOREMS) - no_table
 
 
 def test_report_json_schema():
