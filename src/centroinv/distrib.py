@@ -1,19 +1,24 @@
 """Statistic distributions over the object classes, as q-polynomials.
 
-distribution(label, size, stat) streams a class and tallies one statistic;
-the result records the tally as a polynomial (coefficient of q^i counts the
-objects with statistic i) plus the stream length.
+distribution(label, size, stat) tallies one statistic over one class; the
+result records the tally as a polynomial (coefficient of q^i counts the
+objects with statistic i) plus the number of objects.
 
-The stream is split into jobs shards by the one shard rule of the generators
-(see centroinv.generate), and all jobs shard streams are made, which checks
-the request and builds nothing, before any child is forked.  The caller
-tallies shard 0 itself; shards 1 to jobs - 1 (none for one job) are tallied
-by children made with os.fork, each reading the stream it inherits, and each
-sends its tally back over a pipe as marshal.dumps((ok, payload)) and leaves
-with os._exit.  The tallies are added; tally addition is commutative, so a
-sharded run is byte-identical to a serial one.  jobs is capped at
-os.cpu_count(), and at 1 on a platform without os.fork, which then runs
-serially.  The package starts no threads, so forking the caller is safe.
+The class is split into jobs shards by the one shard rule of the generators
+(see centroinv.generate), and each shard's work is one zero-argument
+callable that returns its tally as a Counter: the class's block tally of
+the statistic where it has one (ObjectClass.tallies: subsets and paths-rect
+add up a tally of low words over the shard's high words), otherwise the
+evaluator counted over the shard stream.  All jobs shard streams are made
+first, which checks the request and builds nothing, before any child is
+forked.  The caller runs the work of shard 0 itself; the work of shards 1
+to jobs - 1 (none for one job) runs in children made with os.fork, and
+each child sends its tally back over a pipe as marshal.dumps((ok, payload))
+and leaves with os._exit.  The tallies are added; tally addition is
+commutative, so a sharded run is byte-identical to a serial one.  jobs is
+capped at os.cpu_count(), and at 1 on a platform without os.fork, which
+then runs serially.  The package starts no threads, so forking the caller
+is safe.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import json
 import marshal
 import os
 from collections import Counter
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from centroinv import generate
 from centroinv.qpoly import QPoly, peval, tally_poly
@@ -48,11 +54,11 @@ class DistributionTable(NamedTuple):
     count: int
 
 
-def _fork_shard(fn, stream, shard: int, nshards: int) -> tuple[int, int]:
-    """Start a child that tallies fn over one shard stream; returns its pid
-    and the read end of the pipe that carries marshal.dumps((ok, payload)):
-    the tally as a dict, or the text "<ExcType>: <message>" of what the
-    shard raised."""
+def _fork_shard(work: Callable[[], Counter], shard: int, nshards: int) -> tuple[int, int]:
+    """Start a child that runs one shard's work; returns its pid and the
+    read end of the pipe that carries marshal.dumps((ok, payload)): the
+    tally as a dict, or the text "<ExcType>: <message>" of what the shard
+    raised."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -68,7 +74,7 @@ def _fork_shard(fn, stream, shard: int, nshards: int) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            reply = (True, dict(Counter(map(fn, stream))))
+            reply = (True, dict(work()))
         except BaseException as exc:
             reply = (False, f"{type(exc).__name__}: {exc}")
         data = memoryview(marshal.dumps(reply))
@@ -93,16 +99,16 @@ def _read_shard(fd: int, shard: int, nshards: int) -> dict:
     return payload
 
 
-def _sharded_tally(fn, streams: list) -> Counter:
-    """Tally fn over shard 0 here and over shards 1.. in forked children.
-    Every child is reaped before this returns or raises; on failure the
-    children still running are killed first."""
-    jobs = len(streams)
+def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
+    """Run the work of shard 0 here and of shards 1.. in forked children,
+    and add up their tallies.  Every child is reaped before this returns or
+    raises; on failure the children still running are killed first."""
+    jobs = len(work)
     children: list[tuple[int, int]] = []
     try:
         for shard in range(1, jobs):
-            children.append(_fork_shard(fn, streams[shard], shard, jobs))
-        tally = Counter(map(fn, streams[0]))
+            children.append(_fork_shard(work[shard], shard, jobs))
+        tally = work[0]()
         for shard, (_, fd) in enumerate(children, 1):
             tally.update(_read_shard(fd, shard, jobs))
         return tally
@@ -118,6 +124,19 @@ def _sharded_tally(fn, streams: list) -> Counter:
             os.waitpid(pid, 0)
 
 
+def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable[[], Counter]]:
+    """The work of each of the jobs shards, a zero-argument callable that
+    returns the shard's tally: the class's block tally of stat where it has
+    one, else the Counter of the evaluator over the shard stream.  The
+    shard streams are made first either way: that checks the request and
+    builds nothing, so a bad one fails here, before any fork."""
+    streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
+    tally = generate.object_class(label).tallies.get(stat)
+    if tally is not None:
+        return [partial(tally, size, s, jobs) for s in range(jobs)]
+    return [partial(Counter, map(fn, stream)) for stream in streams]
+
+
 def distribution(
     label: str, size: int, stat: str, jobs: int = 1
 ) -> DistributionTable:
@@ -130,9 +149,7 @@ def distribution(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    # making the streams checks the request, so a bad one fails before forking
-    streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
-    poly = tally_poly(_sharded_tally(fn, streams))
+    poly = tally_poly(_sharded_tally(_shard_work(label, size, stat, fn, jobs)))
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 
 

@@ -12,7 +12,7 @@ yields the same objects in the same order as the filter would.
 all_paths and signed_perms run on C-level iterators, with one Python step per
 block of objects rather than per object.  all_paths joins the words of the
 low LOW_BITS bits of a mask, built once, to each word of its high bits as
-those stream from subsets, so it holds at most 2**LOW_BITS words for any n.
+those stream, so it holds at most 2**LOW_BITS words for any n.
 signed_perms takes, for each tau, itertools.product over the sign pairs of
 tau.
 
@@ -31,26 +31,35 @@ involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard, under one rule: shard s of nshards takes
 every nshards-th step of the stream's outermost loop, starting at step s, and
 everything below those steps.  The outer loop runs over the partner of point
-1 for the walks, tau for signed_perms, the mask for subsets and the high word
-for all_paths and cinv321_even.  So each shard is an in-order subsequence of
-the serial stream and a sharded run covers the stream exactly once; a stream
-with fewer outer steps than shards leaves the last shards empty.
+1 for the walks, tau for signed_perms and the high word h of a mask
+h * 2**k + l for subsets, all_paths and cinv321_even.  So each shard is an
+in-order subsequence of the serial stream and a sharded run covers the
+stream exactly once; a stream with fewer outer steps than shards leaves the
+last shards empty.
 Aggregation downstream is commutative, which keeps sharded output identical
 to serial.  centro_perms only serves as a check and takes no shard.  Every
 generator yields nothing for a negative size.  Calling a generator checks its
 arguments and builds no table until the stream is read, so a stream that is
 made and dropped costs next to nothing.
 
-CLASSES is the one place that names the object classes.
+CLASSES is the one place that names the object classes.  Beside its
+per-object evaluators in stats, a class may list block tallies in tallies:
+tally(size, shard, nshards) is the Counter of a statistic over that shard
+stream, got without building an object.  subsets tallies des+, maj+ and des,
+and paths-rect tallies area and peaks: each statistic is a share of the low
+word plus a share of the high word plus a term that crosses the boundary,
+so a tally groups the 2**k low words by what crosses, walks the shard's high
+words over the same outer loop as the stream and joins the two groupings.
+The evaluators stay the definition, and the drivers read no tally.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import chain, islice, product, repeat
 from itertools import permutations as _permutations
 from operator import add, itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms
 from centroinv.matchings import Subset, odd_join
@@ -132,10 +141,16 @@ _BACK_TO_FRONT = itemgetter(slice(None, None, -1))
 
 
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
-    """All subsets of [n], the pairs (n, mask) in mask order."""
+    """All subsets of [n], the pairs (n, mask) in mask order.
+
+    A mask is h * 2**k + l with k = min(n, LOW_BITS), as in all_paths, and
+    each high word h gives one block of 2**k masks."""
     _check_shard(shard, nshards)
-    stop = 1 << n if n >= 0 else 0
-    return zip(repeat(n), range(shard, stop, nshards))
+    if n < 0:
+        return iter(())
+    k = min(n, LOW_BITS)
+    blocks = (range(h << k, (h + 1) << k) for h in range(shard, 1 << (n - k), nshards))
+    return zip(repeat(n), chain.from_iterable(blocks))
 
 
 def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
@@ -144,18 +159,26 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
 
     A mask is h * 2**k + l with k = min(n, LOW_BITS), and its path is the
     path of the k low bits l followed by the path of the high bits h.  The
-    2**k low words are built once; the high words stream from subsets(n - k),
-    so memory stays bounded for any n."""
+    2**k low words are built once; the high words stream, so memory stays
+    bounded for any n."""
     _check_shard(shard, nshards)
     return chain.from_iterable(_path_blocks(n, shard, nshards) if n >= 0 else ())
 
 
 def _path_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[str]]:
     # one block of paths per high word; the low words are built on first read
+    low, highs = _path_halves(n, shard, nshards)
+    for high in highs:
+        yield map(add, low, repeat(high))
+
+
+def _path_halves(n: int, shard: int, nshards: int) -> tuple[list[str], Iterator[str]]:
+    """The 2**k words of the low k = min(n, LOW_BITS) bits of a mask, as a
+    list, and the words of the shard's high words, as a stream."""
     k = min(n, LOW_BITS)
     low = list(map(paths.subset_path, subsets(k)))
-    for high in map(paths.subset_path, subsets(n - k, shard, nshards)):
-        yield map(add, low, repeat(high))
+    highs = zip(repeat(n - k), range(shard, 1 << (n - k), nshards))
+    return low, map(paths.subset_path, highs)
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -370,13 +393,85 @@ _PATH_STATS = {
 }
 
 
+# ---------- block tallies ----------
+
+Tally = Callable[[int, int, int], Counter]
+
+
+def _join_blocks(lows: Iterable[tuple], highs: Iterable[tuple], cross: int) -> Counter:
+    """Tally lv + hv + cross * lk * hk over every object made of a low word,
+    seen in lows as the pair (lk, lv), and a high word, seen in highs as
+    (hk, hv).  Both sides are grouped first, so the work is the product of
+    the numbers of distinct pairs, not of words."""
+    total = Counter()
+    lows = Counter(lows).items()
+    for (hk, hv), hc in Counter(highs).items():
+        for (lk, lv), lc in lows:
+            total[lv + hv + cross * lk * hk] += lc * hc
+    return total
+
+
+def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
+    """The tally of a descent statistic over subsets(n, shard, nshards).
+
+    In a mask h * 2**k + l, the low k bits of the descent mask
+    mask & ~(mask >> 1) are those of l, less bit k - 1 when bit 0 of h is
+    set (k + 1 is a member), and the high bits are those of h.  stat adds
+    up a weight per descent (less 1 for des when n is a member, a bit of l
+    or of h), so stat((n, mask)) is stat((n, l)) + stat((n, h * 2**k)), less
+    the weight of the descent at k when bit k - 1 of l and bit 0 of h are
+    set.  With k = n there is no h to take that descent away."""
+
+    def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
+        _check_shard(shard, nshards)
+        k = min(n, LOW_BITS)
+        lows = ((l >> (k - 1) if k else 0, stat((n, l))) for l in range(1 << k))
+        highs = ((h & 1, stat((n, h << k))) for h in range(shard, 1 << (n - k), nshards))
+        return _join_blocks(lows, highs, -stat((n, 1 << (k - 1))) if k < n else 0)
+
+    return tally
+
+
+def _path_tally(low_part: Callable[[str], tuple], high_part: Callable[[str], tuple]) -> Tally:
+    """The tally over all_paths(n, shard, nshards) of a statistic that
+    joins a low word L and a high word H as lv + hv + lk * hk, where
+    low_part(L) = (lk, lv) and high_part(H) = (hk, hv)."""
+
+    def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
+        _check_shard(shard, nshards)
+        low, highs = _path_halves(n, shard, nshards)
+        return _join_blocks(map(low_part, low), map(high_part, highs), 1)
+
+    return tally
+
+
+_SUBSET_TALLIES = {name: _subset_tally(fn) for name, fn in _SUBSET_STATS.items()}
+
+_PATH_TALLIES = {
+    # area(L + H) = area(L) + area(H) + E(L) * N(H)
+    "area": _path_tally(
+        lambda w: (w.count("E"), paths.area(w)), lambda w: (w.count("N"), paths.area(w))
+    ),
+    # a peak at the junction when L ends with N and H starts with E, or is
+    # empty and so ends in the virtual E
+    "peaks": _path_tally(
+        lambda w: (w.endswith("N"), len(paths.peak_set(w))),
+        lambda w: (not w.startswith("N"), len(paths.peak_star(w))),
+    ),
+}
+
+
 class ObjectClass(NamedTuple):
     """generate(size, shard, nshards) streams the class; format gives the
-    text form of one object; stats maps a statistic name to its evaluator."""
+    text form of one object; stats maps a statistic name to its evaluator;
+    tallies maps some of those names to tally(size, shard, nshards), the
+    Counter of the statistic over that shard stream, got without building
+    its objects."""
 
     generate: Callable[[int, int, int], Iterator]
     format: Callable[[object], str]
     stats: dict[str, Callable[[object], int]]
+    tallies: dict[str, Tally] = {}
 
 
 CLASSES: dict[str, ObjectClass] = {
@@ -385,8 +480,8 @@ CLASSES: dict[str, ObjectClass] = {
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
     "signed-all": ObjectClass(signed_perms, perms.format_perm, _SIGNED_STATS),
     "signed-sixavoiders": ObjectClass(_six_avoiders, perms.format_perm, _SIGNED_STATS),
-    "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS),
-    "paths-rect": ObjectClass(all_paths, str, _PATH_STATS),
+    "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS, _SUBSET_TALLIES),
+    "paths-rect": ObjectClass(all_paths, str, _PATH_STATS, _PATH_TALLIES),
 }
 
 CLASS_LABELS = tuple(CLASSES)

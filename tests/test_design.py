@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import centroinv
-from centroinv import kernels, paths, qpoly, signed, verify
+from centroinv import distrib, generate, kernels, paths, qpoly, signed, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "centroinv"
@@ -162,24 +162,30 @@ SHARED = {
 }
 
 
-def _package_calls(route) -> tuple[object, set[str]]:
-    """route() and the package functions it calls, nested code (generator
-    expressions, the census's rec) counted as its top-level function.  The
-    route's own body and the ring are left out."""
+def _traced_codes(route) -> tuple[object, set]:
+    """route() and the code objects of every function it calls."""
     codes = set()
 
     def profile(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
-    package = Path(centroinv.__file__).resolve().parent
-    own = route.__code__
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
         value = route()
     finally:
         sys.setprofile(old)
+    return value, codes
+
+
+def _package_calls(route) -> tuple[object, set[str]]:
+    """route() and the package functions it calls, nested code (generator
+    expressions, the census's rec) counted as its top-level function.  The
+    route's own body and the ring are left out."""
+    package = Path(centroinv.__file__).resolve().parent
+    own = route.__code__
+    value, codes = _traced_codes(route)
     calls = {
         f"{Path(code.co_filename).stem}.{code.co_qualname.split('.')[0]}"
         for code in codes
@@ -220,3 +226,21 @@ def test_compared_routes_share_no_code():
                         raw.add((driver, name))
     assert len(raw) == 3 + 3  # the even drivers' raw filters, T-odd's tallies
     assert shared == SHARED
+
+
+def test_no_route_reaches_a_block_tally():
+    # a block tally is a shortcut for stats, not a route: the drivers reach
+    # the class statistics one object at a time.  Only the two mask classes
+    # have tallies, each for a statistic the class defines
+    tallies = {label: set(c.tallies) for label, c in generate.CLASSES.items() if c.tallies}
+    assert tallies == {"subsets": {"des+", "maj+", "des"}, "paths-rect": {"area", "peaks"}}
+    for c in generate.CLASSES.values():
+        assert set(c.tallies) <= set(c.stats)
+    codes = {t.__code__ for c in generate.CLASSES.values() for t in c.tallies.values()}
+    # the tracer sees a tally where one runs
+    assert codes & _traced_codes(lambda: distrib.distribution("subsets", 3, "des"))[1]
+    for driver, routes in verify.ROUTES.items():
+        for n in range(4):
+            for table in routes(n):
+                for name, route in table.items():
+                    assert not codes & _traced_codes(route)[1], (driver, n, name)

@@ -18,7 +18,7 @@ from centroinv.distrib import (
     table_json,
     table_tsv,
 )
-from centroinv.generate import CLASS_LABELS, CLASSES
+from centroinv.generate import CLASS_LABELS, CLASSES, generate_class
 from centroinv.paths import area, peak_star
 from centroinv.qpoly import (
     full_des_poly,
@@ -82,6 +82,30 @@ SMALL = {
     "subsets": 5,
     "paths-rect": 5,
 }
+
+
+def test_block_tallies_equal_their_definitions():
+    # every pair with a block tally, shard by shard, against the Counter of
+    # its evaluator over the same shard stream.  Up to n = 13 every shard of
+    # every split is checked, with each object evaluated once per size.  At
+    # 18 and 19 (19 is past the 18-letter half-word table of paths.area)
+    # only shard 6 of 7 is, and that is most of the test's time
+    pairs = [(label, stat) for label in CLASSES for stat in CLASSES[label].tallies]
+    assert len(pairs) == 5
+    for label, stat in pairs:
+        fn, tally = CLASSES[label].stats[stat], CLASSES[label].tallies[stat]
+        for n in range(14):
+            value = {obj: fn(obj) for obj in generate_class(label, n)}
+            for nshards in (1, 2, 3, 4, 7):
+                for shard in range(nshards):
+                    stream = generate_class(label, n, shard, nshards)
+                    assert tally(n, shard, nshards) == Counter(map(value.__getitem__, stream)), (
+                        label, stat, n, shard, nshards)
+        for n in (18, 19):
+            stream = generate_class(label, n, 6, 7)
+            assert tally(n, 6, 7) == Counter(map(fn, stream)), (label, stat, n)
+    # paths-rect 8 has one high word, so shard 1 of 2 is idle
+    assert CLASSES["paths-rect"].tallies["area"](8, 1, 2) == Counter()
 
 
 def test_every_legal_pair_runs():
@@ -174,25 +198,26 @@ def test_even_low_table_built_once_per_distribution(monkeypatch):
 
 
 def _patch_shards(monkeypatch, child=None, caller=None):
-    """Wrap the shard streams distribution makes: when shard 0 is first read
-    it runs caller, when a shard >= 1 is first read it runs child, and a
-    missing hook reads the real stream alone.  The streams are made before
-    the fork, so each forked child reads its wrapped stream.  The CPU count
-    is set to 4, so up to 4 shards run."""
-    real = generate.generate_class
+    """Wrap the shard work distribution makes: the work of shard 0 runs
+    caller first, the work of a shard >= 1 runs child first, and a missing
+    hook runs the real work alone.  The work is made before the fork, so
+    each forked child runs its wrapped work.  The CPU count is set to 4, so
+    up to 4 shards run."""
+    real = distrib._shard_work
 
-    def patched(label, size, shard=0, nshards=1):
-        stream = real(label, size, shard, nshards)
-        hook = caller if shard == 0 else child
-
+    def hooked(hook, work):
         def wrapped():
             if hook is not None:
                 hook()
-            yield from stream
+            return work()
 
-        return wrapped()
+        return wrapped
 
-    monkeypatch.setattr(generate, "generate_class", patched)
+    def patched(*args):
+        work = real(*args)
+        return [hooked(caller if s == 0 else child, w) for s, w in enumerate(work)]
+
+    monkeypatch.setattr(distrib, "_shard_work", patched)
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
 
 
@@ -200,31 +225,49 @@ def boom():
     raise ValueError("boom")
 
 
+# the fork-protocol tests run a streamed class: inv321 8 has 8 outer steps,
+# so each of up to 4 shards reads a stream of its own
 def test_failed_shard_reaches_the_caller(monkeypatch):
     _patch_shards(monkeypatch, child=boom)
     with pytest.raises(RuntimeError, match="shard 1 of 3 failed: ValueError: boom"):
-        distribution("subsets", 8, "des", jobs=3)
+        distribution("inv321", 8, "maj", jobs=3)
+    assert_no_child_left()
+
+
+def test_failed_tally_reaches_the_caller(monkeypatch, forks):
+    real = CLASSES["subsets"].tallies["des"]
+
+    def tally(n, shard, nshards):
+        if shard == 1:
+            boom()
+        return real(n, shard, nshards)
+
+    monkeypatch.setitem(CLASSES["subsets"].tallies, "des", tally)
+    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    with pytest.raises(RuntimeError, match="shard 1 of 2 failed: ValueError: boom"):
+        distribution("subsets", 9, "des", jobs=2)
+    assert len(forks) == 1
     assert_no_child_left()
 
 
 def test_child_without_result_raises(monkeypatch):
     _patch_shards(monkeypatch, child=lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="shard 1 of 2 ended without a result"):
-        distribution("subsets", 8, "des", jobs=2)
+        distribution("inv321", 8, "maj", jobs=2)
     assert_no_child_left()
 
 
 def test_every_child_reaped(monkeypatch):
     monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
-    serial = distribution("subsets", 8, "des")
-    assert distribution("subsets", 8, "des", jobs=4) == serial
+    serial = distribution("inv321", 8, "maj")
+    assert distribution("inv321", 8, "maj", jobs=4) == serial
     assert_no_child_left()
     # the caller's own shard fails while the children are still busy: they
     # are killed, not waited out
     _patch_shards(monkeypatch, child=lambda: time.sleep(60), caller=boom)
     start = time.monotonic()
     with pytest.raises(ValueError, match="boom"):
-        distribution("subsets", 8, "des", jobs=4)
+        distribution("inv321", 8, "maj", jobs=4)
     assert time.monotonic() - start < 30
     assert_no_child_left()
 

@@ -159,6 +159,17 @@ def test_even_shard_builds_only_its_high_tables(monkeypatch):
 STREAM_SHARDS = (1, 2, 3, 4, 7)
 
 
+def test_subsets_keep_the_mask_order_shard_by_shard():
+    # the outer loop is the high word, as for the paths and the even class
+    for n in range(-1, 13):
+        blocks = mask_blocks(n)
+        for nshards in STREAM_SHARDS:
+            for k in range(nshards):
+                assert list(subsets(n, k, nshards)) == by_outer_step(
+                    blocks, k, nshards
+                ), (n, k, nshards)
+
+
 def test_paths_keep_the_mask_order_shard_by_shard():
     # n = 9 and 12 put one and four high bits above the reused low words
     for n in range(-1, 13):
@@ -341,8 +352,9 @@ def test_labels_and_formatting():
     assert format_object("inv321", (2, 1)) == "2 1"
     assert format_object("signed-all", (-2, 1)) == "-2 1"
     assert format_object("paths-rect", "NEN") == "NEN"
-    e = next(iter(generate_class("subsets", 3, 1, 2)))
-    assert format_object("subsets", e) == "1"
+    # shard 1 of 2 of subsets 9 starts at its high word 1, the mask 2**8
+    e = next(iter(generate_class("subsets", 9, 1, 2)))
+    assert format_object("subsets", e) == "9"
 
 
 def test_paths_class_covers_every_rectangle():
