@@ -6,10 +6,12 @@ q-polynomial), bijection (apply one of the named maps to one object), verify
 2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
 in ``enumerate ... | head``.
 
-``enumerate`` writes its first object and flushes it at once, then joins the
-rest into writes of at least ``WRITE_CHUNK`` characters, so a reader on a
-pipe is woken once per pipe-full and memory is bounded by one batch.  It has
-no cost budget: it streams, and the reader can stop it.
+``enumerate`` reads the class's text stream (``ObjectClass.texts``), writes
+its first text and flushes it at once, then reads the rest in lists and
+writes each list with one join (TSV) or one ``json.dumps`` (JSON), in writes
+of at least ``WRITE_CHUNK`` characters.  So a reader on a pipe is woken once
+per pipe-full and memory is bounded by one write.  It has no cost budget: it
+streams, and the reader can stop it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, repeat
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterator
 
 from centroinv import generate, matchings, paths, perms, rsk, signed
 from centroinv.distrib import STATS, distribution, table_json, table_tsv
@@ -123,19 +125,41 @@ BIJECTIONS = {
 WRITE_CHUNK = 1 << 16
 
 
-def _write_batched(head: str, texts: Iterator[str], tail: str) -> None:
-    """Write head, every text and then tail to stdout.  The first text goes out
-    with head and is flushed at once; the rest is joined into writes of at
-    least WRITE_CHUNK characters, the last of which ends with tail.  At most
-    one batch is held in memory."""
+def _write_chunked(
+    head: str, texts: Iterator[str], dump: Callable[[list[str]], str], sep: str, tail: str
+) -> None:
+    """Write head, every text and then tail to stdout, where dump(chunk) is
+    the output of a list of texts and sep comes before every chunk but the
+    first.  The first text goes out with head and is flushed at once.  The
+    rest is read in chunks and joined into writes of at least WRITE_CHUNK
+    characters, the last of which ends with tail.  A chunk takes the texts
+    that should fill half the room left in the write, at the mean output per
+    text so far, and never more texts than were already read.  So a write
+    ends at most one text past WRITE_CHUNK unless texts grow to twice that
+    mean within a chunk, a short first text cannot make one chunk take the
+    whole stream, and at most one write is held in memory."""
     out = sys.stdout
-    out.write(head + next(texts, ""))
+    first = list(islice(texts, 1))
+    if not first:
+        out.write(head + tail)
+        return
+    text = dump(first)
+    out.write(head + text)
     out.flush()
+    seen, written = 1, len(text)
     batch: list[str] = []
     size = 0
-    for text in texts:
+    while True:
+        want = -(-(WRITE_CHUNK - size) * seen // (2 * written))
+        chunk = list(islice(texts, min(want, seen)))
+        if not chunk:
+            break
+        seen += len(chunk)
+        text = sep + dump(chunk)
+        del chunk  # its texts go before the next chunk is read
         batch.append(text)
         size += len(text)
+        written += len(text)
         if size >= WRITE_CHUNK:
             out.write("".join(batch))
             batch = []
@@ -144,19 +168,25 @@ def _write_batched(head: str, texts: Iterator[str], tail: str) -> None:
     out.write("".join(batch))
 
 
+def _json_items(chunk: list[str]) -> str:
+    # the items of a JSON list, as json.dumps separates them
+    return json.dumps(chunk)[1:-1]
+
+
+def _tsv_lines(chunk: list[str]) -> str:
+    return "\n".join(chunk) + "\n"
+
+
 def _cmd_enumerate(args) -> int:
     size = _int(args.size)
     _check_built(args.size, size)
-    fmt = generate.object_class(args.label).format
-    texts = map(fmt, generate.generate_class(args.label, size))
+    texts = generate.class_texts(args.label, size)
     if args.format == "json":
         # the same bytes as json.dumps of the whole document
         head = json.dumps({"class": args.label, "size": size, "objects": []})
-        seps = chain(("",), repeat(", "))
-        items = map(str.__add__, seps, map(json.dumps, texts))
-        _write_batched(head[:-2], items, "]}\n")
+        _write_chunked(head[:-2], texts, _json_items, ", ", "]}\n")
     else:
-        _write_batched("", map(str.__add__, texts, repeat("\n")), "")
+        _write_chunked("", texts, _tsv_lines, "", "")
     return 0
 
 

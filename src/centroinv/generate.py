@@ -42,15 +42,24 @@ generator yields nothing for a negative size.  Calling a generator checks its
 arguments and builds no table until the stream is read, so a stream that is
 made and dropped costs next to nothing.
 
-CLASSES is the one place that names the object classes.  Beside its
-per-object evaluators in stats, a class may list block tallies in tallies:
-tally(size, shard, nshards) is the Counter of a statistic over that shard
-stream, got without building an object.  subsets tallies des+, maj+ and des,
-and paths-rect tallies area and peaks: each statistic is a share of the low
-word plus a share of the high word plus a term that crosses the boundary,
-so a tally groups the 2**k low words by what crosses, walks the shard's high
-words over the same outer loop as the stream and joins the two groupings.
-The evaluators stay the definition, and the drivers read no tally.
+CLASSES is the one place that names the object classes.  Its texts(size)
+streams format(obj) for each object of generate(size), by default one format
+call per object.  Three classes give their own text stream, with no Python
+step per object: cinv321_even runs the same block loop with its low table
+written as decimal text, so each object is one join of a gathered tuple of
+strings; signed-all takes the products over the texts of its sign pairs;
+and a word of paths-rect is its own text.  The format functions stay the
+per-object definition.
+
+Beside its per-object evaluators in stats, a class may list block tallies in
+tallies: tally(size, shard, nshards) is the Counter of a statistic over that
+shard stream, got without building an object.  subsets tallies des+, maj+
+and des, and paths-rect tallies area and peaks: each statistic is a share of
+the low word plus a share of the high word plus a term that crosses the
+boundary, so a tally groups the 2**k low words by what crosses, walks the
+shard's high words over the same outer loop as the stream and joins the two
+groupings.  The evaluators stay the definition, and the drivers read no
+tally.
 """
 
 from __future__ import annotations
@@ -129,9 +138,22 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
     (v, -v) are listed from the last position to the first and each product
     is read back to front."""
     _check_shard(shard, nshards)
+    return _signed_windows(n, shard, nshards, int)
+
+
+def _signed_texts(n: int) -> Iterator[str]:
+    """format_perm of each window of signed_perms(n), from the products of
+    the sign pairs written as text."""
+    return map(" ".join, _signed_windows(n, 0, 1, perms._TEXT.__getitem__))
+
+
+def _signed_windows(
+    n: int, shard: int, nshards: int, entry: Callable[[int], object]
+) -> Iterator[tuple]:
+    # the windows of signed_perms, with every entry v given as entry(v)
     taus = _permutations(range(1, n + 1)) if n >= 0 else ()
     return chain.from_iterable(
-        map(_BACK_TO_FRONT, product(*[(v, -v) for v in reversed(tau)]))
+        map(_BACK_TO_FRONT, product(*[(entry(v), entry(-v)) for v in reversed(tau)]))
         for tau in islice(taus, shard, None, nshards)
     )
 
@@ -242,23 +264,42 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     the high values, the partners of the r openers and all their mirrors
     out of a source.  One object is then two itemgetter calls and one tuple
     concatenation."""
-    if m % 2:
-        raise ValueError("even size required")
+    _check_even(m)
     _check_shard(shard, nshards)
     return chain.from_iterable(_even_blocks(m // 2, shard, nshards) if m >= 0 else ())
 
 
-def _even_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[Perm]]:
+def _even_texts(m: int) -> Iterator[str]:
+    """format_perm of each object of cinv321_even(m), from the same blocks
+    with the values of the low table written as text."""
+    _check_even(m)
+    return chain.from_iterable(_even_blocks(m // 2, 0, 1, text=True) if m >= 0 else ())
+
+
+def _check_even(m: int) -> None:
+    if m % 2:
+        raise ValueError("even size required")
+
+
+def _even_blocks(n: int, shard: int, nshards: int, text: bool = False) -> Iterator[Iterator]:
     # one block of objects per high word h of the shard; the low table is
     # built on first read, and the high table of h only when its block is
     # reached.  A low entry holds O(n) values, so k shrinks as n grows and
-    # the low table stays under 2**(2 * LOW_BITS) cells
+    # the low table stays under 2**(2 * LOW_BITS) cells.  With text, the
+    # gathers read decimal texts, mapped once per table, and each object is
+    # one join of them
     k = min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
     counts, sources, consts, gathers = _even_low_table(n, k)
+    if text:
+        sources, consts = (
+            [tuple(map(perms._TEXT.__getitem__, values)) for values in table]
+            for table in (sources, consts)
+        )
     for h in range(shard, 1 << (n - k), nshards):
         highs = _even_high_table(n, k, h)
         high = map(_CALL, map(highs.__getitem__, counts), sources)
-        yield map(_CALL, gathers, map(add, consts, high))
+        block = map(_CALL, gathers, map(add, consts, high))
+        yield map(" ".join, block) if text else block
 
 
 # itemgetter's own call slot, applied by map to (getter, source) pairs; it
@@ -466,22 +507,39 @@ class ObjectClass(NamedTuple):
     text form of one object; stats maps a statistic name to its evaluator;
     tallies maps some of those names to tally(size, shard, nshards), the
     Counter of the statistic over that shard stream, got without building
-    its objects."""
+    its objects; text_stream, where given, is what texts(size) returns."""
 
     generate: Callable[[int, int, int], Iterator]
     format: Callable[[object], str]
     stats: dict[str, Callable[[object], int]]
     tallies: dict[str, Tally] = {}
+    text_stream: Callable[[int], Iterator[str]] | None = None
+
+    def texts(self, size: int) -> Iterator[str]:
+        """format(obj) for each object of generate(size), in stream order;
+        checked, like generate, when called.
+
+        >>> list(CLASSES["cinv321-even"].texts(4))
+        ['1 2 3 4', '2 1 4 3', '1 3 2 4', '3 4 1 2']
+        """
+        if self.text_stream is None:
+            return map(self.format, self.generate(size, 0, 1))
+        return self.text_stream(size)
 
 
 CLASSES: dict[str, ObjectClass] = {
-    "cinv321-even": ObjectClass(cinv321_even, perms.format_perm, _PERM_STATS),
+    "cinv321-even": ObjectClass(
+        cinv321_even, perms.format_perm, _PERM_STATS, text_stream=_even_texts
+    ),
     "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
-    "signed-all": ObjectClass(signed_perms, perms.format_perm, _SIGNED_STATS),
+    "signed-all": ObjectClass(
+        signed_perms, perms.format_perm, _SIGNED_STATS, text_stream=_signed_texts
+    ),
     "signed-sixavoiders": ObjectClass(_six_avoiders, perms.format_perm, _SIGNED_STATS),
     "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS, _SUBSET_TALLIES),
-    "paths-rect": ObjectClass(all_paths, str, _PATH_STATS, _PATH_TALLIES),
+    # a path is its own text
+    "paths-rect": ObjectClass(all_paths, str, _PATH_STATS, _PATH_TALLIES, all_paths),
 }
 
 CLASS_LABELS = tuple(CLASSES)
@@ -497,10 +555,19 @@ def object_class(label: str) -> ObjectClass:
 def generate_class(label: str, size: int, shard: int = 0, nshards: int = 1):
     """Stream one of the named classes at the given size; the label and the
     size are checked before anything is built."""
+    return _sized_class(label, size).generate(size, shard, nshards)
+
+
+def class_texts(label: str, size: int) -> Iterator[str]:
+    """The texts of generate_class(label, size), checked the same way."""
+    return _sized_class(label, size).texts(size)
+
+
+def _sized_class(label: str, size: int) -> ObjectClass:
     cls = object_class(label)
     if size < 0:
         raise ValueError(f"size must be non-negative (got {size})")
-    return cls.generate(size, shard, nshards)
+    return cls
 
 
 def format_object(label: str, obj) -> str:

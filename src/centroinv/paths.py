@@ -28,12 +28,13 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-ALPHABET = frozenset("NE")
 _BIT_STEP = str.maketrans("01", "EN")
 
 
 def check_path(word: str) -> None:
-    if set(word) - ALPHABET:
+    # strip stops at the first letter other than N or E, so any such letter
+    # is left over
+    if word.strip("NE"):
         raise ValueError(f"path must use letters N and E only: {word!r}")
 
 

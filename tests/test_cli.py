@@ -434,34 +434,113 @@ class RecordingStream:
         self.log.append(("flush",))
 
 
-@pytest.mark.parametrize("fmt", ["tsv", "json"])
-def test_enumerate_write_pattern(monkeypatch, fmt):
-    label, size = "cinv321-even", 24
-    log = []
+class ClosingStream(RecordingStream):
+    """A RecordingStream whose reader goes away after a number of writes: the
+    next write raises BrokenPipeError.  Its file descriptor is one of the
+    null device, which main may point at the null device again."""
+
+    def __init__(self, log, writes, null):
+        super().__init__(log)
+        self.writes = writes
+        self.null = null
+
+    def write(self, text):
+        if self.writes == 0:
+            raise BrokenPipeError
+        self.writes -= 1
+        return super().write(text)
+
+    def fileno(self):
+        return self.null.fileno()
+
+
+def log_texts(monkeypatch, label, log):
+    """Put an "object" entry in log as the class's text stream yields each
+    text."""
     cls = generate.CLASSES[label]
 
-    def logged(*args):
-        for obj in cls.generate(*args):
+    def logged(size):
+        for text in cls.texts(size):
             log.append(("object",))
-            yield obj
+            yield text
 
-    monkeypatch.setitem(generate.CLASSES, label, cls._replace(generate=logged))
+    monkeypatch.setitem(generate.CLASSES, label, cls._replace(text_stream=logged))
+
+
+def head_of(label, size, fmt):
+    """What enumerate writes before the first object."""
+    if fmt == "tsv":
+        return ""
+    return json.dumps({"class": label, "size": size, "objects": []})[:-2]
+
+
+def check_write_pattern(monkeypatch, label, size, fmt):
+    log = []
+    log_texts(monkeypatch, label, log)
     monkeypatch.setattr(sys, "stdout", RecordingStream(log))
     assert main(["enumerate", "--class", label, "--size", str(size), "--format", fmt]) == 0
     writes = [e[1] for e in log if e[0] == "write"]
     out = "".join(writes)
 
-    first = " ".join(map(str, range(1, size + 1)))
+    first = format_object(label, next(generate_class(label, size)))
     if fmt == "json":
-        head = json.dumps({"class": label, "size": size, "objects": []})[:-2]
-        assert writes[0] == head + json.dumps(first)
+        assert writes[0] == head_of(label, size, fmt) + json.dumps(first)
     else:
         assert writes[0] == first + "\n"
     # the first object is written and flushed before the second is built
     assert log[:4] == [("object",), ("write", writes[0]), ("flush",), ("object",)]
     assert all(len(w) >= WRITE_CHUNK for w in writes[1:-1])
+    # and no write goes more than one object past WRITE_CHUNK
+    longest = max(len(json.dumps(t)) + 2 for t in generate.class_texts(label, size))
+    assert all(len(w) < WRITE_CHUNK + longest for w in writes[1:])
     assert len(writes) <= -(-len(out) // WRITE_CHUNK) + 3
     assert len(writes) > 3
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_enumerate_write_pattern(monkeypatch, fmt):
+    # texts of one length
+    check_write_pattern(monkeypatch, "cinv321-even", 24, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_enumerate_write_pattern_of_texts_that_vary(monkeypatch, fmt):
+    # texts of many lengths, the first of them empty
+    check_write_pattern(monkeypatch, "subsets", 14, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_enumerate_writes_an_object_longer_than_a_chunk_alone(monkeypatch, fmt):
+    # every path of this size is longer than WRITE_CHUNK, so each write after
+    # the first holds one path, and no path is built before it is written
+    label, size = "paths-rect", WRITE_CHUNK + 100
+    log = []
+    log_texts(monkeypatch, label, log)
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", ClosingStream(log, 4, null))
+        argv = ["enumerate", "--class", label, "--size", str(size), "--format", fmt]
+        assert main(argv) == 141
+    writes = [e[1] for e in log if e[0] == "write"]
+    assert len(writes) == 4
+    assert writes[0] == head_of(label, size, fmt) + (
+        json.dumps("E" * size) if fmt == "json" else "E" * size + "\n"
+    )
+    assert log[:4] == [("object",), ("write", writes[0]), ("flush",), ("object",)]
+    one = size + (4 if fmt == "json" else 1)  # a path, quoted after ", "
+    assert [len(w) for w in writes[1:]] == [one] * 3
+    # the fifth path was built for the write that failed, and no sixth
+    assert log.count(("object",)) == 5
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize(
+    "label,size,want", [("cinv321-even", 3, "even"), ("cinv321-odd", 4, "odd")]
+)
+def test_wrong_parity_exits_2_before_any_output(capsys, label, size, want, fmt):
+    code, out, err = run(
+        capsys, "enumerate", "--class", label, "--size", str(size), "--format", fmt
+    )
+    assert (code, out, err) == (2, "", f"error: {want} size required\n")
 
 
 def close_after_first(argv, first):

@@ -1,6 +1,8 @@
 """Design rules that hold for the package as a whole."""
 
 import ast
+import doctest
+import importlib
 import os
 import subprocess
 import sys
@@ -45,6 +47,19 @@ def test_every_package_name_has_a_caller():
         used |= _referenced(ast.parse(path.read_text()))
     unused = [f"{mod}.{name}" for mod, name in defined if name not in used]
     assert not unused, "only the tests call " + ", ".join(unused)
+
+
+#: every module of the package, by its import name
+MODULES = sorted(
+    "centroinv" if path.stem == "__init__" else f"centroinv.{path.stem}"
+    for path in PACKAGE.glob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_doctests(module):
+    # every example in a docstring of the package runs as written
+    assert doctest.testmod(importlib.import_module(module)).failed == 0
 
 
 def test_census_imports_nothing_from_the_package():

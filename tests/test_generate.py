@@ -11,6 +11,7 @@ from centroinv import generate, paths
 from centroinv.generate import (
     CLASS_LABELS,
     CLASSES,
+    LOW_BITS,
     all_paths,
     centro_perms,
     cinv321_even,
@@ -27,6 +28,7 @@ from centroinv.matchings import subset_involution
 from centroinv.perms import (
     contains_321,
     des,
+    format_perm,
     half_des,
     half_maj,
     is_centrosymmetric,
@@ -257,6 +259,42 @@ def test_even_class_low_table_shrinks_as_the_size_grows():
     serial = list(islice(cinv321_even(512), 1 << 10))
     assert serial == list(map(subset_involution, islice(subsets(256), 1 << 10)))
     assert list(islice(cinv321_even(512, 1, 3), 129)) == serial[128:256] + serial[512:513]
+
+
+#: sizes for the text streams: the mask classes on both sides of LOW_BITS
+TEXT_SIZES = {
+    "cinv321-even": range(0, 2 * LOW_BITS + 7, 2),
+    "cinv321-odd": range(1, 14, 2),
+    "inv321": range(11),
+    "signed-all": range(7),
+    "signed-sixavoiders": range(6),
+    "subsets": range(LOW_BITS + 4),
+    "paths-rect": range(LOW_BITS + 4),
+}
+
+
+@pytest.mark.parametrize("label", CLASS_LABELS)
+def test_text_streams_equal_the_format_of_each_object(label):
+    cls = CLASSES[label]
+    for size in TEXT_SIZES[label]:
+        assert list(cls.texts(size)) == list(map(cls.format, cls.generate(size, 0, 1))), size
+
+
+def test_even_class_texts_where_the_low_table_shrinks():
+    # k is 7 at n = 256: blocks of 128 masks
+    texts = list(islice(CLASSES["cinv321-even"].texts(512), 2_000))
+    assert texts == list(map(format_perm, islice(cinv321_even(512), 2_000)))
+
+
+def test_text_streams_check_their_arguments_when_called():
+    with pytest.raises(ValueError, match="even size"):
+        CLASSES["cinv321-even"].texts(5)
+    with pytest.raises(ValueError, match="odd size"):
+        CLASSES["cinv321-odd"].texts(4)
+    with pytest.raises(ValueError, match="non-negative"):
+        generate.class_texts("signed-all", -1)
+    with pytest.raises(ValueError, match="unknown class"):
+        generate.class_texts("nope", 2)
 
 
 def test_pruned_walk_equals_filtered_involutions():
