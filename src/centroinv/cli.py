@@ -12,6 +12,15 @@ writes each list with one join (TSV) or one ``json.dumps`` (JSON), in writes
 of at least ``WRITE_CHUNK`` characters.  So a reader on a pipe is woken once
 per pipe-full and memory is bounded by one write.  It has no cost budget: it
 streams, and the reader can stop it.
+
+Each command loads only the modules it runs.  The parser adds the arguments
+of the named subcommand alone, since adding an argument formats its choices
+and so loads the module they come from.  Every command loads perms,
+matchings, paths and signed; enumerate adds generate, stats generate,
+distrib and qpoly, and verify every module.  bijection loads rsk, and with
+it qpoly, only for the three maps that use rsk.  The commands call
+distribution and verify through the names this module binds, which load
+their modules on first call and which a caller may rebind.
 """
 
 from __future__ import annotations
@@ -23,9 +32,7 @@ import sys
 from itertools import islice
 from typing import Callable, Iterator
 
-from centroinv import generate, matchings, paths, perms, rsk, signed
-from centroinv.distrib import STATS, distribution, table_json, table_tsv
-from centroinv.verify import THEOREMS, report_json, report_tsv, verify
+from centroinv import matchings, paths, perms, signed
 
 
 def _int(raw: str) -> int:
@@ -56,6 +63,13 @@ def _check_built(raw: str, built: int) -> None:
             f"--size {raw} would build {built} points or path letters;"
             f" the limit is {MAX_BUILT}"
         )
+
+
+def _rsk():
+    # rsk, and the qpoly ring it builds on, for the three maps that use it
+    from centroinv import rsk
+
+    return rsk
 
 
 # name -> (number of --size parts, points or path letters built per unit of
@@ -107,15 +121,15 @@ BIJECTIONS = {
     ),
     "rsk-path": (
         0, 1,
-        lambda text: rsk.involution_path(perms.parse_perm(text)),
+        lambda text: _rsk().involution_path(perms.parse_perm(text)),
     ),
     "theta-rect": (
         2, 1,
-        lambda text, a, b: rsk.theta_rect(perms.parse_perm(text), a, b),
+        lambda text, a, b: _rsk().theta_rect(perms.parse_perm(text), a, b),
     ),
     "theta-rect-inverse": (
         2, 1,
-        lambda text, a, b: perms.format_perm(rsk.theta_rect_inverse(text, a, b)),
+        lambda text, a, b: perms.format_perm(_rsk().theta_rect_inverse(text, a, b)),
     ),
 }
 
@@ -177,10 +191,28 @@ def _tsv_lines(chunk: list[str]) -> str:
     return "\n".join(chunk) + "\n"
 
 
+def distribution(label: str, size: int, stat: str, jobs: int = 1):
+    """distrib.distribution, loaded on first call; stats calls it by this
+    name."""
+    from centroinv.distrib import distribution
+
+    return distribution(label, size, stat, jobs)
+
+
+def verify(theorem_id: str, max_size: int | None = None):
+    """verify.verify, loaded on first call; the verify command calls it by
+    this name."""
+    from centroinv.verify import verify
+
+    return verify(theorem_id, max_size)
+
+
 def _cmd_enumerate(args) -> int:
+    from centroinv.generate import class_texts
+
     size = _int(args.size)
     _check_built(args.size, size)
-    texts = generate.class_texts(args.label, size)
+    texts = class_texts(args.label, size)
     if args.format == "json":
         # the same bytes as json.dumps of the whole document
         head = json.dumps({"class": args.label, "size": size, "objects": []})
@@ -191,6 +223,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from centroinv.distrib import table_json, table_tsv
+
     size = _int(args.size)
     _check_built(args.size, size)
     table = distribution(args.label, size, args.stat, jobs=_int(args.jobs))
@@ -216,6 +250,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from centroinv.verify import THEOREMS, report_json, report_tsv
+
     names = sorted(THEOREMS) if args.name == "all" else [args.name]
     max_n = None if args.max_n is None else _int(args.max_n)
     reports = [verify(name, max_n) for name in names]
@@ -232,7 +268,57 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _enumerate_arguments(en: argparse.ArgumentParser) -> None:
+    from centroinv.generate import CLASS_LABELS
+
+    en.add_argument("--class", dest="label", required=True, choices=CLASS_LABELS)
+    en.add_argument("--size", required=True)
+    en.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    en.set_defaults(func=_cmd_enumerate)
+
+
+def _stats_arguments(st: argparse.ArgumentParser) -> None:
+    from centroinv.distrib import STATS
+    from centroinv.generate import CLASS_LABELS
+
+    st.add_argument("--class", dest="label", required=True, choices=CLASS_LABELS)
+    st.add_argument("--size", required=True)
+    st.add_argument("--stat", required=True, choices=STATS)
+    st.add_argument("--jobs", default="1")
+    st.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    st.set_defaults(func=_cmd_stats)
+
+
+def _bijection_arguments(bj: argparse.ArgumentParser) -> None:
+    bj.add_argument("--name", required=True, choices=sorted(BIJECTIONS))
+    bj.add_argument("--apply", dest="text", required=True, metavar="OBJECT")
+    bj.add_argument("--size", default=None, help="context size where needed: N or A,B")
+    bj.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    bj.set_defaults(func=_cmd_bijection)
+
+
+def _verify_arguments(vf: argparse.ArgumentParser) -> None:
+    from centroinv.verify import THEOREMS
+
+    vf.add_argument("--name", required=True, choices=sorted(THEOREMS) + ["all"])
+    vf.add_argument("--max-n", dest="max_n", default=None)
+    vf.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    vf.set_defaults(func=_cmd_verify)
+
+
+#: subcommand -> (its help, the function that adds its arguments)
+COMMANDS = {
+    "enumerate": ("stream every object of a class", _enumerate_arguments),
+    "stats": ("statistic distribution over a class", _stats_arguments),
+    "bijection": ("apply a named map to one object", _bijection_arguments),
+    "verify": ("run a theorem driver", _verify_arguments),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv, with every subcommand and its help but only the
+    arguments of the subcommand argv names: its first argument that is not
+    an option, which is where argparse reads the subcommand."""
     parser = argparse.ArgumentParser(
         prog="centroinv",
         description=(
@@ -241,39 +327,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    en = sub.add_parser("enumerate", help="stream every object of a class")
-    en.add_argument("--class", dest="label", required=True, choices=generate.CLASS_LABELS)
-    en.add_argument("--size", required=True)
-    en.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    en.set_defaults(func=_cmd_enumerate)
-
-    st = sub.add_parser("stats", help="statistic distribution over a class")
-    st.add_argument("--class", dest="label", required=True, choices=generate.CLASS_LABELS)
-    st.add_argument("--size", required=True)
-    st.add_argument("--stat", required=True, choices=STATS)
-    st.add_argument("--jobs", default="1")
-    st.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    st.set_defaults(func=_cmd_stats)
-
-    bj = sub.add_parser("bijection", help="apply a named map to one object")
-    bj.add_argument("--name", required=True, choices=sorted(BIJECTIONS))
-    bj.add_argument("--apply", dest="text", required=True, metavar="OBJECT")
-    bj.add_argument("--size", default=None, help="context size where needed: N or A,B")
-    bj.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    bj.set_defaults(func=_cmd_bijection)
-
-    vf = sub.add_parser("verify", help="run a theorem driver")
-    vf.add_argument("--name", required=True, choices=sorted(THEOREMS) + ["all"])
-    vf.add_argument("--max-n", dest="max_n", default=None)
-    vf.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    vf.set_defaults(func=_cmd_verify)
-
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_arguments(command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -14,7 +14,10 @@ block of objects rather than per object.  all_paths joins the words of the
 low LOW_BITS bits of a mask, built once, to each word of its high bits as
 those stream, so it holds at most 2**LOW_BITS words for any n.
 signed_perms takes, for each tau, itertools.product over the sign pairs of
-tau.
+tau.  The six-avoiders come from the same loop over tau with no window
+tested: the two conditions in centroinv.signed act on each entry of tau
+alone, so the avoiders of tau are the product of the signs each entry may
+take, and a tau with a middle entry that is not a prefix minimum has none.
 
 cinv321_even is built the same way, on the FIFO view of the subset bijection
 (see centroinv.matchings): the scans of the low k bits of a mask, built once,
@@ -44,36 +47,48 @@ made and dropped costs next to nothing.
 
 CLASSES is the one place that names the object classes.  Its texts(size)
 streams format(obj) for each object of generate(size), by default one format
-call per object.  Three classes give their own text stream, with no Python
+call per object.  Four classes give their own text stream, with no Python
 step per object: cinv321_even runs the same block loop with its low table
 written as decimal text, so each object is one join of a gathered tuple of
 strings; signed-all takes the products over the texts of its sign pairs;
-and a word of paths-rect is its own text.  The format functions stay the
+subsets joins the texts of its low words to the text of each high word; and
+a word of paths-rect is its own text.  The format functions stay the
 per-object definition.
 
 Beside its per-object evaluators in stats, a class may list block tallies in
 tallies: tally(size, shard, nshards) is the Counter of a statistic over that
-shard stream, got without building an object.  subsets tallies des+, maj+
-and des, and paths-rect tallies area and peaks: each statistic is a share of
-the low word plus a share of the high word plus a term that crosses the
-boundary, so a tally groups the 2**k low words by what crosses, walks the
-shard's high words over the same outer loop as the stream and joins the two
-groupings.  The evaluators stay the definition, and the drivers read no
-tally.
+shard stream, got without building an object, over the same outer loop as
+the stream.  Every class but inv321 and cinv321-odd tallies each of its
+statistics:
+
+* subsets (des+, maj+, des) and paths-rect (area, peaks): each statistic is
+  a share of the low word plus a share of the high word plus a term that
+  crosses the boundary, so a tally groups the 2**k low words by what
+  crosses, walks the shard's high words and joins the two groupings;
+* cinv321-even: the half-descents and fixed points of the low positions are
+  a function of l, those of the high positions a function of h and of the
+  openers l leaves pending, so the low words are grouped by that number;
+* signed-all and signed-sixavoiders: whether s_i > s_i+1 depends only on the
+  two signs and on whether tau rises at i, so tau is grouped by its signs,
+  rises and fixed points and a two-state transfer runs over the signs.
+
+The even and signed tallies read each statistic as weights of the
+half-descents and fixed points (_HALF_WEIGHTS).  The evaluators stay the
+definition, and the drivers read no tally.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, islice, product, repeat
+from itertools import accumulate, chain, islice, product, repeat
 from itertools import permutations as _permutations
-from operator import add, itemgetter
+from operator import add, eq, itemgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from centroinv import matchings, paths, perms
 from centroinv.matchings import Subset, odd_join
 from centroinv.perms import Perm
-from centroinv.signed import SignedPerm, is_top_element, unfold_window
+from centroinv.signed import SignedPerm, unfold_window
 
 
 #: bits of a mask whose words (all_paths) or FIFO scans (cinv321_even) are
@@ -151,10 +166,9 @@ def _signed_windows(
     n: int, shard: int, nshards: int, entry: Callable[[int], object]
 ) -> Iterator[tuple]:
     # the windows of signed_perms, with every entry v given as entry(v)
-    taus = _permutations(range(1, n + 1)) if n >= 0 else ()
     return chain.from_iterable(
         map(_BACK_TO_FRONT, product(*[(entry(v), entry(-v)) for v in reversed(tau)]))
-        for tau in islice(taus, shard, None, nshards)
+        for tau in _shard_taus(n, shard, nshards)
     )
 
 
@@ -173,6 +187,24 @@ def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
     k = min(n, LOW_BITS)
     blocks = (range(h << k, (h + 1) << k) for h in range(shard, 1 << (n - k), nshards))
     return zip(repeat(n), chain.from_iterable(blocks))
+
+
+def _subset_texts(n: int) -> Iterator[str]:
+    """format_subset of each subset of subsets(n), in blocks as all_paths
+    builds its words: the text of a mask h * 2**k + l is the text of l, then
+    a comma when both are non-empty, then the members k+1..n of h."""
+    return chain.from_iterable(_subset_text_blocks(n) if n >= 0 else ())
+
+
+def _subset_text_blocks(n: int) -> Iterator[Iterator[str]]:
+    # the 2**k low texts are built on first read; after the first high
+    # word, h = 0, they carry their comma
+    k = min(n, LOW_BITS)
+    low = list(map(matchings.format_subset, subsets(k)))
+    yield iter(low)
+    low = [text + "," if text else text for text in low]
+    for h in range(1, 1 << (n - k)):
+        yield map(add, low, repeat(matchings.format_subset((n, h << k))))
 
 
 def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
@@ -214,7 +246,8 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     mid completes a 321 whatever follows, so that branch is cut: a point
     already filled by an earlier partner below mid ends the branch, and so
     does an unplaced point i below mid, since the value i will land right of
-    mid.  Every partner j >= i is then above mid."""
+    mid, and so does a later point already filled below mid, found before
+    the walk reaches it.  Every partner j >= i is then above mid."""
     _check_shard(shard, nshards)
     if m <= 0:
         return iter([()] if m == 0 and shard == 0 else [])
@@ -233,6 +266,9 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
             return
         if mid > i:  # the value i lands right of mid: a 321
             return
+        for j in range(i + 1, m + 1):
+            if 0 < vals[j] < mid:  # a placed later value below mid: a 321
+                return
         for j in range(i, m + 1):
             if vals[j] or (i == 1 and (j - 1) % nshards != shard):
                 continue
@@ -284,11 +320,9 @@ def _check_even(m: int) -> None:
 def _even_blocks(n: int, shard: int, nshards: int, text: bool = False) -> Iterator[Iterator]:
     # one block of objects per high word h of the shard; the low table is
     # built on first read, and the high table of h only when its block is
-    # reached.  A low entry holds O(n) values, so k shrinks as n grows and
-    # the low table stays under 2**(2 * LOW_BITS) cells.  With text, the
-    # gathers read decimal texts, mapped once per table, and each object is
-    # one join of them
-    k = min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
+    # reached.  With text, the gathers read decimal texts, mapped once per
+    # table, and each object is one join of them
+    k = _even_low_bits(n)
     counts, sources, consts, gathers = _even_low_table(n, k)
     if text:
         sources, consts = (
@@ -300,6 +334,13 @@ def _even_blocks(n: int, shard: int, nshards: int, text: bool = False) -> Iterat
         high = map(_CALL, map(highs.__getitem__, counts), sources)
         block = map(_CALL, gathers, map(add, consts, high))
         yield map(" ".join, block) if text else block
+
+
+def _even_low_bits(n: int) -> int:
+    # k of a mask h * 2**k + l of n bits in the even class's stream and
+    # tallies.  A low entry holds O(n) values, so k shrinks as n grows and
+    # the low table stays under 2**(2 * LOW_BITS) cells
+    return min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
 
 
 # itemgetter's own call slot, applied by map to (getter, source) pairs; it
@@ -400,8 +441,55 @@ def cinv321_odd(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
 
 
 def _six_avoiders(n: int, shard: int, nshards: int) -> Iterator[SignedPerm]:
-    """Signed windows avoiding the six patterns."""
-    return filter(is_top_element, signed_perms(n, shard, nshards))
+    """The windows of signed_perms(n, shard, nshards) that avoid the six
+    patterns, in the same order, with no window tested: for each tau, the
+    product of the signs that each entry may take (_avoider_signs)."""
+    _check_shard(shard, nshards)
+    return chain.from_iterable(_avoider_blocks(n, shard, nshards))
+
+
+def _avoider_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[SignedPerm]]:
+    # one block of windows per tau of the shard that has any
+    for tau in _shard_taus(n, shard, nshards):
+        signs = _avoider_signs(tau)
+        if signs is not None:
+            factors = [tuple(v * sign for sign in choice) for v, choice in zip(tau, signs)]
+            yield map(_BACK_TO_FRONT, product(*reversed(factors)))
+
+
+def _shard_taus(n: int, shard: int, nshards: int) -> Iterator[Perm]:
+    # the outer loop of every signed stream and tally
+    return islice(_permutations(range(1, n + 1)), shard, None, nshards) if n >= 0 else iter(())
+
+
+def _any_signs(tau: Perm) -> tuple[tuple[int, ...], ...]:
+    # every entry of a window of signed-all may take either sign
+    return ((1, -1),) * len(tau)
+
+
+# the signs an entry of tau may take, by (it is a prefix minimum of tau, it
+# is a middle); a middle that is not a prefix minimum has none
+_AVOIDER_SIGNS = {(False, False): (1,), (True, False): (1, -1), (True, True): (-1,)}
+
+
+def _avoider_signs(tau: Perm) -> tuple[tuple[int, ...], ...] | None:
+    """The signs each entry of tau may take in a window that avoids the six
+    patterns, or None when no choice of signs avoids them.  The two
+    conditions of centroinv.signed act on each entry alone: a negative entry
+    is a prefix minimum of tau, and a middle, an entry with an earlier larger
+    and a later smaller one, is negative.
+
+    >>> _avoider_signs((2, 1, 3)), _avoider_signs((2, 4, 3, 1))
+    (((1, -1), (1, -1), (1,)), None)
+    """
+    later = [*accumulate(reversed(tau), min)][::-1]  # later[i] = min(tau[i:])
+    signs = []
+    for v, low, high, after in zip(tau, accumulate(tau, min), accumulate(tau, max), later):
+        choice = _AVOIDER_SIGNS.get((v == low, high > v > after))
+        if choice is None:
+            return None
+        signs.append(choice)
+    return tuple(signs)
 
 
 # ---------- the class table ----------
@@ -502,6 +590,174 @@ _PATH_TALLIES = {
 }
 
 
+#: each statistic of _PERM_STATS on a centrosymmetric p of [2n], a member of
+#: the even class or an unfolded signed window, as weights over the first
+#: half of p: (the weight of a half-descent at i of 1..n, the centre n
+#: included, as weight(n, i), or None where none counts; the weight of a
+#: fixed point among 1..n).  Every descent of p but the centre shows again
+#: at 2n - i, every fixed point at 2n + 1 - i, and maj = n * des
+_HALF_WEIGHTS = {
+    "des+": (lambda n, i: 1, 0),
+    "maj+": (lambda n, i: i, 0),
+    "des": (lambda n, i: 1 if i == n else 2, 0),
+    "maj": (lambda n, i: n if i == n else 2 * n, 0),
+    "fp": (None, 2),
+}
+
+
+def _signed_tally(signs: Callable[[Perm], tuple | None], stat: str) -> Tally:
+    """The tally of stat over the windows s with |s| = tau, for each tau of
+    the shard, where signs(tau) gives the signs each entry may take, or None.
+
+    Window descent i < n is the half-descent n - i of unfold_window(s), and
+    the centre is a descent iff s_1 < 0; s_i = i is the fixed point n + i.
+    Whether s_i > s_i+1 depends only on their signs and on whether tau rises
+    at i.  So the tally groups tau by its signs, its rises where descents
+    count and its fixed points where they count, and runs _sign_transfer
+    once per group."""
+    weight, point = _HALF_WEIGHTS[stat]
+
+    def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
+        _check_shard(shard, nshards)
+        groups = Counter()
+        for tau in _shard_taus(n, shard, nshards):
+            allowed = signs(tau)
+            if allowed is not None:
+                rises = tuple(map(lt, tau, tau[1:])) if weight else ()
+                fixed = tuple(map(eq, tau, range(1, n + 1))) if point else ()
+                groups[allowed, rises, fixed] += 1
+        total = Counter()
+        for (allowed, rises, fixed), count in groups.items():
+            for value, c in _sign_transfer(n, weight, point, allowed, rises, fixed).items():
+                total[value] += count * c
+        return total
+
+    return tally
+
+
+def _sign_transfer(
+    n: int, weight: Callable[[int, int], int] | None, point: int,
+    allowed: tuple, rises: tuple, fixed: tuple,
+) -> Counter:
+    """The Counter of the statistic over the sign choices of one group of
+    tau, entry by entry: the state is the sign of the last entry placed,
+    and each state holds the Counter of the statistic so far.  s_i > s_i+1
+    iff sign_i * x > sign_i+1 * y, with (x, y) = (1, 2) at a rise of tau and
+    (2, 1) otherwise."""
+    if not n:
+        return Counter({0: 1})
+
+    def own(i: int, sign: int) -> int:
+        # what entry i adds alone: the centre when s_1 < 0, a fixed point
+        # when s_i = i
+        centre = weight(n, n) if weight and not i and sign < 0 else 0
+        return centre + (point if point and sign > 0 and fixed[i] else 0)
+
+    states = {sign: Counter({own(0, sign): 1}) for sign in allowed[0]}
+    for i in range(1, n):
+        x, y = (1, 2) if weight and rises[i - 1] else (2, 1)
+        drop = weight(n, n - i) if weight else 0
+        step = {}
+        for sign in allowed[i]:
+            out = step[sign] = Counter()
+            for last, values in states.items():
+                gain = own(i, sign) + (drop if last * x > sign * y else 0)
+                for v, c in values.items():
+                    out[v + gain] += c
+        states = step
+    return sum(states.values(), Counter())
+
+
+def _even_tally(stat: str) -> Tally:
+    """The tally of stat over cinv321_even(m, shard, nshards), with the
+    stream's own split of a mask of n = m // 2 bits into h * 2**k + l.
+
+    Every pending opener of the FIFO scan of l has its partner above k, and
+    those partners rise in the order the openers opened.  So the half-
+    descents and fixed points among 1..k are a function of l, and those
+    among k+1..n, the centre n included, a function of h and of the number
+    r of openers that l leaves pending (_even_high_scan).  Position k is a
+    descent iff bit k - 1 of l is set and bit 0 of h is clear; with k = n, h
+    is 0 and that descent is the centre, n a member.  The low words are
+    grouped by r, and each group is joined to the shard's high words read
+    with that r."""
+    weight, point = _HALF_WEIGHTS[stat]
+
+    def tally(m: int, shard: int = 0, nshards: int = 1) -> Counter:
+        _check_even(m)
+        _check_shard(shard, nshards)
+        if m < 0:
+            return Counter()
+        n = m // 2
+        k = _even_low_bits(n)
+
+        def value(descents: list[int], fixed: int) -> int:
+            return (sum(weight(n, i) for i in descents) if weight else 0) + point * fixed
+
+        lows = [[] for _ in range(k + 1)]
+        for l in range(1 << k):
+            r, descents, fixed = _even_low_scan(k, l)
+            lows[r].append((l >> (k - 1) if k else 0, value(descents, fixed)))
+        cross = weight(n, k) if weight and k else 0
+        total = Counter()
+        for r, low in enumerate(lows):
+            highs = (
+                (1 - (h & 1), value(*_even_high_scan(n, k, h, r)))
+                for h in range(shard, 1 << (n - k), nshards)
+            )
+            total += _join_blocks(low, highs, cross)
+        return total
+
+    return tally
+
+
+def _even_low_scan(k: int, l: int) -> tuple[int, list[int], int]:
+    """The FIFO scan of the k bits of l: the number r of openers it leaves
+    pending, the half-descents among 1..k-1 and the fixed points among 1..k.
+    The t-th pending opener, oldest first, stands for the value k + 1 + t."""
+    pending = deque()
+    values, fixed = _fifo_scan(1, k, l, pending)
+    for t, a in enumerate(pending):
+        values[a] = k + 1 + t
+    descents = [i for i in range(1, k) if values[i] > values[i + 1]]
+    return len(pending), descents, fixed
+
+
+def _even_high_scan(n: int, k: int, h: int, r: int) -> tuple[list[int], int]:
+    """The half-descents among k+1..n, the centre n included, and the fixed
+    points among k+1..n, of the masks h * 2**k + l whose low scan leaves r
+    openers pending.  Those openers lie below k + 1 and their mirrors above
+    2n - k, so the keys -r..-1 in their place keep every comparison."""
+    pending = deque(range(-r, 0))
+    values, fixed = _fifo_scan(k + 1, n, h, pending)
+    # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
+    for a, b in zip(pending, reversed(pending)):
+        values[a] = 2 * n + 1 - b
+    row = [values[i] for i in range(k + 1, n + 1)]
+    if row:
+        row.append(2 * n + 1 - row[-1])  # p(n + 1), the mirror of p(n)
+    return [k + 1 + j for j in range(len(row) - 1) if row[j] > row[j + 1]], fixed
+
+
+def _fifo_scan(first: int, last: int, bits: int, pending: deque) -> tuple[dict, int]:
+    """The FIFO scan of positions first..last, position i a member when bit
+    i - first of bits is set, after the openers already in pending: the
+    values it fixes, by position, and the number of fixed points.  pending
+    is left holding the openers still pending, oldest first."""
+    values = {}
+    fixed = 0
+    for i in range(first, last + 1):
+        if bits >> (i - first) & 1:
+            pending.append(i)
+        elif pending:
+            a = pending.popleft()
+            values[a], values[i] = i, a
+        else:
+            values[i] = i
+            fixed += 1
+    return values, fixed
+
+
 class ObjectClass(NamedTuple):
     """generate(size, shard, nshards) streams the class; format gives the
     text form of one object; stats maps a statistic name to its evaluator;
@@ -529,15 +785,22 @@ class ObjectClass(NamedTuple):
 
 CLASSES: dict[str, ObjectClass] = {
     "cinv321-even": ObjectClass(
-        cinv321_even, perms.format_perm, _PERM_STATS, text_stream=_even_texts
+        cinv321_even, perms.format_perm, _PERM_STATS,
+        {name: _even_tally(name) for name in _PERM_STATS}, _even_texts,
     ),
     "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
     "signed-all": ObjectClass(
-        signed_perms, perms.format_perm, _SIGNED_STATS, text_stream=_signed_texts
+        signed_perms, perms.format_perm, _SIGNED_STATS,
+        {name: _signed_tally(_any_signs, name) for name in _SIGNED_STATS}, _signed_texts,
     ),
-    "signed-sixavoiders": ObjectClass(_six_avoiders, perms.format_perm, _SIGNED_STATS),
-    "subsets": ObjectClass(subsets, matchings.format_subset, _SUBSET_STATS, _SUBSET_TALLIES),
+    "signed-sixavoiders": ObjectClass(
+        _six_avoiders, perms.format_perm, _SIGNED_STATS,
+        {name: _signed_tally(_avoider_signs, name) for name in _SIGNED_STATS},
+    ),
+    "subsets": ObjectClass(
+        subsets, matchings.format_subset, _SUBSET_STATS, _SUBSET_TALLIES, _subset_texts
+    ),
     # a path is its own text
     "paths-rect": ObjectClass(all_paths, str, _PATH_STATS, _PATH_TALLIES, all_paths),
 }

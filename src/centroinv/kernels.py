@@ -28,8 +28,9 @@ def census(m: int) -> MappingProxyType:
     carries their linear 321 state (top, the largest value so far; mid, the
     largest value below an earlier larger one) and their descent counts d,
     dp and mjp.  A value below mid ends the branch, and so does an unplaced
-    point i below mid, since the value i will land right of mid; passing m
-    adds a member.
+    point i below mid, since the value i will land right of mid, and so does
+    a later point that a mirror arc already filled below mid; passing m adds
+    a member.
 
     Returns a read-only mapping with "count" plus three tally tuples ("des",
     "des+", "maj+") where entry i counts members with statistic i.
@@ -68,6 +69,9 @@ def census(m: int) -> MappingProxyType:
             return
         if mid > i:  # the value i lands right of mid: a 321
             return
+        for j in range(i + 1, m + 1):
+            if 0 < perm[j] < mid:  # a placed later value below mid: a 321
+                return
         # point i is fixed (j == i) or paired with j > i
         for j in range(i, m + 1):
             if perm[j]:

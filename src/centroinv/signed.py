@@ -23,6 +23,12 @@ is_top_element checks in one pass:
 * (3, 2, 1), (-3, 2, 1), (3, 2, -1) and (-3, 2, -1): no positive entry has
   both an earlier entry of larger |value| and a later entry of smaller
   |value|.
+
+Given |s|, each condition acts on one entry alone, so they also build the
+avoiders: centroinv.generate streams the signed-sixavoiders class as the
+product, for each |s|, of the signs each entry may take, and tests no
+window.  is_top_element and signed_patterns stay the routes that T-sixpat
+compares.
 """
 
 from __future__ import annotations

@@ -104,9 +104,15 @@ def _grouped_polys(objs: Iterable, key, stat) -> dict:
 
 
 def _even_class(n: int, stat: str) -> dict[str, Callable[[], object]]:
-    """The enumerated routes of the even class of size 2n: the generator's
-    stream, and the raw census tally for n <= RAW_LIMIT."""
-    routes = {"brute force": lambda: distribution("cinv321-even", 2 * n, stat).poly}
+    """The enumerated routes of the even class of size 2n: the class
+    evaluator counted over the generator's stream, and the raw census tally
+    for n <= RAW_LIMIT.  The stream is read here, not through distribution,
+    which would take the class's block tally."""
+    routes = {
+        "brute force": lambda: tally_poly(Counter(
+            map(generate.CLASSES["cinv321-even"].stats[stat], generate.cinv321_even(2 * n))
+        )),
+    }
     if n <= RAW_LIMIT:
         routes["raw filter"] = lambda: qpoly(kernels.census(2 * n)[stat])
     return routes

@@ -622,6 +622,166 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "fail\tboom" in out
 
 
+#: what the parser prints, at 80 columns, for the help of the program and of
+#: each subcommand and for four usage errors: (exit code, stdout, stderr).
+#: The parser adds only the named subcommand's arguments; these texts were
+#: taken when it still added every subcommand's, and must not change
+PARSER_TEXTS = {
+    '': (
+        2,
+        "",
+        (
+            'usage: centroinv [-h] {enumerate,stats,bijection,verify} ...\n'
+            'centroinv: error: the following arguments are required: command\n'
+        ),
+    ),
+    '-h': (
+        0,
+        (
+            'usage: centroinv [-h] {enumerate,stats,bijection,verify} ...\n'
+            '\n'
+            'Descent statistics on 321-avoiding centrosymmetric involutions: enumeration,\n'
+            'bijections, q-polynomials, theorem verification.\n'
+            '\n'
+            'positional arguments:\n'
+            '  {enumerate,stats,bijection,verify}\n'
+            '    enumerate           stream every object of a class\n'
+            '    stats               statistic distribution over a class\n'
+            '    bijection           apply a named map to one object\n'
+            '    verify              run a theorem driver\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+        ),
+        "",
+    ),
+    'frobnicate': (
+        2,
+        "",
+        (
+            'usage: centroinv [-h] {enumerate,stats,bijection,verify} ...\n'
+            "centroinv: error: argument command: invalid choice: 'frobnicate' (choose from 'enumerate', 'stats', 'bijection', 'verify')\n"
+        ),
+    ),
+    'enumerate -h': (
+        0,
+        (
+            'usage: centroinv enumerate [-h] --class\n'
+            '                           {cinv321-even,cinv321-odd,inv321,signed-all,signed-sixavoiders,subsets,paths-rect}\n'
+            '                           --size SIZE [--format {tsv,json}]\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+            '  --class {cinv321-even,cinv321-odd,inv321,signed-all,signed-sixavoiders,subsets,paths-rect}\n'
+            '  --size SIZE\n'
+            '  --format {tsv,json}\n'
+        ),
+        "",
+    ),
+    'stats -h': (
+        0,
+        (
+            'usage: centroinv stats [-h] --class\n'
+            '                       {cinv321-even,cinv321-odd,inv321,signed-all,signed-sixavoiders,subsets,paths-rect}\n'
+            '                       --size SIZE --stat {des+,maj+,des,maj,fp,area,peaks}\n'
+            '                       [--jobs JOBS] [--format {tsv,json}]\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+            '  --class {cinv321-even,cinv321-odd,inv321,signed-all,signed-sixavoiders,subsets,paths-rect}\n'
+            '  --size SIZE\n'
+            '  --stat {des+,maj+,des,maj,fp,area,peaks}\n'
+            '  --jobs JOBS\n'
+            '  --format {tsv,json}\n'
+        ),
+        "",
+    ),
+    'bijection -h': (
+        0,
+        (
+            'usage: centroinv bijection [-h] --name\n'
+            '                           {excedance-subset,g,g-inverse,involution-matching,matching-involution,rsk-path,subset-involution,subset-matching,subset-path,theta,theta-inverse,theta-rect,theta-rect-inverse}\n'
+            '                           --apply OBJECT [--size SIZE] [--format {tsv,json}]\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+            '  --name {excedance-subset,g,g-inverse,involution-matching,matching-involution,rsk-path,subset-involution,subset-matching,subset-path,theta,theta-inverse,theta-rect,theta-rect-inverse}\n'
+            '  --apply OBJECT\n'
+            '  --size SIZE           context size where needed: N or A,B\n'
+            '  --format {tsv,json}\n'
+        ),
+        "",
+    ),
+    'verify -h': (
+        0,
+        (
+            'usage: centroinv verify [-h] --name\n'
+            '                        {T-cara,T-cor1,T-cor2,T-desfull,T-despoly,T-fp,T-hdpeak,T-majpoly,T-odd,T-recr,T-sixpat,all}\n'
+            '                        [--max-n MAX_N] [--format {tsv,json}]\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+            '  --name {T-cara,T-cor1,T-cor2,T-desfull,T-despoly,T-fp,T-hdpeak,T-majpoly,T-odd,T-recr,T-sixpat,all}\n'
+            '  --max-n MAX_N\n'
+            '  --format {tsv,json}\n'
+        ),
+        "",
+    ),
+    'enumerate --class nope --size 3': (
+        2,
+        "",
+        (
+            'usage: centroinv enumerate [-h] --class\n'
+            '                           {cinv321-even,cinv321-odd,inv321,signed-all,signed-sixavoiders,subsets,paths-rect}\n'
+            '                           --size SIZE [--format {tsv,json}]\n'
+            "centroinv enumerate: error: argument --class: invalid choice: 'nope' (choose from 'cinv321-even', 'cinv321-odd', 'inv321', 'signed-all', 'signed-sixavoiders', 'subsets', 'paths-rect')\n"
+        ),
+    ),
+    'stats --class nope --size 3 --stat des': (
+        2,
+        "",
+        (
+            'usage: centroinv stats [-h] --class\n'
+            '                       {cinv321-even,cinv321-odd,inv321,signed-all,signed-sixavoiders,subsets,paths-rect}\n'
+            '                       --size SIZE --stat {des+,maj+,des,maj,fp,area,peaks}\n'
+            '                       [--jobs JOBS] [--format {tsv,json}]\n'
+            "centroinv stats: error: argument --class: invalid choice: 'nope' (choose from 'cinv321-even', 'cinv321-odd', 'inv321', 'signed-all', 'signed-sixavoiders', 'subsets', 'paths-rect')\n"
+        ),
+    ),
+    'bijection --name nope --apply x': (
+        2,
+        "",
+        (
+            'usage: centroinv bijection [-h] --name\n'
+            '                           {excedance-subset,g,g-inverse,involution-matching,matching-involution,rsk-path,subset-involution,subset-matching,subset-path,theta,theta-inverse,theta-rect,theta-rect-inverse}\n'
+            '                           --apply OBJECT [--size SIZE] [--format {tsv,json}]\n'
+            "centroinv bijection: error: argument --name: invalid choice: 'nope' (choose from 'excedance-subset', 'g', 'g-inverse', 'involution-matching', 'matching-involution', 'rsk-path', 'subset-involution', 'subset-matching', 'subset-path', 'theta', 'theta-inverse', 'theta-rect', 'theta-rect-inverse')\n"
+        ),
+    ),
+    'verify --name nope': (
+        2,
+        "",
+        (
+            'usage: centroinv verify [-h] --name\n'
+            '                        {T-cara,T-cor1,T-cor2,T-desfull,T-despoly,T-fp,T-hdpeak,T-majpoly,T-odd,T-recr,T-sixpat,all}\n'
+            '                        [--max-n MAX_N] [--format {tsv,json}]\n'
+            "centroinv verify: error: argument --name: invalid choice: 'nope' (choose from 'T-cara', 'T-cor1', 'T-cor2', 'T-desfull', 'T-despoly', 'T-fp', 'T-hdpeak', 'T-majpoly', 'T-odd', 'T-recr', 'T-sixpat', 'all')\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_TEXTS)
+def test_parser_texts_stay_the_same(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == PARSER_TEXTS[argv]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [

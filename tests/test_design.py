@@ -114,6 +114,38 @@ def test_cli_import_and_sharded_run_leave_out_heavy_modules():
     assert run.stdout.splitlines() == ["[]", "1 []"]
 
 
+#: a command line, and the package modules that running it must not load
+COMMAND_IMPORTS = [
+    (["stats", "--class", "signed-all", "--size", "3", "--stat", "des"], {"verify", "rsk"}),
+    (["bijection", "--name", "g", "--apply", "EN"], {"generate", "distrib", "verify"}),
+    (["enumerate", "--class", "subsets", "--size", "3"], {"distrib", "verify", "rsk"}),
+]
+
+
+@pytest.mark.parametrize("argv, left_out", COMMAND_IMPORTS)
+def test_each_command_loads_only_what_it_runs(argv, left_out):
+    # a fresh interpreter runs one command and lists the package modules it
+    # loaded; every module is compiled on each start, so a module a command
+    # does not run must stay unloaded
+    code = (
+        "import contextlib, io, sys\n"
+        "from centroinv import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('centroinv.')))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = {name.removeprefix("centroinv.") for name in run.stdout.split()}
+    assert "cli" in loaded
+    assert not loaded & left_out, loaded
+
+
 def test_benchmark_call_shapes():
     # perfbench/layers.py and perfbench/run.py call these entry points by
     # name at larger sizes; each call runs here in the same shape
@@ -245,10 +277,14 @@ def test_compared_routes_share_no_code():
 
 def test_no_route_reaches_a_block_tally():
     # a block tally is a shortcut for stats, not a route: the drivers reach
-    # the class statistics one object at a time.  Only the two mask classes
-    # have tallies, each for a statistic the class defines
+    # the class statistics one object at a time.  Every class but the two
+    # walks, inv321 and cinv321-odd, tallies each statistic it defines
     tallies = {label: set(c.tallies) for label, c in generate.CLASSES.items() if c.tallies}
-    assert tallies == {"subsets": {"des+", "maj+", "des"}, "paths-rect": {"area", "peaks"}}
+    half = {"des+", "maj+", "des", "maj", "fp"}
+    assert tallies == {
+        "cinv321-even": half, "signed-all": half, "signed-sixavoiders": half,
+        "subsets": {"des+", "maj+", "des"}, "paths-rect": {"area", "peaks"},
+    }
     for c in generate.CLASSES.values():
         assert set(c.tallies) <= set(c.stats)
     codes = {t.__code__ for c in generate.CLASSES.values() for t in c.tallies.values()}

@@ -84,28 +84,54 @@ SMALL = {
 }
 
 
-def test_block_tallies_equal_their_definitions():
+#: label -> (sizes at which every shard of every split of a block tally is
+#: checked, larger sizes at which only shard 6 of 7 is)
+TALLY_SIZES = {
+    "cinv321-even": (range(0, 25, 2), (28, 32)),
+    "signed-all": (range(7), (7,)),
+    "signed-sixavoiders": (range(7), (7,)),
+    "subsets": (range(14), (18, 19)),
+    "paths-rect": (range(14), (18, 19)),
+}
+
+#: the splits checked shard by shard, as (shard, nshards)
+SPLITS = [(shard, nshards) for nshards in (1, 2, 3, 4, 7) for shard in range(nshards)]
+
+
+def test_block_tallies_equal_their_definitions(monkeypatch):
     # every pair with a block tally, shard by shard, against the Counter of
-    # its evaluator over the same shard stream.  Up to n = 13 every shard of
-    # every split is checked, with each object evaluated once per size.  At
-    # 18 and 19 (19 is past the 18-letter half-word table of paths.area)
-    # only shard 6 of 7 is, and that is most of the test's time
+    # its evaluator over the same shard stream; each shard stream is read
+    # once per size and each object evaluated once per statistic.  The even
+    # class is checked past LOW_BITS (n = 9..12) and at 28 and 32, subsets
+    # and paths-rect at 18 and 19 (19 is past the 18-letter half-word table
+    # of paths.area), the signed classes at 7
     pairs = [(label, stat) for label in CLASSES for stat in CLASSES[label].tallies]
-    assert len(pairs) == 5
-    for label, stat in pairs:
-        fn, tally = CLASSES[label].stats[stat], CLASSES[label].tallies[stat]
-        for n in range(14):
-            value = {obj: fn(obj) for obj in generate_class(label, n)}
-            for nshards in (1, 2, 3, 4, 7):
-                for shard in range(nshards):
-                    stream = generate_class(label, n, shard, nshards)
-                    assert tally(n, shard, nshards) == Counter(map(value.__getitem__, stream)), (
-                        label, stat, n, shard, nshards)
-        for n in (18, 19):
-            stream = generate_class(label, n, 6, 7)
-            assert tally(n, 6, 7) == Counter(map(fn, stream)), (label, stat, n)
+    assert len(pairs) == 20
+    assert {label for label, _ in pairs} == set(TALLY_SIZES)
+    for label, (every_shard, last_shard) in TALLY_SIZES.items():
+        cls = CLASSES[label]
+        for n in every_shard:
+            streams = {split: list(generate_class(label, n, *split)) for split in SPLITS}
+            for stat, tally in cls.tallies.items():
+                value = dict(zip(streams[0, 1], map(cls.stats[stat], streams[0, 1])))
+                for split, stream in streams.items():
+                    assert tally(n, *split) == Counter(map(value.__getitem__, stream)), (
+                        label, stat, n, split)
+        for n in last_shard:
+            stream = list(generate_class(label, n, 6, 7))
+            for stat, tally in cls.tallies.items():
+                assert tally(n, 6, 7) == Counter(map(cls.stats[stat], stream)), (label, stat, n)
     # paths-rect 8 has one high word, so shard 1 of 2 is idle
     assert CLASSES["paths-rect"].tallies["area"](8, 1, 2) == Counter()
+    # with LOW_BITS = 2 the even class's k shrinks to 1 at n = 4 and to 0
+    # from n = 8 on, as it does from n = 256 and n = 2**15 with LOW_BITS = 8
+    monkeypatch.setattr(generate, "LOW_BITS", 2)
+    even = CLASSES["cinv321-even"]
+    for m in range(0, 21, 2):
+        for shard in range(3):
+            stream = list(generate_class("cinv321-even", m, shard, 3))
+            for stat, tally in even.tallies.items():
+                assert tally(m, shard, 3) == Counter(map(even.stats[stat], stream)), (stat, m)
 
 
 def test_every_legal_pair_runs():
@@ -182,7 +208,9 @@ def test_bad_size_rejected_before_workers(monkeypatch, forks):
 
 def test_even_low_table_built_once_per_distribution(monkeypatch):
     # distribution's check-only call to generate_class builds nothing, and
-    # neither does any stream that is made and dropped unread
+    # neither does any stream that is made and dropped unread.  The even
+    # class tallies every statistic, so a distribution reads no stream and
+    # builds no low table; a stream that is read builds it once
     calls = []
     real = generate._even_low_table
     monkeypatch.setattr(
@@ -191,10 +219,12 @@ def test_even_low_table_built_once_per_distribution(monkeypatch):
     generate.generate_class("cinv321-even", 28)
     generate.cinv321_even(16, 1, 3)
     assert calls == []
+    assert set(CLASSES["cinv321-even"].tallies) == set(CLASSES["cinv321-even"].stats)
     assert distribution("cinv321-even", 8, "des").count == 16
-    assert calls == [4]
     assert distribution("cinv321-even", 12, "maj+").count == 64
-    assert calls == [4, 6]
+    assert calls == []
+    assert sum(1 for _ in generate.cinv321_even(12)) == 64
+    assert calls == [6]
 
 
 def _patch_shards(monkeypatch, child=None, caller=None):

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from math import comb, factorial
 
 import pytest
@@ -34,7 +34,7 @@ from centroinv.perms import (
     is_centrosymmetric,
     is_involution,
 )
-from centroinv.signed import theta_inverse
+from centroinv.signed import is_top_element, theta_inverse
 from oracles import (
     by_outer_step,
     filtered_class,
@@ -207,6 +207,19 @@ def test_signed_windows_keep_the_mask_order_shard_by_shard():
                 assert list(signed_perms(n, k, nshards)) == by_outer_step(
                     blocks, k, nshards
                 ), (n, k, nshards)
+
+
+def test_six_avoiders_equal_the_filtered_windows_shard_by_shard():
+    # the stream built from the signs each entry may take holds the windows
+    # of signed_perms that pass is_top_element, in the same order, shard by
+    # shard.  At n = 7, where the filter is most of the test's time, only
+    # shard 3 of 4 is checked
+    six_avoiders = CLASSES["signed-sixavoiders"].generate
+    splits = [(k, nshards) for nshards in range(1, 5) for k in range(nshards)]
+    for n, split in [*product(range(-1, 7), splits), (7, (3, 4))]:
+        assert list(six_avoiders(n, *split)) == list(
+            filter(is_top_element, signed_perms(n, *split))
+        ), (n, split)
 
 
 def test_streams_start_at_once_in_bounded_memory():
