@@ -11,8 +11,7 @@ for the basic bijection, ``qpoly`` for the closed forms, ``verify.verify``
 for the theorem drivers, or the ``centroinv`` command line tool.
 """
 
-from centroinv.kernels import BACKEND
-
+BACKEND = "python"
 __version__ = "0.1.0"
 
 __all__ = ["BACKEND", "__version__"]

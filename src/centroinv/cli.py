@@ -17,8 +17,9 @@ Each command loads only the modules it runs.  The parser adds the arguments
 of the named subcommand alone, since adding an argument formats its choices
 and so loads the module they come from.  Every command loads perms,
 matchings, paths and signed; enumerate adds generate, stats generate,
-distrib and qpoly, and verify every module.  bijection loads rsk, and with
-it qpoly, only for the three maps that use rsk.  The commands call
+distrib and qpoly, and verify every module, kernels (the census) among
+them.  bijection loads rsk, and with it qpoly, only for the three maps that
+use rsk.  json is loaded only for JSON output.  The commands call
 distribution and verify through the names this module binds, which load
 their modules on first call and which a caller may rebind.
 """
@@ -26,7 +27,6 @@ their modules on first call and which a caller may rebind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
@@ -182,11 +182,6 @@ def _write_chunked(
     out.write("".join(batch))
 
 
-def _json_items(chunk: list[str]) -> str:
-    # the items of a JSON list, as json.dumps separates them
-    return json.dumps(chunk)[1:-1]
-
-
 def _tsv_lines(chunk: list[str]) -> str:
     return "\n".join(chunk) + "\n"
 
@@ -214,9 +209,12 @@ def _cmd_enumerate(args) -> int:
     _check_built(args.size, size)
     texts = class_texts(args.label, size)
     if args.format == "json":
-        # the same bytes as json.dumps of the whole document
-        head = json.dumps({"class": args.label, "size": size, "objects": []})
-        _write_chunked(head[:-2], texts, _json_items, ", ", "]}\n")
+        from json import dumps
+
+        # the same bytes as json.dumps of the whole document: each chunk is
+        # the items of a JSON list, as dumps separates them
+        head = dumps({"class": args.label, "size": size, "objects": []})
+        _write_chunked(head[:-2], texts, lambda chunk: dumps(chunk)[1:-1], ", ", "]}\n")
     else:
         _write_chunked("", texts, _tsv_lines, "", "")
     return 0
@@ -243,7 +241,9 @@ def _cmd_bijection(args) -> int:
     _check_built(args.size, sum(size) * factor)
     out = fn(args.text, *size)
     if args.format == "json":
-        print(json.dumps({"name": args.name, "input": args.text, "output": out}))
+        from json import dumps
+
+        print(dumps({"name": args.name, "input": args.text, "output": out}))
     else:
         print(out)
     return 0

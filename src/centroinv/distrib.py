@@ -22,7 +22,6 @@ is safe.
 
 from __future__ import annotations
 
-import json
 import marshal
 import os
 from collections import Counter
@@ -153,7 +152,9 @@ def distribution(
 
 
 def table_json(t: DistributionTable) -> str:
-    return json.dumps(
+    from json import dumps
+
+    return dumps(
         {
             "class": t.label,
             "size": t.size,

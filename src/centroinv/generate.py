@@ -9,26 +9,28 @@ inv321 is a pruned walk of the involutions recursion, not a filter of its
 stream: it cuts every branch whose final prefix already contains 321, and
 yields the same objects in the same order as the filter would.
 
-all_paths and signed_perms run on C-level iterators, with one Python step per
-block of objects rather than per object.  all_paths joins the words of the
-low LOW_BITS bits of a mask, built once, to each word of its high bits as
-those stream, so it holds at most 2**LOW_BITS words for any n.
-signed_perms takes, for each tau, itertools.product over the sign pairs of
-tau.  The six-avoiders come from the same loop over tau with no window
-tested: the two conditions in centroinv.signed act on each entry of tau
-alone, so the avoiders of tau are the product of the signs each entry may
-take, and a tau with a middle entry that is not a prefix minimum has none.
+all_paths and the signed classes run on C-level iterators, with one Python
+step per block of objects rather than per object.  all_paths joins the words
+of the low LOW_BITS bits of a mask, built once, to each word of its high bits
+as those stream, so it holds at most 2**LOW_BITS words for any n.  Every
+window and window text of the signed classes comes from one sign product,
+_sign_products: for each tau, itertools.product over the signs each entry
+may take.  The two conditions in centroinv.signed act on each entry of tau
+alone, so the six-avoiders need no window tested, and a tau with a middle
+entry that is not a prefix minimum has none.
 
 cinv321_even is built the same way, on the FIFO view of the subset bijection
-(see centroinv.matchings): the scans of the low k bits of a mask, built once,
-and the scans of its high bits, built for one high word at a time, become
-itemgetters, and each object is two of those gathers and one tuple
-concatenation.  It yields the objects of map(subset_involution, subsets(n))
-in the same order, but shares no code with subset_involution, which stays
-the per-object definition.  Each low scan holds O(n) values, so k is
-LOW_BITS only up to n = 255 and then loses one bit for each further bit of
-n, which keeps the low table under 2**(2 * LOW_BITS) cells; the two mask
-streams split a mask alike up to n = 255 only.
+(see centroinv.matchings), with _fifo_scan its one FIFO loop: the scans of
+the low k bits of a mask, built once, and the scans of its high bits after
+the openers the low bits leave pending (_even_high_values), built for one
+high word at a time, become itemgetters, and each object is two of those
+gathers and one tuple concatenation; the even tallies read the same scans.
+It yields the objects of map(subset_involution, subsets(n)) in the same
+order, but shares no code with subset_involution, which stays the per-object
+definition.  Each low scan holds O(n) values, so k is LOW_BITS only up to
+n = 255 and then loses one bit for each further bit of n, which keeps the
+low table under 2**(2 * LOW_BITS) cells; the two mask streams split a mask
+alike up to n = 255 only.
 
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard, under one rule: shard s of nshards takes
@@ -47,13 +49,13 @@ made and dropped costs next to nothing.
 
 CLASSES is the one place that names the object classes.  Its texts(size)
 streams format(obj) for each object of generate(size), by default one format
-call per object.  Four classes give their own text stream, with no Python
+call per object.  Five classes give their own text stream, with no Python
 step per object: cinv321_even runs the same block loop with its low table
 written as decimal text, so each object is one join of a gathered tuple of
-strings; signed-all takes the products over the texts of its sign pairs;
-subsets joins the texts of its low words to the text of each high word; and
-a word of paths-rect is its own text.  The format functions stay the
-per-object definition.
+strings; the signed classes take their sign products over the signs written
+as text; subsets joins the texts of its low words to the text of each high
+word; and a word of paths-rect is its own text.  The format functions stay
+the per-object definition.
 
 Beside its per-object evaluators in stats, a class may list block tallies in
 tallies: tally(size, shard, nshards) is the Counter of a statistic over that
@@ -147,29 +149,32 @@ def centro_perms(m: int) -> Iterator[Perm]:
 
 def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPerm]:
     """All 2^n n! signed permutation windows: for each tau, the signs in mask
-    order, bit i-1 set when entry i is negative.
-
-    itertools.product varies its last factor fastest, so the sign pairs
-    (v, -v) are listed from the last position to the first and each product
-    is read back to front."""
+    order, bit i-1 set when entry i is negative."""
     _check_shard(shard, nshards)
-    return _signed_windows(n, shard, nshards, int)
+    return chain.from_iterable(_sign_products(n, shard, nshards, _any_signs, int))
 
 
-def _signed_texts(n: int) -> Iterator[str]:
-    """format_perm of each window of signed_perms(n), from the products of
-    the sign pairs written as text."""
-    return map(" ".join, _signed_windows(n, 0, 1, perms._TEXT.__getitem__))
-
-
-def _signed_windows(
-    n: int, shard: int, nshards: int, entry: Callable[[int], object]
-) -> Iterator[tuple]:
-    # the windows of signed_perms, with every entry v given as entry(v)
-    return chain.from_iterable(
-        map(_BACK_TO_FRONT, product(*[(entry(v), entry(-v)) for v in reversed(tau)]))
-        for tau in _shard_taus(n, shard, nshards)
-    )
+def _sign_products(
+    n: int, shard: int, nshards: int,
+    signs: Callable[[Perm], tuple | None], entry: Callable[[int], object],
+) -> Iterator[Iterator[tuple]]:
+    """One block of windows per tau of the shard that has any: the windows s
+    with |s| = tau whose entry i takes the signs signs(tau)[i], in mask
+    order, every entry v given as entry(v); signs(tau) is None when tau has
+    none.  itertools.product varies its last factor fastest, so the factors
+    are listed from the last position to the first and each product is read
+    back to front."""
+    # the factor of value v under each sign set an entry may take
+    factors = {
+        (v, choice): tuple(entry(v * sign) for sign in choice)
+        for v in range(1, n + 1)
+        for choice in _AVOIDER_SIGNS.values()
+    }
+    for tau in _shard_taus(n, shard, nshards):
+        allowed = signs(tau)
+        if allowed is not None:
+            keys = zip(reversed(tau), reversed(allowed))
+            yield map(_BACK_TO_FRONT, product(*map(factors.__getitem__, keys)))
 
 
 # a reversed slice keeps a 1-tuple a tuple, which itemgetter(0) would not
@@ -365,24 +370,14 @@ def _even_low_table(n: int, k: int) -> tuple[list, list, list, list]:
     output."""
     total = 2 * n + 1
     values = tuple(range(total))
-    # the scan of positions 1..i for every value of the i low bits at once,
-    # one position at a time: the values so far, a pending opener holding a
-    # placeholder 0, and the openers still pending, oldest first
-    scans = [((), ())]
-    for i in range(1, k + 1):
-        outside = []
-        for first, pending in scans:
-            if pending:
-                a = pending[0]
-                outside.append(((*first[: a - 1], i, *first[a:], a), pending[1:]))
-            else:
-                outside.append(((*first, i), ()))
-        scans = outside + [((*first, 0), (*pending, i)) for first, pending in scans]
     # where each position reads its value from the constants of l followed
     # by a high gather's output; a pending opener reads its partner there
     at = [*range(k), *range(2 * k, n + k)]
     counts, sources, consts, gathers = [], [], [], []
-    for first, pending in scans:
+    for l in range(1 << k):
+        pending = deque()
+        fixes, _ = _fifo_scan(1, k, l, pending)
+        first = [fixes.get(i, 0) for i in range(1, k + 1)]  # an opener holds 0
         r = len(pending)
         width = n - k + r  # values in a high gather's output, then mirrors
         reads = at.copy()
@@ -404,33 +399,30 @@ def _even_high_table(n: int, k: int, h: int) -> list[Callable[[tuple], tuple]]:
     total = 2 * n + 1
     highs = []
     for r in range(k + 1):
-        # the pending openers as (source index of the opener, output slot
-        # of its partner); the incoming ones come first, oldest first
-        pending = deque((t, n - k + t) for t in range(r))
-        out = [0] * (n - k + r)
-        for i in range(k + 1, n + 1):
-            slot, here = i - k - 1, 2 * r + i
-            if h >> slot & 1:
-                pending.append((here, slot))
-            elif pending:
-                there, other = pending.popleft()
-                out[slot], out[other] = there, here
-            else:
-                out[slot] = here
-        # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
-        for (_, slot), (there, _) in zip(pending, reversed(pending)):
-            out[slot] = _mirror_index(there, r, total)
-        highs.append(_gather(out + [_mirror_index(j, r, total) for j in out]))
+        values, _ = _even_high_values(n, k, h, r)
+        keyed = [values[i] for i in (*range(k + 1, n + 1), *range(-r, 0))]
+        keyed += [total - v for v in keyed]
+        # the source index of a value: an opener's key -r..-1 in P, a
+        # constant c at 2r + c, and an opener's mirror, above 2n, in M
+        highs.append(
+            _gather([v + r if v < 0 else 2 * r + (v if v < total else total - v) for v in keyed])
+        )
     return highs
 
 
-def _mirror_index(j: int, r: int, total: int) -> int:
-    """Index, in a source P + M + (0, ..., total - 1) with r entries in P,
-    of total minus the value at index j: P and M mirror each other, and the
-    constant c sits at index 2r + c."""
-    if j < 2 * r:
-        return j + r if j < r else j - r
-    return 2 * r + total - (j - 2 * r)
+def _even_high_values(n: int, k: int, h: int, r: int) -> tuple[dict, int]:
+    """The FIFO scan of positions k+1..n under the high bits h, after r low
+    openers still pending, keyed -r..-1 oldest first: the value of each high
+    position and the partner of each key, and the number of fixed points
+    among k+1..n.  A value is a position, a key or a key's mirror 2n+1 - key;
+    the keys lie below k + 1 and their mirrors above 2n, as the openers and
+    their mirrors do, so the values keep every comparison."""
+    pending = deque(range(-r, 0))
+    values, fixed = _fifo_scan(k + 1, n, h, pending)
+    # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
+    for a, b in zip(pending, reversed(pending)):
+        values[a] = 2 * n + 1 - b
+    return values, fixed
 
 
 def cinv321_odd(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -445,16 +437,7 @@ def _six_avoiders(n: int, shard: int, nshards: int) -> Iterator[SignedPerm]:
     patterns, in the same order, with no window tested: for each tau, the
     product of the signs that each entry may take (_avoider_signs)."""
     _check_shard(shard, nshards)
-    return chain.from_iterable(_avoider_blocks(n, shard, nshards))
-
-
-def _avoider_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[SignedPerm]]:
-    # one block of windows per tau of the shard that has any
-    for tau in _shard_taus(n, shard, nshards):
-        signs = _avoider_signs(tau)
-        if signs is not None:
-            factors = [tuple(v * sign for sign in choice) for v, choice in zip(tau, signs)]
-            yield map(_BACK_TO_FRONT, product(*reversed(factors)))
+    return chain.from_iterable(_sign_products(n, shard, nshards, _avoider_signs, int))
 
 
 def _shard_taus(n: int, shard: int, nshards: int) -> Iterator[Perm]:
@@ -726,13 +709,8 @@ def _even_low_scan(k: int, l: int) -> tuple[int, list[int], int]:
 def _even_high_scan(n: int, k: int, h: int, r: int) -> tuple[list[int], int]:
     """The half-descents among k+1..n, the centre n included, and the fixed
     points among k+1..n, of the masks h * 2**k + l whose low scan leaves r
-    openers pending.  Those openers lie below k + 1 and their mirrors above
-    2n - k, so the keys -r..-1 in their place keep every comparison."""
-    pending = deque(range(-r, 0))
-    values, fixed = _fifo_scan(k + 1, n, h, pending)
-    # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
-    for a, b in zip(pending, reversed(pending)):
-        values[a] = 2 * n + 1 - b
+    openers pending (_even_high_values)."""
+    values, fixed = _even_high_values(n, k, h, r)
     row = [values[i] for i in range(k + 1, n + 1)]
     if row:
         row.append(2 * n + 1 - row[-1])  # p(n + 1), the mirror of p(n)
@@ -783,6 +761,18 @@ class ObjectClass(NamedTuple):
         return self.text_stream(size)
 
 
+def _signed_class(stream: Callable, signs: Callable[[Perm], tuple | None]) -> ObjectClass:
+    # a signed class: its windows, a tally of each statistic, and its texts
+    # from the products of the signs written as text
+    return ObjectClass(
+        stream, perms.format_perm, _SIGNED_STATS,
+        {name: _signed_tally(signs, name) for name in _SIGNED_STATS},
+        lambda n: map(
+            " ".join, chain.from_iterable(_sign_products(n, 0, 1, signs, perms._TEXT.__getitem__))
+        ),
+    )
+
+
 CLASSES: dict[str, ObjectClass] = {
     "cinv321-even": ObjectClass(
         cinv321_even, perms.format_perm, _PERM_STATS,
@@ -790,14 +780,8 @@ CLASSES: dict[str, ObjectClass] = {
     ),
     "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
-    "signed-all": ObjectClass(
-        signed_perms, perms.format_perm, _SIGNED_STATS,
-        {name: _signed_tally(_any_signs, name) for name in _SIGNED_STATS}, _signed_texts,
-    ),
-    "signed-sixavoiders": ObjectClass(
-        _six_avoiders, perms.format_perm, _SIGNED_STATS,
-        {name: _signed_tally(_avoider_signs, name) for name in _SIGNED_STATS},
-    ),
+    "signed-all": _signed_class(signed_perms, _any_signs),
+    "signed-sixavoiders": _signed_class(_six_avoiders, _avoider_signs),
     "subsets": ObjectClass(
         subsets, matchings.format_subset, _SUBSET_STATS, _SUBSET_TALLIES, _subset_texts
     ),

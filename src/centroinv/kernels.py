@@ -16,8 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-BACKEND = "python"
-
 
 @lru_cache(maxsize=None)
 def census(m: int) -> MappingProxyType:

@@ -197,22 +197,10 @@ def subset_des(e: Subset) -> int:
     return _descent_mask(e).bit_count()
 
 
-# _BYTE_MAJ[b]: sum of the 1-based positions of the set bits of the byte b
-_BYTE_MAJ = tuple(sum(_set_bits(b)) for b in range(256))
-
-
 def subset_maj(e: Subset) -> int:
-    """Sum of the descents {i in E : i+1 not in E}, a byte of the descent
-    mask at a time: byte k adds its in-byte positions, each shifted by 8k."""
-    d = _descent_mask(e)
-    total = 0
-    shift = 0
-    while d:
-        b = d & 255
-        total += _BYTE_MAJ[b] + shift * b.bit_count()
-        d >>= 8
-        shift += 8
-    return total
+    """Sum of the descents {i in E : i+1 not in E}, the set bits of the
+    descent mask."""
+    return sum(_set_bits(_descent_mask(e)))
 
 
 def des_from_subset(e: Subset) -> int:

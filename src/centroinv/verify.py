@@ -26,7 +26,6 @@ counterexample.  The registry key doubles as the CLI name.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from math import comb
 from time import perf_counter
@@ -46,7 +45,7 @@ from centroinv.qpoly import (
 from centroinv.signed import TOP_PATTERNS, is_top_element, signed_patterns, theta
 
 #: largest half-size for the raw census cross-check at the double size
-RAW_LIMIT = 7
+RAW_LIMIT = 9
 
 
 class SizeResult(NamedTuple):
@@ -382,7 +381,9 @@ def verify(theorem_id: str, max_size: int | None = None) -> VerificationReport:
 
 
 def report_json(r: VerificationReport) -> str:
-    return json.dumps(
+    from json import dumps
+
+    return dumps(
         {
             "theorem": r.theorem,
             "results": [

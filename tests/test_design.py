@@ -116,23 +116,32 @@ def test_cli_import_and_sharded_run_leave_out_heavy_modules():
 
 #: a command line, and the package modules that running it must not load
 COMMAND_IMPORTS = [
-    (["stats", "--class", "signed-all", "--size", "3", "--stat", "des"], {"verify", "rsk"}),
-    (["bijection", "--name", "g", "--apply", "EN"], {"generate", "distrib", "verify"}),
-    (["enumerate", "--class", "subsets", "--size", "3"], {"distrib", "verify", "rsk"}),
+    (
+        ["stats", "--class", "signed-all", "--size", "3", "--stat", "des"],
+        {"verify", "rsk", "json", "kernels"},
+    ),
+    (
+        ["bijection", "--name", "g", "--apply", "EN"],
+        {"generate", "distrib", "verify", "json", "kernels"},
+    ),
+    (
+        ["enumerate", "--class", "subsets", "--size", "3"],
+        {"distrib", "verify", "rsk", "json", "kernels"},
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, left_out", COMMAND_IMPORTS)
 def test_each_command_loads_only_what_it_runs(argv, left_out):
     # a fresh interpreter runs one command and lists the package modules it
-    # loaded; every module is compiled on each start, so a module a command
-    # does not run must stay unloaded
+    # loaded, and json; every module is compiled on each start, so a module
+    # a command does not run must stay unloaded
     code = (
         "import contextlib, io, sys\n"
         "from centroinv import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('centroinv.')))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('centroinv.') or m == 'json'))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -144,6 +153,33 @@ def test_each_command_loads_only_what_it_runs(argv, left_out):
     loaded = {name.removeprefix("centroinv.") for name in run.stdout.split()}
     assert "cli" in loaded
     assert not loaded & left_out, loaded
+
+
+def test_each_block_class_reads_one_scan():
+    # the even class has one FIFO loop, generate._fifo_scan, and the signed
+    # classes one builder of windows, generate._sign_products: the even
+    # stream, text stream and tallies all run the first, and every signed
+    # stream and text stream the second
+    even = generate.CLASSES["cinv321-even"]
+    signed = {label: generate.CLASSES[label] for label in ("signed-all", "signed-sixavoiders")}
+    reads = {
+        "even stream": (generate._fifo_scan, lambda: [*even.generate(20, 0, 1)]),
+        "even texts": (generate._fifo_scan, lambda: [*even.texts(20)]),
+        **{
+            f"even {name} tally": (generate._fifo_scan, lambda tally=tally: tally(20))
+            for name, tally in even.tallies.items()
+        },
+        "signed_perms": (generate._sign_products, lambda: [*generate.signed_perms(4)]),
+        "six-avoiders": (
+            generate._sign_products, lambda: [*signed["signed-sixavoiders"].generate(4, 0, 1)]
+        ),
+        **{
+            f"{label} texts": (generate._sign_products, lambda c=c: [*c.texts(4)])
+            for label, c in signed.items()
+        },
+    }
+    for name, (scan, read) in reads.items():
+        assert scan.__code__ in _traced_codes(read)[1], name
 
 
 def test_benchmark_call_shapes():

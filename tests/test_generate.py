@@ -23,7 +23,8 @@ from centroinv.generate import (
     signed_perms,
     subsets,
 )
-from centroinv.kernels import BACKEND, census
+from centroinv import BACKEND
+from centroinv.kernels import census
 from centroinv.matchings import subset_involution
 from centroinv.perms import (
     contains_321,
