@@ -415,8 +415,8 @@ def _even_high_values(n: int, k: int, h: int, r: int) -> tuple[dict, int]:
     openers still pending, keyed -r..-1 oldest first: the value of each high
     position and the partner of each key, and the number of fixed points
     among k+1..n.  A value is a position, a key or a key's mirror 2n+1 - key;
-    the keys lie below k + 1 and their mirrors above 2n, as the openers and
-    their mirrors do, so the values keep every comparison."""
+    the keys lie below k + 1 and their mirrors above 2n - k, as the openers
+    and their mirrors do, so the values keep every comparison."""
     pending = deque(range(-r, 0))
     values, fixed = _fifo_scan(k + 1, n, h, pending)
     # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
