@@ -13,11 +13,11 @@ all_paths and the signed classes run on C-level iterators, with one Python
 step per block of objects rather than per object.  all_paths joins the words
 of the low LOW_BITS bits of a mask, built once, to each word of its high bits
 as those stream, so it holds at most 2**LOW_BITS words for any n.  Every
-window and window text of the signed classes comes from one sign product,
-_sign_products: for each tau, itertools.product over the signs each entry
-may take.  The two conditions in centroinv.signed act on each entry of tau
-alone, so the six-avoiders need no window tested, and a tau with a middle
-entry that is not a prefix minimum has none.
+window of the signed classes, and every window text of signed-all, comes
+from one sign product, _sign_products: for each tau, itertools.product over
+the signs each entry may take.  The two conditions in centroinv.signed act
+on each entry of tau alone, so the six-avoiders need no window tested, and
+a tau with a middle entry that is not a prefix minimum has none.
 
 cinv321_even is built the same way, on the FIFO view of the subset bijection
 (see centroinv.matchings), with _fifo_scan its one FIFO loop: the scans of
@@ -49,19 +49,19 @@ made and dropped costs next to nothing.
 
 CLASSES is the one place that names the object classes.  Its texts(size)
 streams format(obj) for each object of generate(size), by default one format
-call per object.  Five classes give their own text stream, with no Python
+call per object.  Four classes give their own text stream, with no Python
 step per object: cinv321_even runs the same block loop with its low table
 written as decimal text, so each object is one join of a gathered tuple of
-strings; the signed classes take their sign products over the signs written
-as text; subsets joins the texts of its low words to the text of each high
-word; and a word of paths-rect is its own text.  The format functions stay
-the per-object definition.
+strings; signed-all takes its sign products over the signs written as text;
+subsets joins the texts of its low words to the text of each high word; and
+a word of paths-rect is its own text.  The format functions stay the
+per-object definition.
 
 Beside its per-object evaluators in stats, a class may list block tallies in
 tallies: tally(size, shard, nshards) is the Counter of a statistic over that
 shard stream, got without building an object, over the same outer loop as
-the stream.  Every class but inv321 and cinv321-odd tallies each of its
-statistics:
+the stream.  Every class but inv321, cinv321-odd and signed-sixavoiders
+tallies each of its statistics:
 
 * subsets (des+, maj+, des) and paths-rect (area, peaks): each statistic is
   a share of the low word plus a share of the high word plus a term that
@@ -70,13 +70,15 @@ statistics:
 * cinv321-even: the half-descents and fixed points of the low positions are
   a function of l, those of the high positions a function of h and of the
   openers l leaves pending, so the low words are grouped by that number;
-* signed-all and signed-sixavoiders: whether s_i > s_i+1 depends only on the
-  two signs and on whether tau rises at i, so tau is grouped by its signs,
-  rises and fixed points and a two-state transfer runs over the signs.
+* signed-all: whether s_i > s_i+1 depends only on the two signs and on
+  whether tau rises at i, so tau is grouped by its rises and fixed points
+  and a two-state transfer runs over the signs.
 
 The even and signed tallies read each statistic as weights of the
 half-descents and fixed points (_HALF_WEIGHTS).  The evaluators stay the
-definition, and the drivers read no tally.
+definition, and the drivers read no tally.  A class keeps a block path
+only where it beats the per-object path on a workload; the six-avoiders
+spend their time in the same n! loop over tau either way, so they keep none.
 """
 
 from __future__ import annotations
@@ -536,6 +538,8 @@ def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
 
     def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
         _check_shard(shard, nshards)
+        if n < 0:
+            return Counter()
         k = min(n, LOW_BITS)
         lows = ((l >> (k - 1) if k else 0, stat((n, l))) for l in range(1 << k))
         highs = ((h & 1, stat((n, h << k))) for h in range(shard, 1 << (n - k), nshards))
@@ -588,30 +592,26 @@ _HALF_WEIGHTS = {
 }
 
 
-def _signed_tally(signs: Callable[[Perm], tuple | None], stat: str) -> Tally:
-    """The tally of stat over the windows s with |s| = tau, for each tau of
-    the shard, where signs(tau) gives the signs each entry may take, or None.
+def _signed_tally(stat: str) -> Tally:
+    """The tally of stat over signed_perms(n, shard, nshards).
 
     Window descent i < n is the half-descent n - i of unfold_window(s), and
     the centre is a descent iff s_1 < 0; s_i = i is the fixed point n + i.
     Whether s_i > s_i+1 depends only on their signs and on whether tau rises
-    at i.  So the tally groups tau by its signs, its rises where descents
-    count and its fixed points where they count, and runs _sign_transfer
-    once per group."""
+    at i.  So the tally groups tau by its rises where descents count and its
+    fixed points where they count, and runs _sign_transfer once per group."""
     weight, point = _HALF_WEIGHTS[stat]
 
     def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
         _check_shard(shard, nshards)
         groups = Counter()
         for tau in _shard_taus(n, shard, nshards):
-            allowed = signs(tau)
-            if allowed is not None:
-                rises = tuple(map(lt, tau, tau[1:])) if weight else ()
-                fixed = tuple(map(eq, tau, range(1, n + 1))) if point else ()
-                groups[allowed, rises, fixed] += 1
+            rises = tuple(map(lt, tau, tau[1:])) if weight else ()
+            fixed = tuple(map(eq, tau, range(1, n + 1))) if point else ()
+            groups[rises, fixed] += 1
         total = Counter()
-        for (allowed, rises, fixed), count in groups.items():
-            for value, c in _sign_transfer(n, weight, point, allowed, rises, fixed).items():
+        for (rises, fixed), count in groups.items():
+            for value, c in _sign_transfer(n, weight, point, rises, fixed).items():
                 total[value] += count * c
         return total
 
@@ -620,10 +620,10 @@ def _signed_tally(signs: Callable[[Perm], tuple | None], stat: str) -> Tally:
 
 def _sign_transfer(
     n: int, weight: Callable[[int, int], int] | None, point: int,
-    allowed: tuple, rises: tuple, fixed: tuple,
+    rises: tuple, fixed: tuple,
 ) -> Counter:
-    """The Counter of the statistic over the sign choices of one group of
-    tau, entry by entry: the state is the sign of the last entry placed,
+    """The Counter of the statistic over the 2**n sign choices of one group
+    of tau, entry by entry: the state is the sign of the last entry placed,
     and each state holds the Counter of the statistic so far.  s_i > s_i+1
     iff sign_i * x > sign_i+1 * y, with (x, y) = (1, 2) at a rise of tau and
     (2, 1) otherwise."""
@@ -636,12 +636,12 @@ def _sign_transfer(
         centre = weight(n, n) if weight and not i and sign < 0 else 0
         return centre + (point if point and sign > 0 and fixed[i] else 0)
 
-    states = {sign: Counter({own(0, sign): 1}) for sign in allowed[0]}
+    states = {sign: Counter({own(0, sign): 1}) for sign in (1, -1)}
     for i in range(1, n):
         x, y = (1, 2) if weight and rises[i - 1] else (2, 1)
         drop = weight(n, n - i) if weight else 0
         step = {}
-        for sign in allowed[i]:
+        for sign in (1, -1):
             out = step[sign] = Counter()
             for last, values in states.items():
                 gain = own(i, sign) + (drop if last * x > sign * y else 0)
@@ -761,18 +761,6 @@ class ObjectClass(NamedTuple):
         return self.text_stream(size)
 
 
-def _signed_class(stream: Callable, signs: Callable[[Perm], tuple | None]) -> ObjectClass:
-    # a signed class: its windows, a tally of each statistic, and its texts
-    # from the products of the signs written as text
-    return ObjectClass(
-        stream, perms.format_perm, _SIGNED_STATS,
-        {name: _signed_tally(signs, name) for name in _SIGNED_STATS},
-        lambda n: map(
-            " ".join, chain.from_iterable(_sign_products(n, 0, 1, signs, perms._TEXT.__getitem__))
-        ),
-    )
-
-
 CLASSES: dict[str, ObjectClass] = {
     "cinv321-even": ObjectClass(
         cinv321_even, perms.format_perm, _PERM_STATS,
@@ -780,8 +768,15 @@ CLASSES: dict[str, ObjectClass] = {
     ),
     "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),
-    "signed-all": _signed_class(signed_perms, _any_signs),
-    "signed-sixavoiders": _signed_class(_six_avoiders, _avoider_signs),
+    "signed-all": ObjectClass(
+        signed_perms, perms.format_perm, _SIGNED_STATS,
+        {name: _signed_tally(name) for name in _SIGNED_STATS},
+        lambda n: map(
+            " ".join,
+            chain.from_iterable(_sign_products(n, 0, 1, _any_signs, perms._TEXT.__getitem__)),
+        ),
+    ),
+    "signed-sixavoiders": ObjectClass(_six_avoiders, perms.format_perm, _SIGNED_STATS),
     "subsets": ObjectClass(
         subsets, matchings.format_subset, _SUBSET_STATS, _SUBSET_TALLIES, _subset_texts
     ),

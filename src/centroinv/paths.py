@@ -8,7 +8,7 @@ at most a rows of length at most b (rows listed top-down, longest first).
 Statistics and maps:
 
 * area: number of boxes of that diagram, i.e. one box per (E step, later N
-  step) pair;
+  step) pair, counted in one pass from the end of the word;
 * peaks: vertices where an N step is followed immediately by an E step,
   labelled by the number of steps taken so far (so labels lie in 1..len-1);
   the starred variant appends a virtual E step, adding the label len when the
@@ -24,9 +24,6 @@ statistics on the involution side to peak statistics here.
 """
 
 from __future__ import annotations
-
-from functools import cache
-from itertools import product
 
 _BIT_STEP = str.maketrans("01", "EN")
 
@@ -70,7 +67,16 @@ def peak_star(word: str) -> tuple[int, ...]:
     return peak_set(word + "E")
 
 
-def _area_loop(word: str) -> int:
+def area(word: str) -> int:
+    """Boxes northwest of the path: one per (E step, later N step) pair,
+    counted in one pass from the end of the word.
+
+    >>> area("EENN")
+    4
+    >>> area("NENE")
+    1
+    """
+    check_path(word)
     total = 0
     ns_after = 0
     for step in reversed(word):
@@ -79,43 +85,6 @@ def _area_loop(word: str) -> int:
         else:
             total += ns_after
     return total
-
-
-_HALF = 9
-
-
-@cache
-def _half_words() -> dict[str, tuple[int, int]]:
-    """(area, number of N steps) of every word of at most _HALF letters.
-
-    Built on first use, not at import: most commands never ask for an area."""
-    return {
-        w: (_area_loop(w), w.count("N"))
-        for k in range(_HALF + 1)
-        for w in map("".join, product("NE", repeat=k))
-    }
-
-
-def area(word: str) -> int:
-    """Boxes northwest of the path: one per (E step, later N step) pair.
-
-    A word of at most 18 letters splits after 9 letters into halves L and R,
-    looked up in a table: area(L + R) = area(L) + area(R) + E(L) * N(R).  A lookup miss
-    (a bad letter) or a longer word is checked and counted step by step.
-
-    >>> area("EENN")
-    4
-    >>> area("NENE")
-    1
-    """
-    if len(word) <= 2 * _HALF:
-        table = _half_words()
-        left, right = word[:_HALF], word[_HALF:]
-        lhs, rhs = table.get(left), table.get(right)
-        if lhs and rhs:
-            return lhs[0] + rhs[0] + (len(left) - lhs[1]) * rhs[1]
-    check_path(word)
-    return _area_loop(word)
 
 
 # ---------- Young diagrams ----------

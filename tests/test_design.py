@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import centroinv
-from centroinv import distrib, generate, kernels, paths, qpoly, signed, verify
+from centroinv import distrib, generate, kernels, qpoly, signed, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "centroinv"
@@ -76,8 +76,8 @@ def test_census_imports_nothing_from_the_package():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # only a sharded run (jobs > 1) needs multiprocessing; a fresh interpreter
-    # shows what importing the CLI alone loads
+    # no command needs multiprocessing (a sharded run forks plain children);
+    # a fresh interpreter shows what importing the CLI alone loads
     code = "import sys, centroinv.cli; print('multiprocessing' in sys.modules)"
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -239,8 +239,7 @@ SHARED = {
     # the theorem: the area enumeration satisfies the recurrence, so the
     # recurrence is built from the area enumeration at n - 1 and n - 2
     ("T-recr", "area enumeration", "recurrence"): {
-        "qpoly.half_maj_poly_by_area", "paths.area", "paths._half_words",
-        "paths._area_loop",
+        "qpoly.half_maj_poly_by_area", "paths.area", "paths.check_path",
     },
 }
 
@@ -294,8 +293,7 @@ def test_compared_routes_share_no_code():
             for table in routes(n):
                 values, calls = [], {}
                 for name, route in table.items():
-                    for cached in (kernels.census, qpoly.q_binomial,
-                                   paths._half_words, signed._unfold_tables):
+                    for cached in (kernels.census, qpoly.q_binomial, signed._unfold_tables):
                         cached.cache_clear()
                     value, calls[name] = _package_calls(route)
                     values.append(value)
@@ -313,12 +311,13 @@ def test_compared_routes_share_no_code():
 
 def test_no_route_reaches_a_block_tally():
     # a block tally is a shortcut for stats, not a route: the drivers reach
-    # the class statistics one object at a time.  Every class but the two
-    # walks, inv321 and cinv321-odd, tallies each statistic it defines
+    # the class statistics one object at a time.  Four classes tally each
+    # statistic they define; the two walks, inv321 and cinv321-odd, and
+    # signed-sixavoiders tally none
     tallies = {label: set(c.tallies) for label, c in generate.CLASSES.items() if c.tallies}
     half = {"des+", "maj+", "des", "maj", "fp"}
     assert tallies == {
-        "cinv321-even": half, "signed-all": half, "signed-sixavoiders": half,
+        "cinv321-even": half, "signed-all": half,
         "subsets": {"des+", "maj+", "des"}, "paths-rect": {"area", "peaks"},
     }
     for c in generate.CLASSES.values():

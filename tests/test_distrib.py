@@ -89,7 +89,6 @@ SMALL = {
 TALLY_SIZES = {
     "cinv321-even": (range(0, 25, 2), (28, 32)),
     "signed-all": (range(7), (7,)),
-    "signed-sixavoiders": (range(7), (7,)),
     "subsets": (range(14), (18, 19)),
     "paths-rect": (range(14), (18, 19)),
 }
@@ -103,13 +102,18 @@ def test_block_tallies_equal_their_definitions(monkeypatch):
     # its evaluator over the same shard stream; each shard stream is read
     # once per size and each object evaluated once per statistic.  The even
     # class is checked past LOW_BITS (n = 9..12) and at 28 and 32, subsets
-    # and paths-rect at 18 and 19 (19 is past the 18-letter half-word table
-    # of paths.area), the signed classes at 7
+    # and paths-rect at 18 and 19, signed-all at 7.  At a negative size
+    # (the even class's odd -1 is refused) every tally is the empty Counter
+    # of its evaluator over the empty stream
     pairs = [(label, stat) for label in CLASSES for stat in CLASSES[label].tallies]
-    assert len(pairs) == 20
+    assert len(pairs) == 15
     assert {label for label, _ in pairs} == set(TALLY_SIZES)
     for label, (every_shard, last_shard) in TALLY_SIZES.items():
         cls = CLASSES[label]
+        for n in (-2,) if label == "cinv321-even" else (-1, -2):
+            for stat, tally in cls.tallies.items():
+                assert tally(n) == Counter(map(cls.stats[stat], cls.generate(n, 0, 1))), (
+                    label, stat, n)
         for n in every_shard:
             streams = {split: list(generate_class(label, n, *split)) for split in SPLITS}
             for stat, tally in cls.tallies.items():
