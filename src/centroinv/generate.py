@@ -11,8 +11,8 @@ yields the same objects in the same order as the filter would.
 
 all_paths and the signed classes run on C-level iterators, with one Python
 step per block of objects rather than per object.  all_paths joins the words
-of the low LOW_BITS bits of a mask, built once, to each word of its high bits
-as those stream, so it holds at most 2**LOW_BITS words for any n.  Every
+of the low k bits of a mask, built once, to each word of its high bits as
+those stream, so it holds at most 2**LOW_BITS words for any n.  Every
 window of the signed classes, and every window text of signed-all, comes
 from one sign product, _sign_products: for each tau, itertools.product over
 the signs each entry may take.  The two conditions in centroinv.signed act
@@ -24,13 +24,14 @@ cinv321_even is built the same way, on the FIFO view of the subset bijection
 the low k bits of a mask, built once, and the scans of its high bits after
 the openers the low bits leave pending (_even_high_values), built for one
 high word at a time, become itemgetters, and each object is two of those
-gathers and one tuple concatenation; the even tallies read the same scans.
-It yields the objects of map(subset_involution, subsets(n)) in the same
-order, but shares no code with subset_involution, which stays the per-object
-definition.  Each low scan holds O(n) values, so k is LOW_BITS only up to
-n = 255 and then loses one bit for each further bit of n, which keeps the
-low table under 2**(2 * LOW_BITS) cells; the two mask streams split a mask
-alike up to n = 255 only.
+gathers and one tuple concatenation.  It yields the objects of
+map(subset_involution, subsets(n)) in the same order, but shares no code
+with subset_involution, which stays the per-object definition.
+
+Every mask stream and tally splits a mask of n bits as h * 2**k + l under
+one rule, k = _low_bits(n): k is LOW_BITS up to n = 255 and then loses one
+bit for each further bit of n.  A low scan of the even class holds O(n)
+values, so that keeps its low table under 2**(2 * LOW_BITS) cells.
 
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard, under one rule: shard s of nshards takes
@@ -60,25 +61,25 @@ per-object definition.
 Beside its per-object evaluators in stats, a class may list block tallies in
 tallies: tally(size, shard, nshards) is the Counter of a statistic over that
 shard stream, got without building an object, over the same outer loop as
-the stream.  Every class but inv321, cinv321-odd and signed-sixavoiders
-tallies each of its statistics:
+the stream.  subsets, paths-rect and signed-all tally each of their
+statistics, cinv321-even three of its five, and the other classes none:
 
 * subsets (des+, maj+, des) and paths-rect (area, peaks): each statistic is
   a share of the low word plus a share of the high word plus a term that
   crosses the boundary, so a tally groups the 2**k low words by what
   crosses, walks the shard's high words and joins the two groupings;
-* cinv321-even: the half-descents and fixed points of the low positions are
-  a function of l, those of the high positions a function of h and of the
-  openers l leaves pending, so the low words are grouped by that number;
+* cinv321-even (des+, maj+, des): subset_involution carries subset_des,
+  subset_maj and des_from_subset to des+, maj+ and des, object by object
+  and shard by shard, so the even tallies are the subset tallies at n;
 * signed-all: whether s_i > s_i+1 depends only on the two signs and on
   whether tau rises at i, so tau is grouped by its rises and fixed points
   and a two-state transfer runs over the signs.
 
-The even and signed tallies read each statistic as weights of the
-half-descents and fixed points (_HALF_WEIGHTS).  The evaluators stay the
-definition, and the drivers read no tally.  A class keeps a block path
-only where it beats the per-object path on a workload; the six-avoiders
-spend their time in the same n! loop over tau either way, so they keep none.
+The signed tallies read each statistic as weights of the half-descents and
+fixed points (_HALF_WEIGHTS).  The evaluators stay the definition, and the
+drivers read no tally.  A class keeps a block path only where it beats the
+per-object path on a workload; the six-avoiders spend their time in the
+same n! loop over tau either way, so they keep none.
 """
 
 from __future__ import annotations
@@ -96,8 +97,15 @@ from centroinv.signed import SignedPerm, unfold_window
 
 
 #: bits of a mask whose words (all_paths) or FIFO scans (cinv321_even) are
-#: built once per stream and joined to every high word
+#: built once per stream and joined to every high word, up to n = 255
 LOW_BITS = 8
+
+
+def _low_bits(n: int) -> int:
+    # k of a mask h * 2**k + l of n bits, for every mask stream and tally.
+    # A low entry of the even class holds O(n) values, so k shrinks as n
+    # grows and its low table stays under 2**(2 * LOW_BITS) cells
+    return min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
 
 
 def _check_shard(shard: int, nshards: int) -> None:
@@ -186,12 +194,12 @@ _BACK_TO_FRONT = itemgetter(slice(None, None, -1))
 def subsets(n: int, shard: int = 0, nshards: int = 1) -> Iterator[Subset]:
     """All subsets of [n], the pairs (n, mask) in mask order.
 
-    A mask is h * 2**k + l with k = min(n, LOW_BITS), as in all_paths, and
+    A mask is h * 2**k + l with k = _low_bits(n), as in all_paths, and
     each high word h gives one block of 2**k masks."""
     _check_shard(shard, nshards)
     if n < 0:
         return iter(())
-    k = min(n, LOW_BITS)
+    k = _low_bits(n)
     blocks = (range(h << k, (h + 1) << k) for h in range(shard, 1 << (n - k), nshards))
     return zip(repeat(n), chain.from_iterable(blocks))
 
@@ -206,7 +214,7 @@ def _subset_texts(n: int) -> Iterator[str]:
 def _subset_text_blocks(n: int) -> Iterator[Iterator[str]]:
     # the 2**k low texts are built on first read; after the first high
     # word, h = 0, they carry their comma
-    k = min(n, LOW_BITS)
+    k = _low_bits(n)
     low = list(map(matchings.format_subset, subsets(k)))
     yield iter(low)
     low = [text + "," if text else text for text in low]
@@ -218,7 +226,7 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
     """All 2**n paths of length n, the paths of subsets(n) in mask order;
     grouped by the number of N steps, the paths of every rectangle a+b = n.
 
-    A mask is h * 2**k + l with k = min(n, LOW_BITS), and its path is the
+    A mask is h * 2**k + l with k = _low_bits(n), and its path is the
     path of the k low bits l followed by the path of the high bits h.  The
     2**k low words are built once; the high words stream, so memory stays
     bounded for any n."""
@@ -234,9 +242,9 @@ def _path_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[str]]:
 
 
 def _path_halves(n: int, shard: int, nshards: int) -> tuple[list[str], Iterator[str]]:
-    """The 2**k words of the low k = min(n, LOW_BITS) bits of a mask, as a
+    """The 2**k words of the low k = _low_bits(n) bits of a mask, as a
     list, and the words of the shard's high words, as a stream."""
-    k = min(n, LOW_BITS)
+    k = _low_bits(n)
     low = list(map(paths.subset_path, subsets(k)))
     highs = zip(repeat(n - k), range(shard, 1 << (n - k), nshards))
     return low, map(paths.subset_path, highs)
@@ -294,8 +302,7 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """The even class, the images under subset_involution of subsets(m // 2)
     in mask order, built in blocks rather than one mask at a time.
 
-    A mask of n = m // 2 bits is h * 2**k + l with k = min(n, LOW_BITS,
-    2 * LOW_BITS - n.bit_length()), and k = 0 once that is negative.
+    A mask of n = m // 2 bits is h * 2**k + l with k = _low_bits(n).
     The FIFO scan of the k low bits (see centroinv.matchings) fixes the
     values of the low positions that l pairs among themselves and leaves r
     openers a_1 < ... < a_r pending.  The scan of the high bits h, with r
@@ -329,7 +336,7 @@ def _even_blocks(n: int, shard: int, nshards: int, text: bool = False) -> Iterat
     # built on first read, and the high table of h only when its block is
     # reached.  With text, the gathers read decimal texts, mapped once per
     # table, and each object is one join of them
-    k = _even_low_bits(n)
+    k = _low_bits(n)
     counts, sources, consts, gathers = _even_low_table(n, k)
     if text:
         sources, consts = (
@@ -341,13 +348,6 @@ def _even_blocks(n: int, shard: int, nshards: int, text: bool = False) -> Iterat
         high = map(_CALL, map(highs.__getitem__, counts), sources)
         block = map(_CALL, gathers, map(add, consts, high))
         yield map(" ".join, block) if text else block
-
-
-def _even_low_bits(n: int) -> int:
-    # k of a mask h * 2**k + l of n bits in the even class's stream and
-    # tallies.  A low entry holds O(n) values, so k shrinks as n grows and
-    # the low table stays under 2**(2 * LOW_BITS) cells
-    return min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
 
 
 # itemgetter's own call slot, applied by map to (getter, source) pairs; it
@@ -378,7 +378,7 @@ def _even_low_table(n: int, k: int) -> tuple[list, list, list, list]:
     counts, sources, consts, gathers = [], [], [], []
     for l in range(1 << k):
         pending = deque()
-        fixes, _ = _fifo_scan(1, k, l, pending)
+        fixes = _fifo_scan(1, k, l, pending)
         first = [fixes.get(i, 0) for i in range(1, k + 1)]  # an opener holds 0
         r = len(pending)
         width = n - k + r  # values in a high gather's output, then mirrors
@@ -401,7 +401,7 @@ def _even_high_table(n: int, k: int, h: int) -> list[Callable[[tuple], tuple]]:
     total = 2 * n + 1
     highs = []
     for r in range(k + 1):
-        values, _ = _even_high_values(n, k, h, r)
+        values = _even_high_values(n, k, h, r)
         keyed = [values[i] for i in (*range(k + 1, n + 1), *range(-r, 0))]
         keyed += [total - v for v in keyed]
         # the source index of a value: an opener's key -r..-1 in P, a
@@ -412,19 +412,36 @@ def _even_high_table(n: int, k: int, h: int) -> list[Callable[[tuple], tuple]]:
     return highs
 
 
-def _even_high_values(n: int, k: int, h: int, r: int) -> tuple[dict, int]:
+def _even_high_values(n: int, k: int, h: int, r: int) -> dict:
     """The FIFO scan of positions k+1..n under the high bits h, after r low
     openers still pending, keyed -r..-1 oldest first: the value of each high
-    position and the partner of each key, and the number of fixed points
-    among k+1..n.  A value is a position, a key or a key's mirror 2n+1 - key;
-    the keys lie below k + 1 and their mirrors above 2n - k, as the openers
-    and their mirrors do, so the values keep every comparison."""
+    position and the partner of each key.  A value is a position, a key or
+    a key's mirror 2n+1 - key; the keys lie below k + 1 and their mirrors
+    above 2n - k, as the openers and their mirrors do, so the values keep
+    every comparison."""
     pending = deque(range(-r, 0))
-    values, fixed = _fifo_scan(k + 1, n, h, pending)
+    values = _fifo_scan(k + 1, n, h, pending)
     # the openers still pending cross the centre: p(a_j) = 2n+1 - a_{q+1-j}
     for a, b in zip(pending, reversed(pending)):
         values[a] = 2 * n + 1 - b
-    return values, fixed
+    return values
+
+
+def _fifo_scan(first: int, last: int, bits: int, pending: deque) -> dict:
+    """The FIFO scan of positions first..last, position i a member when bit
+    i - first of bits is set, after the openers already in pending: the
+    values it fixes, by position.  pending is left holding the openers
+    still pending, oldest first."""
+    values = {}
+    for i in range(first, last + 1):
+        if bits >> (i - first) & 1:
+            pending.append(i)
+        elif pending:
+            a = pending.popleft()
+            values[a], values[i] = i, a
+        else:
+            values[i] = i
+    return values
 
 
 def cinv321_odd(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -534,16 +551,17 @@ def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
     up a weight per descent (less 1 for des when n is a member, a bit of l
     or of h), so stat((n, mask)) is stat((n, l)) + stat((n, h * 2**k)), less
     the weight of the descent at k when bit k - 1 of l and bit 0 of h are
-    set.  With k = n there is no h to take that descent away."""
+    set.  With k = n there is no h to take that descent away, and with
+    k = 0 no bit of l to give it."""
 
     def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
         _check_shard(shard, nshards)
         if n < 0:
             return Counter()
-        k = min(n, LOW_BITS)
+        k = _low_bits(n)
         lows = ((l >> (k - 1) if k else 0, stat((n, l))) for l in range(1 << k))
         highs = ((h & 1, stat((n, h << k))) for h in range(shard, 1 << (n - k), nshards))
-        return _join_blocks(lows, highs, -stat((n, 1 << (k - 1))) if k < n else 0)
+        return _join_blocks(lows, highs, -stat((n, 1 << (k - 1))) if 0 < k < n else 0)
 
     return tally
 
@@ -577,11 +595,11 @@ _PATH_TALLIES = {
 }
 
 
-#: each statistic of _PERM_STATS on a centrosymmetric p of [2n], a member of
-#: the even class or an unfolded signed window, as weights over the first
-#: half of p: (the weight of a half-descent at i of 1..n, the centre n
-#: included, as weight(n, i), or None where none counts; the weight of a
-#: fixed point among 1..n).  Every descent of p but the centre shows again
+#: each statistic of _PERM_STATS on an unfolded signed window, a
+#: centrosymmetric p of [2n], as weights over the first half of p: (the
+#: weight of a half-descent at i of 1..n, the centre n included, as
+#: weight(n, i), or None where none counts; the weight of a fixed point
+#: among 1..n).  Every descent of p but the centre shows again
 #: at 2n - i, every fixed point at 2n + 1 - i, and maj = n * des
 _HALF_WEIGHTS = {
     "des+": (lambda n, i: 1, 0),
@@ -652,88 +670,18 @@ def _sign_transfer(
 
 
 def _even_tally(stat: str) -> Tally:
-    """The tally of stat over cinv321_even(m, shard, nshards), with the
-    stream's own split of a mask of n = m // 2 bits into h * 2**k + l.
-
-    Every pending opener of the FIFO scan of l has its partner above k, and
-    those partners rise in the order the openers opened.  So the half-
-    descents and fixed points among 1..k are a function of l, and those
-    among k+1..n, the centre n included, a function of h and of the number
-    r of openers that l leaves pending (_even_high_scan).  Position k is a
-    descent iff bit k - 1 of l is set and bit 0 of h is clear; with k = n, h
-    is 0 and that descent is the centre, n a member.  The low words are
-    grouped by r, and each group is joined to the shard's high words read
-    with that r."""
-    weight, point = _HALF_WEIGHTS[stat]
+    """The tally of stat over cinv321_even(m, shard, nshards): the tally of
+    its subset statistic over subsets(m // 2, shard, nshards).
+    subset_involution maps that shard stream onto the even one object for
+    object, since both split a mask by _low_bits, and carries subset_des,
+    subset_maj and des_from_subset to half_des, half_maj and des."""
+    subset_tally = _SUBSET_TALLIES[stat]
 
     def tally(m: int, shard: int = 0, nshards: int = 1) -> Counter:
         _check_even(m)
-        _check_shard(shard, nshards)
-        if m < 0:
-            return Counter()
-        n = m // 2
-        k = _even_low_bits(n)
-
-        def value(descents: list[int], fixed: int) -> int:
-            return (sum(weight(n, i) for i in descents) if weight else 0) + point * fixed
-
-        lows = [[] for _ in range(k + 1)]
-        for l in range(1 << k):
-            r, descents, fixed = _even_low_scan(k, l)
-            lows[r].append((l >> (k - 1) if k else 0, value(descents, fixed)))
-        cross = weight(n, k) if weight and k else 0
-        total = Counter()
-        for r, low in enumerate(lows):
-            highs = (
-                (1 - (h & 1), value(*_even_high_scan(n, k, h, r)))
-                for h in range(shard, 1 << (n - k), nshards)
-            )
-            total += _join_blocks(low, highs, cross)
-        return total
+        return subset_tally(m // 2, shard, nshards)
 
     return tally
-
-
-def _even_low_scan(k: int, l: int) -> tuple[int, list[int], int]:
-    """The FIFO scan of the k bits of l: the number r of openers it leaves
-    pending, the half-descents among 1..k-1 and the fixed points among 1..k.
-    The t-th pending opener, oldest first, stands for the value k + 1 + t."""
-    pending = deque()
-    values, fixed = _fifo_scan(1, k, l, pending)
-    for t, a in enumerate(pending):
-        values[a] = k + 1 + t
-    descents = [i for i in range(1, k) if values[i] > values[i + 1]]
-    return len(pending), descents, fixed
-
-
-def _even_high_scan(n: int, k: int, h: int, r: int) -> tuple[list[int], int]:
-    """The half-descents among k+1..n, the centre n included, and the fixed
-    points among k+1..n, of the masks h * 2**k + l whose low scan leaves r
-    openers pending (_even_high_values)."""
-    values, fixed = _even_high_values(n, k, h, r)
-    row = [values[i] for i in range(k + 1, n + 1)]
-    if row:
-        row.append(2 * n + 1 - row[-1])  # p(n + 1), the mirror of p(n)
-    return [k + 1 + j for j in range(len(row) - 1) if row[j] > row[j + 1]], fixed
-
-
-def _fifo_scan(first: int, last: int, bits: int, pending: deque) -> tuple[dict, int]:
-    """The FIFO scan of positions first..last, position i a member when bit
-    i - first of bits is set, after the openers already in pending: the
-    values it fixes, by position, and the number of fixed points.  pending
-    is left holding the openers still pending, oldest first."""
-    values = {}
-    fixed = 0
-    for i in range(first, last + 1):
-        if bits >> (i - first) & 1:
-            pending.append(i)
-        elif pending:
-            a = pending.popleft()
-            values[a], values[i] = i, a
-        else:
-            values[i] = i
-            fixed += 1
-    return values, fixed
 
 
 class ObjectClass(NamedTuple):
@@ -764,7 +712,7 @@ class ObjectClass(NamedTuple):
 CLASSES: dict[str, ObjectClass] = {
     "cinv321-even": ObjectClass(
         cinv321_even, perms.format_perm, _PERM_STATS,
-        {name: _even_tally(name) for name in _PERM_STATS}, _even_texts,
+        {name: _even_tally(name) for name in _SUBSET_STATS}, _even_texts,
     ),
     "cinv321-odd": ObjectClass(cinv321_odd, perms.format_perm, _PERM_STATS),
     "inv321": ObjectClass(inv321, perms.format_perm, _PERM_STATS),

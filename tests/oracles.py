@@ -213,10 +213,11 @@ def by_outer_step(blocks: Sequence[Iterable], shard: int, nshards: int) -> list:
 
 def mask_blocks(n: int) -> list[list[Subset]]:
     """The subsets of [n] in mask order, one block per high word h: the
-    masks h * 2**k + l for every l < 2**k, k = min(n, LOW_BITS)."""
+    masks h * 2**k + l for every l < 2**k: k = min(n, LOW_BITS) up to
+    n = 255, then one bit less for each further bit of n."""
     if n < 0:
         return []
-    k = min(n, LOW_BITS)
+    k = min(n, LOW_BITS, max(0, 2 * LOW_BITS - n.bit_length()))
     return [[(n, h << k | l) for l in range(1 << k)] for h in range(1 << (n - k))]
 
 

@@ -106,7 +106,7 @@ def test_block_tallies_equal_their_definitions(monkeypatch):
     # (the even class's odd -1 is refused) every tally is the empty Counter
     # of its evaluator over the empty stream
     pairs = [(label, stat) for label in CLASSES for stat in CLASSES[label].tallies]
-    assert len(pairs) == 15
+    assert len(pairs) == 13
     assert {label for label, _ in pairs} == set(TALLY_SIZES)
     for label, (every_shard, last_shard) in TALLY_SIZES.items():
         cls = CLASSES[label]
@@ -127,15 +127,19 @@ def test_block_tallies_equal_their_definitions(monkeypatch):
                 assert tally(n, 6, 7) == Counter(map(cls.stats[stat], stream)), (label, stat, n)
     # paths-rect 8 has one high word, so shard 1 of 2 is idle
     assert CLASSES["paths-rect"].tallies["area"](8, 1, 2) == Counter()
-    # with LOW_BITS = 2 the even class's k shrinks to 1 at n = 4 and to 0
-    # from n = 8 on, as it does from n = 256 and n = 2**15 with LOW_BITS = 8
+    # with LOW_BITS = 2 every mask's k shrinks to 1 at n = 4 and to 0 from
+    # n = 8 on, as it does from n = 256 and n = 2**15 with LOW_BITS = 8
     monkeypatch.setattr(generate, "LOW_BITS", 2)
-    even = CLASSES["cinv321-even"]
-    for m in range(0, 21, 2):
-        for shard in range(3):
-            stream = list(generate_class("cinv321-even", m, shard, 3))
-            for stat, tally in even.tallies.items():
-                assert tally(m, shard, 3) == Counter(map(even.stats[stat], stream)), (stat, m)
+    for label, sizes in (
+        ("cinv321-even", range(0, 21, 2)), ("subsets", range(13)), ("paths-rect", range(13)),
+    ):
+        cls = CLASSES[label]
+        for n in sizes:
+            for shard in range(3):
+                stream = list(generate_class(label, n, shard, 3))
+                for stat, tally in cls.tallies.items():
+                    assert tally(n, shard, 3) == Counter(map(cls.stats[stat], stream)), (
+                        label, stat, n, shard)
 
 
 def test_every_legal_pair_runs():
@@ -212,9 +216,9 @@ def test_bad_size_rejected_before_workers(monkeypatch, forks):
 
 def test_even_low_table_built_once_per_distribution(monkeypatch):
     # distribution's check-only call to generate_class builds nothing, and
-    # neither does any stream that is made and dropped unread.  The even
-    # class tallies every statistic, so a distribution reads no stream and
-    # builds no low table; a stream that is read builds it once
+    # neither does any stream that is made and dropped unread.  A tallied
+    # distribution reads no stream and builds no low table; an fp
+    # distribution reads the stream, and that builds it once
     calls = []
     real = generate._even_low_table
     monkeypatch.setattr(
@@ -223,12 +227,14 @@ def test_even_low_table_built_once_per_distribution(monkeypatch):
     generate.generate_class("cinv321-even", 28)
     generate.cinv321_even(16, 1, 3)
     assert calls == []
-    assert set(CLASSES["cinv321-even"].tallies) == set(CLASSES["cinv321-even"].stats)
+    assert set(CLASSES["cinv321-even"].tallies) == {"des+", "maj+", "des"}
     assert distribution("cinv321-even", 8, "des").count == 16
     assert distribution("cinv321-even", 12, "maj+").count == 64
     assert calls == []
-    assert sum(1 for _ in generate.cinv321_even(12)) == 64
+    assert distribution("cinv321-even", 12, "fp").count == 64
     assert calls == [6]
+    assert sum(1 for _ in generate.cinv321_even(12)) == 64
+    assert calls == [6, 6]
 
 
 def _patch_shards(monkeypatch, child=None, caller=None):

@@ -171,6 +171,11 @@ def test_subsets_keep_the_mask_order_shard_by_shard():
                 assert list(subsets(n, k, nshards)) == by_outer_step(
                     blocks, k, nshards
                 ), (n, k, nshards)
+    # from n = 256 on k falls below LOW_BITS, as in the even class: at
+    # n = 256, k = 7, so shard 1 of 3 starts with the serial stream's
+    # second block of 128 masks and goes on with its fifth
+    serial = list(islice(subsets(256), 1 << 10))
+    assert list(islice(subsets(256, 1, 3), 129)) == serial[128:256] + serial[512:513]
 
 
 def test_paths_keep_the_mask_order_shard_by_shard():
@@ -182,6 +187,9 @@ def test_paths_keep_the_mask_order_shard_by_shard():
                 assert list(all_paths(n, k, nshards)) == by_outer_step(
                     blocks, k, nshards
                 ), (n, k, nshards)
+    # the blocks of 128 paths at n = 256, as for subsets
+    serial = list(islice(all_paths(256), 1 << 10))
+    assert list(islice(all_paths(256, 1, 3), 129)) == serial[128:256] + serial[512:513]
 
 
 def test_even_class_keeps_the_mask_order_shard_by_shard():

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from centroinv import generate, kernels, matchings, paths, rsk
+from centroinv import generate, kernels, matchings, paths, perms, rsk
 from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS
 from centroinv.verify import (
@@ -289,6 +289,68 @@ def test_cor2_catches_a_wrong_area_on_one_hook(monkeypatch):
     report = verify("T-cor2", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
     assert report.results[2].counterexample.startswith("1-hook diagrams in 1 x 1:")
+
+
+def test_cor1_catches_a_fixed_point_count_of_wrong_parity(monkeypatch):
+    # an involution of [n] has n - fp points on its arcs, an even number
+    real = perms.fixed_point_count
+    monkeypatch.setattr(perms, "fixed_point_count", lambda p: real(p) + 1)
+    report = verify("T-cor1", 3)
+    assert [r.status for r in report.results] == ["fail"] * 4
+    assert report.results[0].counterexample == "fixed point count with wrong parity"
+
+
+def test_cor1_compares_the_difference_form(monkeypatch):
+    real = rsk.maj_poly_by_fixed_points
+    monkeypatch.setattr(
+        rsk,
+        "maj_poly_by_fixed_points",
+        lambda n, l: real(n, l) + ((7,) if (n, l) == (4, 2) else ()),
+    )
+    report = verify("T-cor1", 5)
+    assert [r.status for r in report.results] == ["pass"] * 4 + ["fail", "pass"]
+    assert report.results[4].counterexample == (
+        "fp = 2: (0, 1, 1, 1) != difference form (0, 1, 1, 1, 7)"
+    )
+
+
+def test_cor2_compares_the_difference_form(monkeypatch):
+    real = rsk.maj_poly_by_fixed_points_and_des
+    monkeypatch.setattr(
+        rsk,
+        "maj_poly_by_fixed_points_and_des",
+        lambda n, l, k: real(n, l, k) + ((7,) if (n, l, k) == (4, 2, 1) else ()),
+    )
+    report = verify("T-cor2", 5)
+    assert [r.status for r in report.results] == ["pass"] * 4 + ["fail", "pass"]
+    assert report.results[4].counterexample == (
+        "fp = 2, des = 1: (0, 1, 1, 1) != difference form (0, 1, 1, 1, 7)"
+    )
+
+
+def test_fp_catches_two_swapped_preimages(monkeypatch):
+    # the inverse with its images of 2 1 4 3 and 3 4 1 2, both without a
+    # fixed point and so in the 2 x 2 rectangle, swapped
+    real = rsk.theta_rect_inverse
+    swap = {(2, 1, 4, 3): (3, 4, 1, 2), (3, 4, 1, 2): (2, 1, 4, 3)}
+
+    def swapped(lam, a, b):
+        p = real(lam, a, b)
+        return swap.get(p, p)
+
+    monkeypatch.setattr(rsk, "theta_rect_inverse", swapped)
+    report = verify("T-fp", 4)
+    assert [r.status for r in report.results] == ["pass"] * 4 + ["fail"]
+    assert report.results[4].counterexample == "inverse round trip failed at 2 1 4 3"
+
+
+def test_odd_catches_a_split_that_drops_the_arcs(monkeypatch):
+    # a split that returns the identity of the half: right on the identity,
+    # wrong from the first arc on
+    monkeypatch.setattr(verify_module, "odd_split", lambda p: tuple(range(1, len(p) // 2 + 1)))
+    report = verify("T-odd", 3)
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
+    assert report.results[2].counterexample == "split(join) failed at 2 1"
 
 
 def test_desfull_compares_the_subset_transport(monkeypatch):
