@@ -599,8 +599,8 @@ _PATH_TALLIES = {
 #: centrosymmetric p of [2n], as weights over the first half of p: (the
 #: weight of a half-descent at i of 1..n, the centre n included, as
 #: weight(n, i), or None where none counts; the weight of a fixed point
-#: among 1..n).  Every descent of p but the centre shows again
-#: at 2n - i, every fixed point at 2n + 1 - i, and maj = n * des
+#: among 1..n).  Every descent of p but the centre shows again at 2n - i,
+#: every fixed point at 2n + 1 - i, and maj = n * des
 _HALF_WEIGHTS = {
     "des+": (lambda n, i: 1, 0),
     "maj+": (lambda n, i: i, 0),

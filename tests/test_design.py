@@ -162,8 +162,7 @@ def test_each_block_class_reads_one_scan():
     # generate._fifo_scan, and the signed classes one builder of windows,
     # generate._sign_products: the even stream and text stream run the
     # first, and every signed stream and text stream the second
-    # each mask class at a size of 10 bits, two above LOW_BITS
-    masks = {"cinv321-even": 20, "subsets": 10, "paths-rect": 10}
+    masks = {"cinv321-even": 20, "subsets": 10, "paths-rect": 10}  # 10 bits, past LOW_BITS
     even = generate.CLASSES["cinv321-even"]
     signed = {label: generate.CLASSES[label] for label in ("signed-all", "signed-sixavoiders")}
     reads = {}
