@@ -8,18 +8,18 @@ The class is split into jobs shards by the one shard rule of the generators
 (see centroinv.generate), and each shard's work is one zero-argument
 callable that returns its tally as a Counter: the class's block tally of
 the statistic where it has one (ObjectClass.tallies: every statistic of
-subsets, paths-rect and signed-all, and des+, maj+ and des of cinv321-even,
-which are the subset tallies read through subset_involution), otherwise
-the evaluator counted over the shard stream.  All jobs shard streams are
-made first, which checks the request and builds nothing, before any child
-is forked.  The caller runs the work of shard 0 itself; the work of shards
-1 to jobs - 1 (none for one job) runs in children made with os.fork, and
-each child sends its tally back over a pipe as marshal.dumps((ok, payload))
-and leaves with os._exit.  The tallies are added; tally addition is
-commutative, so a sharded run is byte-identical to a serial one.  jobs is
-capped at os.cpu_count(), and at 1 on a platform without os.fork, which
-then runs serially.  The package starts no threads, so forking the caller
-is safe.
+subsets, paths-rect and signed-all, and des+, maj+ and des of cinv321-even;
+paths-rect peaks and the even tallies are subset tallies, read through
+subset_path and subset_involution), otherwise the evaluator counted over
+the shard stream.  All jobs shard streams are made first, which checks the
+request and builds nothing, before any child is forked.  The caller runs
+the work of shard 0 itself; the work of shards 1 to jobs - 1 (none for one
+job) runs in children made with os.fork, and each child sends its tally
+back over a pipe as marshal.dumps((ok, payload)) and leaves with os._exit.
+The tallies are added; tally addition is commutative, so a sharded run is
+byte-identical to a serial one.  jobs is capped at os.cpu_count(), and at 1
+on a platform without os.fork, which then runs serially.  The package
+starts no threads, so forking the caller is safe.
 """
 
 from __future__ import annotations

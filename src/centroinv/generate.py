@@ -13,11 +13,12 @@ all_paths and the signed classes run on C-level iterators, with one Python
 step per block of objects rather than per object.  all_paths joins the words
 of the low k bits of a mask, built once, to each word of its high bits as
 those stream, so it holds at most 2**LOW_BITS words for any n.  Every
-window of the signed classes, and every window text of signed-all, comes
-from one sign product, _sign_products: for each tau, itertools.product over
-the signs each entry may take.  The two conditions in centroinv.signed act
-on each entry of tau alone, so the six-avoiders need no window tested, and
-a tau with a middle entry that is not a prefix minimum has none.
+window of the signed classes, every window text of signed-all and every
+window its tallies count comes from one sign product, _sign_products: for
+each tau, itertools.product over the signs each entry may take.  The two
+conditions in centroinv.signed act on each entry of tau alone, so the
+six-avoiders need no window tested, and a tau with a middle entry that is
+not a prefix minimum has none.
 
 cinv321_even is built the same way, on the FIFO view of the subset bijection
 (see centroinv.matchings), with _fifo_scan its one FIFO loop: the scans of
@@ -60,25 +61,27 @@ per-object definition.
 
 Beside its per-object evaluators in stats, a class may list block tallies in
 tallies: tally(size, shard, nshards) is the Counter of a statistic over that
-shard stream, got without building an object, over the same outer loop as
+shard stream, got without building every object, over the same outer loop as
 the stream.  subsets, paths-rect and signed-all tally each of their
 statistics, cinv321-even three of its five, and the other classes none:
 
-* subsets (des+, maj+, des) and paths-rect (area, peaks): each statistic is
-  a share of the low word plus a share of the high word plus a term that
-  crosses the boundary, so a tally groups the 2**k low words by what
-  crosses, walks the shard's high words and joins the two groupings;
-* cinv321-even (des+, maj+, des): subset_involution carries subset_des,
-  subset_maj and des_from_subset to des+, maj+ and des, object by object
-  and shard by shard, so the even tallies are the subset tallies at n;
-* signed-all: whether s_i > s_i+1 depends only on the two signs and on
-  whether tau rises at i, so tau is grouped by its rises and fixed points
-  and a two-state transfer runs over the signs.
+* subsets (des+, maj+, des) and paths-rect area: each statistic is a share
+  of the low word plus a share of the high word plus a term that crosses
+  the boundary, so a tally groups the 2**k low words by what crosses, walks
+  the shard's high words and joins the two groupings;
+* paths-rect peaks and cinv321-even (des+, maj+, des) are subset tallies:
+  all_paths(n) is map(subset_path, subsets(n)), and the starred peaks of
+  subset_path(e) are the descents of e; subset_involution carries
+  subset_des, subset_maj and des_from_subset to des+, maj+ and des of the
+  even class at 2n.  Both hold object by object and shard by shard;
+* signed-all: over the 2**n sign choices of one tau, fp reads only the
+  number of fixed points of tau and the other statistics only its rises,
+  so tau is grouped by those and the evaluator is counted over the windows
+  of one tau per group, from _sign_products.
 
-The signed tallies read each statistic as weights of the half-descents and
-fixed points (_HALF_WEIGHTS).  The evaluators stay the definition, and the
-drivers read no tally.  A class keeps a block path only where it beats the
-per-object path on a workload; the six-avoiders spend their time in the
+So every tally counts an evaluator and states no statistic of its own, and
+the drivers read no tally.  A class keeps a block path only where it beats
+the per-object path on a workload; the six-avoiders spend their time in the
 same n! loop over tau either way, so they keep none.
 """
 
@@ -161,26 +164,28 @@ def signed_perms(n: int, shard: int = 0, nshards: int = 1) -> Iterator[SignedPer
     """All 2^n n! signed permutation windows: for each tau, the signs in mask
     order, bit i-1 set when entry i is negative."""
     _check_shard(shard, nshards)
-    return chain.from_iterable(_sign_products(n, shard, nshards, _any_signs, int))
+    return chain.from_iterable(
+        _sign_products(n, _shard_taus(n, shard, nshards), _any_signs, int)
+    )
 
 
 def _sign_products(
-    n: int, shard: int, nshards: int,
+    n: int, taus: Iterable[Perm],
     signs: Callable[[Perm], tuple | None], entry: Callable[[int], object],
 ) -> Iterator[Iterator[tuple]]:
-    """One block of windows per tau of the shard that has any: the windows s
-    with |s| = tau whose entry i takes the signs signs(tau)[i], in mask
-    order, every entry v given as entry(v); signs(tau) is None when tau has
-    none.  itertools.product varies its last factor fastest, so the factors
-    are listed from the last position to the first and each product is read
-    back to front."""
+    """One block of windows per tau of taus, permutations of [n], that has
+    any: the windows s with |s| = tau whose entry i takes the signs
+    signs(tau)[i], in mask order, every entry v given as entry(v); signs(tau)
+    is None when tau has none.  itertools.product varies its last factor
+    fastest, so the factors are listed from the last position to the first
+    and each product is read back to front."""
     # the factor of value v under each sign set an entry may take
     factors = {
         (v, choice): tuple(entry(v * sign) for sign in choice)
         for v in range(1, n + 1)
         for choice in _AVOIDER_SIGNS.values()
     }
-    for tau in _shard_taus(n, shard, nshards):
+    for tau in taus:
         allowed = signs(tau)
         if allowed is not None:
             keys = zip(reversed(tau), reversed(allowed))
@@ -456,7 +461,9 @@ def _six_avoiders(n: int, shard: int, nshards: int) -> Iterator[SignedPerm]:
     patterns, in the same order, with no window tested: for each tau, the
     product of the signs that each entry may take (_avoider_signs)."""
     _check_shard(shard, nshards)
-    return chain.from_iterable(_sign_products(n, shard, nshards, _avoider_signs, int))
+    return chain.from_iterable(
+        _sign_products(n, _shard_taus(n, shard, nshards), _avoider_signs, int)
+    )
 
 
 def _shard_taus(n: int, shard: int, nshards: int) -> Iterator[Perm]:
@@ -566,107 +573,50 @@ def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
     return tally
 
 
-def _path_tally(low_part: Callable[[str], tuple], high_part: Callable[[str], tuple]) -> Tally:
-    """The tally over all_paths(n, shard, nshards) of a statistic that
-    joins a low word L and a high word H as lv + hv + lk * hk, where
-    low_part(L) = (lk, lv) and high_part(H) = (hk, hv)."""
-
-    def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
-        _check_shard(shard, nshards)
-        low, highs = _path_halves(n, shard, nshards)
-        return _join_blocks(map(low_part, low), map(high_part, highs), 1)
-
-    return tally
+def _area_tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
+    """The tally of area over all_paths(n, shard, nshards).  A low word L
+    and a high word H join as area(L + H) = area(L) + area(H) + E(L) * N(H)."""
+    _check_shard(shard, nshards)
+    low, highs = _path_halves(n, shard, nshards)
+    lows = ((w.count("E"), paths.area(w)) for w in low)
+    return _join_blocks(lows, ((w.count("N"), paths.area(w)) for w in highs), 1)
 
 
 _SUBSET_TALLIES = {name: _subset_tally(fn) for name, fn in _SUBSET_STATS.items()}
 
-_PATH_TALLIES = {
-    # area(L + H) = area(L) + area(H) + E(L) * N(H)
-    "area": _path_tally(
-        lambda w: (w.count("E"), paths.area(w)), lambda w: (w.count("N"), paths.area(w))
-    ),
-    # a peak at the junction when L ends with N and H starts with E, or is
-    # empty and so ends in the virtual E
-    "peaks": _path_tally(
-        lambda w: (w.endswith("N"), len(paths.peak_set(w))),
-        lambda w: (not w.startswith("N"), len(paths.peak_star(w))),
-    ),
-}
-
-
-#: each statistic of _PERM_STATS on an unfolded signed window, a
-#: centrosymmetric p of [2n], as weights over the first half of p: (the
-#: weight of a half-descent at i of 1..n, the centre n included, as
-#: weight(n, i), or None where none counts; the weight of a fixed point
-#: among 1..n).  Every descent of p but the centre shows again at 2n - i,
-#: every fixed point at 2n + 1 - i, and maj = n * des
-_HALF_WEIGHTS = {
-    "des+": (lambda n, i: 1, 0),
-    "maj+": (lambda n, i: i, 0),
-    "des": (lambda n, i: 1 if i == n else 2, 0),
-    "maj": (lambda n, i: n if i == n else 2 * n, 0),
-    "fp": (None, 2),
-}
+#: all_paths(n, shard, nshards) is map(subset_path, subsets(n, shard,
+#: nshards)), and the starred peaks of subset_path(e) are the descents of e
+_PATH_TALLIES = {"area": _area_tally, "peaks": _SUBSET_TALLIES["des+"]}
 
 
 def _signed_tally(stat: str) -> Tally:
-    """The tally of stat over signed_perms(n, shard, nshards).
+    """The tally of stat over signed_perms(n, shard, nshards), counted with
+    its own evaluator.
 
-    Window descent i < n is the half-descent n - i of unfold_window(s), and
-    the centre is a descent iff s_1 < 0; s_i = i is the fixed point n + i.
-    Whether s_i > s_i+1 depends only on their signs and on whether tau rises
-    at i.  So the tally groups tau by its rises where descents count and its
-    fixed points where they count, and runs _sign_transfer once per group."""
-    weight, point = _HALF_WEIGHTS[stat]
+    With tau = |s|, window descent i < n holds iff s_i+1 < 0 at a rise of
+    tau or s_i > 0 at a fall; the centre of unfold_window(s) is a descent iff
+    s_1 < 0, and s_i = i is a fixed point.  So over the 2**n sign choices of
+    one tau, fp depends on tau only through its number of fixed points, and
+    every other statistic only through its rises.  The tally groups the
+    shard's tau by that key and counts the evaluator over the windows of one
+    tau per group, weighted by the group's size."""
+    evaluate = _SIGNED_STATS[stat]
 
     def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
         _check_shard(shard, nshards)
-        groups = Counter()
+        points = range(1, n + 1)
+        groups = {}  # what stat reads of tau: [the first tau that reads it, how many do]
         for tau in _shard_taus(n, shard, nshards):
-            rises = tuple(map(lt, tau, tau[1:])) if weight else ()
-            fixed = tuple(map(eq, tau, range(1, n + 1))) if point else ()
-            groups[rises, fixed] += 1
+            key = sum(map(eq, tau, points)) if stat == "fp" else tuple(map(lt, tau, tau[1:]))
+            groups.setdefault(key, [tau, 0])[1] += 1
+        blocks = _sign_products(n, [tau for tau, _ in groups.values()], _any_signs, int)
         total = Counter()
-        for (rises, fixed), count in groups.items():
-            for value, c in _sign_transfer(n, weight, point, rises, fixed).items():
-                total[value] += count * c
+        for block, (_, size) in zip(blocks, groups.values()):
+            for value, count in Counter(map(evaluate, block)).items():
+                total[value] += size * count
         return total
 
     return tally
-
-
-def _sign_transfer(
-    n: int, weight: Callable[[int, int], int] | None, point: int,
-    rises: tuple, fixed: tuple,
-) -> Counter:
-    """The Counter of the statistic over the 2**n sign choices of one group
-    of tau, entry by entry: the state is the sign of the last entry placed,
-    and each state holds the Counter of the statistic so far.  s_i > s_i+1
-    iff sign_i * x > sign_i+1 * y, with (x, y) = (1, 2) at a rise of tau and
-    (2, 1) otherwise."""
-    if not n:
-        return Counter({0: 1})
-
-    def own(i: int, sign: int) -> int:
-        # what entry i adds alone: the centre when s_1 < 0, a fixed point
-        # when s_i = i
-        centre = weight(n, n) if weight and not i and sign < 0 else 0
-        return centre + (point if point and sign > 0 and fixed[i] else 0)
-
-    states = {sign: Counter({own(0, sign): 1}) for sign in (1, -1)}
-    for i in range(1, n):
-        x, y = (1, 2) if weight and rises[i - 1] else (2, 1)
-        drop = weight(n, n - i) if weight else 0
-        step = {}
-        for sign in (1, -1):
-            out = step[sign] = Counter()
-            for last, values in states.items():
-                gain = own(i, sign) + (drop if last * x > sign * y else 0)
-                for v, c in values.items():
-                    out[v + gain] += c
-        states = step
-    return sum(states.values(), Counter())
 
 
 def _even_tally(stat: str) -> Tally:
@@ -721,7 +671,9 @@ CLASSES: dict[str, ObjectClass] = {
         {name: _signed_tally(name) for name in _SIGNED_STATS},
         lambda n: map(
             " ".join,
-            chain.from_iterable(_sign_products(n, 0, 1, _any_signs, perms._TEXT.__getitem__)),
+            chain.from_iterable(
+                _sign_products(n, _shard_taus(n, 0, 1), _any_signs, perms._TEXT.__getitem__)
+            ),
         ),
     ),
     "signed-sixavoiders": ObjectClass(_six_avoiders, perms.format_perm, _SIGNED_STATS),

@@ -161,7 +161,7 @@ def test_each_block_class_reads_one_scan():
     # generate._low_bits; the even class has one FIFO loop,
     # generate._fifo_scan, and the signed classes one builder of windows,
     # generate._sign_products: the even stream and text stream run the
-    # first, and every signed stream and text stream the second
+    # first, and every signed stream, text stream and tally the second
     masks = {"cinv321-even": 20, "subsets": 10, "paths-rect": 10}  # 10 bits, past LOW_BITS
     even = generate.CLASSES["cinv321-even"]
     signed = {label: generate.CLASSES[label] for label in ("signed-all", "signed-sixavoiders")}
@@ -182,6 +182,10 @@ def test_each_block_class_reads_one_scan():
         **{
             f"{label} texts": (generate._sign_products, lambda c=c: [*c.texts(4)])
             for label, c in signed.items()
+        },
+        **{
+            f"signed-all {name} tally": (generate._sign_products, partial(tally, 4))
+            for name, tally in signed["signed-all"].tallies.items()
         },
     }
     for name, (scan, read) in reads.items():

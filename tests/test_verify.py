@@ -1,6 +1,7 @@
 """The theorem drivers and their reports."""
 
 import json
+from itertools import islice
 from math import comb
 
 import pytest
@@ -351,6 +352,59 @@ def test_odd_catches_a_split_that_drops_the_arcs(monkeypatch):
     report = verify("T-odd", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
     assert report.results[2].counterexample == "split(join) failed at 2 1"
+
+
+def _without_the_first(real):
+    return lambda *args: islice(real(*args), 1, None)
+
+
+_SWAP_STEPS = str.maketrans("NE", "EN")
+
+#: one mutation for each failure text of the per-object checkers that the
+#: tests above do not reach: the driver, the first size at which it fails,
+#: its exact counterexample there, and the patch, (module, attribute, the
+#: mutant made from the real attribute)
+CHECK_MUTATIONS = [
+    # every image read back as the empty subset
+    ("T-cara", 1, "round trip failed at 1",
+     (matchings, "excedance_subset", lambda real: lambda p: (len(p) // 2, 0))),
+    # a 321 walk that loses its first object, the identity
+    ("T-odd", 0, "|inv321| = 0, expected 1", (generate, "inv321", _without_the_first)),
+    # the join read right to left: 1 becomes 3 2 1
+    ("T-odd", 1, "join of 1 leaves the class",
+     (verify_module, "odd_join", lambda real: lambda a: real(a)[::-1])),
+    # a half-descent set that loses its first descent
+    ("T-odd", 2, "statistic transport failed at 2 1",
+     (perms, "half_descent_set", lambda real: lambda p: real(p)[1:])),
+    # a census that counts one class member more
+    ("T-odd", 0, "raw filter count 2 != 1",
+     (kernels, "census", lambda real: lambda m: {**real(m), "count": real(m)["count"] + 1})),
+    # g with its N and E steps swapped
+    ("T-hdpeak", 1, "g(E) leaves the 0 x 1 rectangle",
+     (paths, "g_map", lambda real: lambda w: real(w).translate(_SWAP_STEPS))),
+    # starred hooks without the star: no label for a word that starts with N
+    ("T-hdpeak", 1, "starred hooks of g(N) differ from starred peaks",
+     (paths, "hd_star", lambda real: paths.hook_decomposition)),
+    # g_inverse read right to left
+    ("T-hdpeak", 2, "g_inverse(g(NE)) != NE",
+     (paths, "g_inverse", lambda real: lambda w: real(w)[::-1])),
+    # theta with its N and E steps swapped
+    ("T-fp", 1, "theta(1) leaves the 0 x 1 rectangle",
+     (rsk, "theta_rect", lambda real: lambda p, a, b: real(p, a, b).translate(_SWAP_STEPS))),
+    # the identity missing from every rectangle's domain
+    ("T-fp", 0, "domain has 0 members, rectangle 1", (generate, "inv321", _without_the_first)),
+]
+
+
+@pytest.mark.parametrize(
+    "driver, size, text, patch", CHECK_MUTATIONS, ids=[text for _, _, text, _ in CHECK_MUTATIONS]
+)
+def test_each_check_fails_under_its_mutation(monkeypatch, driver, size, text, patch):
+    module, name, mutant = patch
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    results = verify(driver, size).results
+    assert [r.status for r in results] == ["pass"] * size + ["fail"]
+    assert results[size].counterexample == text
 
 
 def test_desfull_compares_the_subset_transport(monkeypatch):
