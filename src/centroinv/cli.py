@@ -22,6 +22,12 @@ them.  bijection loads rsk, and with it qpoly, only for the three maps that
 use rsk.  json is loaded only for JSON output.  The commands call
 distribution and verify through the names this module binds, which load
 their modules on first call and which a caller may rebind.
+
+``verify --name all`` runs its drivers in min(os.cpu_count(), number of
+drivers) processes: the caller and children forked by distrib.run_forked,
+each taking the next driver when it is free.  The reports print in the
+sorted order of the names, as a serial run prints them.  One --name, one
+CPU or a platform without os.fork runs in the caller alone.
 """
 
 from __future__ import annotations
@@ -250,11 +256,13 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from centroinv.verify import THEOREMS, report_json, report_tsv
+    from centroinv.verify import THEOREMS, report_json, report_tsv, sizes
 
     names = sorted(THEOREMS) if args.name == "all" else [args.name]
     max_n = None if args.max_n is None else _int(args.max_n)
-    reports = [verify(name, max_n) for name in names]
+    for name in names:
+        sizes(name, max_n)  # a bad request fails here, before any fork
+    reports = _run_drivers(names, max_n)
     if args.format == "json":
         if len(reports) == 1:
             print(report_json(reports[0]))
@@ -266,6 +274,44 @@ def _cmd_verify(args) -> int:
                 print(f"# {r.theorem}")
             print(report_tsv(r))
     return 0 if all(r.ok for r in reports) else 1
+
+
+def _run_drivers(names: list[str], max_n: int | None) -> list:
+    """verify(name, max_n) for each name, the reports in the order of names.
+    They run in min(os.cpu_count(), len(names)) processes, one where os.fork
+    is missing: the caller and children forked by distrib.run_forked.  The
+    indices of names wait in a pipe, and each process takes the next index,
+    one byte at a time, whenever it is free.  A process sends its reports
+    back as plain tuples, which marshal."""
+    procs = min(os.cpu_count() or 1, len(names)) if hasattr(os, "fork") else 1
+    if procs == 1:
+        return [verify(name, max_n) for name in names]
+    from centroinv.distrib import run_forked
+    from centroinv.verify import SizeResult, VerificationReport
+
+    queue, write_end = os.pipe()
+    os.write(write_end, bytes(range(len(names))))
+    os.close(write_end)
+
+    def drain() -> dict[int, tuple]:
+        done = {}
+        while index := os.read(queue, 1):
+            name = names[index[0]]
+            try:
+                r = verify(name, max_n)
+            except Exception as exc:
+                raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
+            done[index[0]] = (r.theorem, tuple(map(tuple, r.results)), r.duration_s)
+        return done
+
+    try:
+        done = {i: r for part in run_forked([drain] * procs, "process") for i, r in part.items()}
+    finally:
+        os.close(queue)
+    return [
+        VerificationReport(theorem, tuple(SizeResult(*row) for row in rows), duration)
+        for theorem, rows, duration in map(done.__getitem__, range(len(names)))
+    ]
 
 
 def _enumerate_arguments(en: argparse.ArgumentParser) -> None:

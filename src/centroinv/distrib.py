@@ -13,13 +13,15 @@ paths-rect peaks and the even tallies are subset tallies, read through
 subset_path and subset_involution), otherwise the evaluator counted over
 the shard stream.  All jobs shard streams are made first, which checks the
 request and builds nothing, before any child is forked.  The caller runs
-the work of shard 0 itself; the work of shards 1 to jobs - 1 (none for one
-job) runs in children made with os.fork, and each child sends its tally
-back over a pipe as marshal.dumps((ok, payload)) and leaves with os._exit.
-The tallies are added; tally addition is commutative, so a sharded run is
-byte-identical to a serial one.  jobs is capped at os.cpu_count(), and at 1
-on a platform without os.fork, which then runs serially.  The package
-starts no threads, so forking the caller is safe.
+the work of shard 0 itself and the work of shards 1 to jobs - 1 (none for
+one job) in children, through run_forked, the package's one fork helper,
+which also runs the drivers of ``verify --name all``: it makes each child
+with os.fork, and each child sends what its work returned back over a pipe
+as marshal.dumps((ok, payload)) and leaves with os._exit.  A child sends its
+tally as a dict, and the tallies are added; tally addition is commutative,
+so a sharded run is byte-identical to a serial one.  jobs is capped at
+os.cpu_count(), and at 1 on a platform without os.fork, which then runs
+serially.  The package starts no threads, so forking the caller is safe.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ class DistributionTable(NamedTuple):
     count: int
 
 
-def _fork_shard(work: Callable[[], Counter], shard: int, nshards: int) -> tuple[int, int]:
-    """Start a child that runs one shard's work; returns its pid and the
-    read end of the pipe that carries marshal.dumps((ok, payload)): the
-    tally as a dict, or the text "<ExcType>: <message>" of what the shard
-    raised."""
+def _fork(work: Callable[[], object]) -> tuple[int, int]:
+    """Start a child that runs work; returns its pid and the read end of the
+    pipe that carries marshal.dumps((ok, payload)): what work returned, or
+    the text "<ExcType>: <message>" of what it raised."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -74,7 +75,7 @@ def _fork_shard(work: Callable[[], Counter], shard: int, nshards: int) -> tuple[
     try:
         os.close(read_fd)
         try:
-            reply = (True, dict(work()))
+            reply = (True, work())
         except BaseException as exc:
             reply = (False, f"{type(exc).__name__}: {exc}")
         data = memoryview(marshal.dumps(reply))
@@ -84,8 +85,8 @@ def _fork_shard(work: Callable[[], Counter], shard: int, nshards: int) -> tuple[
         os._exit(0)
 
 
-def _read_shard(fd: int, shard: int, nshards: int) -> dict:
-    """Read one child's reply to end of file; raise if the shard failed or
+def _read_reply(fd: int, part: str) -> object:
+    """Read one child's reply to end of file; raise if its work failed or
     the child ended without a reply."""
     chunks = []
     while chunk := os.read(fd, 1 << 16):
@@ -93,25 +94,26 @@ def _read_shard(fd: int, shard: int, nshards: int) -> dict:
     try:
         ok, payload = marshal.loads(b"".join(chunks))
     except (EOFError, ValueError):
-        raise RuntimeError(f"shard {shard} of {nshards} ended without a result") from None
+        raise RuntimeError(f"{part} ended without a result") from None
     if not ok:
-        raise RuntimeError(f"shard {shard} of {nshards} failed: {payload}")
+        raise RuntimeError(f"{part} failed: {payload}")
     return payload
 
 
-def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
-    """Run the work of shard 0 here and of shards 1.. in forked children,
-    and add up their tallies.  Every child is reaped before this returns or
-    raises; on failure the children still running are killed first."""
-    jobs = len(work)
+def run_forked(work: list[Callable[[], object]], part: str) -> list:
+    """Run work[0] here and work[1:] in forked children, and return what
+    each returned, in order; what a child's work returns must marshal.  A
+    child that fails raises RuntimeError "<part> <i> of <len(work)> failed:
+    <ExcType>: <message>" here.  Every child is reaped before this returns
+    or raises; on failure the children still running are killed first."""
     children: list[tuple[int, int]] = []
     try:
-        for shard in range(1, jobs):
-            children.append(_fork_shard(work[shard], shard, jobs))
-        tally = work[0]()
-        for shard, (_, fd) in enumerate(children, 1):
-            tally.update(_read_shard(fd, shard, jobs))
-        return tally
+        for i in range(1, len(work)):
+            children.append(_fork(work[i]))
+        payloads = [work[0]()]
+        for i, (_, fd) in enumerate(children, 1):
+            payloads.append(_read_reply(fd, f"{part} {i} of {len(work)}"))
+        return payloads
     except BaseException:
         import signal
 
@@ -122,6 +124,16 @@ def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
+
+
+def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
+    """The sum of the shards' tallies, shard 0 tallied here and shards 1..
+    in forked children (run_forked); a child sends its tally as a dict."""
+    # a Counter does not marshal; the dict of its counts does
+    tally, *others = run_forked([work[0], *(lambda w=w: dict(w()) for w in work[1:])], "shard")
+    for other in others:
+        tally.update(other)
+    return tally
 
 
 def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable[[], Counter]]:

@@ -9,8 +9,8 @@ rebuilds it unchecked, for generated windows).
 
 Containment of a signed pattern asks for a subsequence whose absolute values
 are order-isomorphic to those of the pattern and whose signs agree entrywise;
-signed_patterns collects the signed patterns of every length-k subsequence
-in one pass, so s avoids t iff t is not among signed_patterns(s, len(t)).
+signed_pattern gives the signed pattern of one subsequence, so s avoids t
+iff no length-len(t) subsequence of s has the signed pattern t.
 Avoiding the six patterns in TOP_PATTERNS characterises the image under theta
 of the 321-avoiding centrosymmetric permutations; these are the fully
 commutative top elements of the hyperoctahedral group.
@@ -27,14 +27,13 @@ is_top_element checks in one pass:
 Given |s|, each condition acts on one entry alone, so they also build the
 avoiders: centroinv.generate streams the signed-sixavoiders class as the
 product, for each |s|, of the signs each entry may take, and tests no
-window.  is_top_element and signed_patterns stay the routes that T-sixpat
-compares.
+window.  is_top_element and a scan that reads signed_pattern stay the
+routes that T-sixpat compares.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 
 from centroinv.perms import Perm, is_centrosymmetric, parse_ints
 
@@ -109,24 +108,16 @@ def _unfold_tables(n: int):
     return second.__getitem__, first.__getitem__
 
 
-def signed_patterns(s: SignedPerm, k: int) -> set[SignedPerm]:
-    """Signed patterns of the length-k subsequences of s, in one pass: each
-    entry becomes the rank of its |value| within the subsequence, carrying
-    the entry's sign.  The |values| of a window are distinct, so an entry's
-    index in the sorted |values| is its rank.
+def signed_pattern(sub: SignedPerm) -> SignedPerm:
+    """The signed pattern of a sequence of nonzero entries with distinct
+    |values|: each entry becomes the rank of its |value| in the sequence,
+    carrying the entry's sign.
 
-    >>> sorted(signed_patterns((3, -1, 2), 2))
-    [(-1, 2), (2, -1), (2, 1)]
-    >>> signed_patterns((1, 2), 0), signed_patterns((1, 2), 3)
-    ({()}, set())
+    >>> signed_pattern((3, -1, 5)), signed_pattern(())
+    ((2, -1, 3), ())
     """
-    found = set()
-    for sub in combinations(s, k):
-        order = sorted(map(abs, sub))
-        found.add(
-            tuple(order.index(v) + 1 if v > 0 else -order.index(-v) - 1 for v in sub)
-        )
-    return found
+    order = sorted(map(abs, sub))
+    return tuple(order.index(v) + 1 if v > 0 else -order.index(-v) - 1 for v in sub)
 
 
 def is_top_element(s: SignedPerm) -> bool:

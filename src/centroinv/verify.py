@@ -19,14 +19,25 @@ No two routes of a table share package code outside the qpoly ring but the
 pairs, with reasons, that tests/test_design.py::test_compared_routes_share_no_code
 allows; that test and the mutation matrix in tests/test_verify.py read ROUTES.
 
-verify(theorem_id) runs one driver over a size range and returns a report
-with a per-size pass/fail status; a failure carries a concrete
-counterexample.  The registry key doubles as the CLI name.
+T-sixpat's linear scan streams the windows of signed_perms; its literal
+scan grows windows one entry at a time and looks up the signed pattern of
+every subsequence that ends at the new entry, so it extends only the
+prefixes that avoid every pattern.  T-hdpeak computes the hooks of g(p) and
+the peaks of p once and hands them to hd_star and peak_star, each of which
+keeps its own star rule.
+
+verify(theorem_id) runs one driver over a size range (sizes checks the
+request) and returns a report with a per-size pass/fail status; a failure
+carries a concrete counterexample.  The registry key doubles as the CLI
+name.  ``verify --name all`` runs the drivers in up to os.cpu_count()
+processes through distrib.run_forked, the one fork helper that also shards
+``stats --jobs``; its reports come back as plain tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import combinations
 from math import comb
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
@@ -42,7 +53,7 @@ from centroinv.qpoly import (
     half_des_poly, half_des_poly_even_part, half_des_poly_rec,
     half_maj_poly, half_maj_poly_by_area, half_maj_poly_diff, half_maj_poly_rec,
 )
-from centroinv.signed import TOP_PATTERNS, is_top_element, signed_patterns, theta
+from centroinv.signed import TOP_PATTERNS, is_top_element, signed_pattern, theta
 
 #: largest half-size for the raw census cross-check at the double size
 RAW_LIMIT = 9
@@ -143,21 +154,44 @@ def _recr_table(n: int) -> dict[str, Callable[[], object]]:
 
 
 def _sixpat_table(n: int) -> dict[str, Callable[[], set]]:
-    windows = list(generate.signed_perms(n))
-    # the literal scan: s avoids every pattern iff no length that the
-    # patterns use shows one among the signed patterns of s, shortest first
-    lengths = sorted({len(t) for t in TOP_PATTERNS})
     return {
         "theta image": lambda: {
             theta(p) for p in generate.centro_perms(2 * n) if not contains_321(p)
         },
-        "linear scan": lambda: {s for s in windows if is_top_element(s)},
-        "literal scan": lambda: {
-            s
-            for s in windows
-            if all(signed_patterns(s, k).isdisjoint(TOP_PATTERNS) for k in lengths)
-        },
+        "linear scan": lambda: set(filter(is_top_element, generate.signed_perms(n))),
+        "literal scan": lambda: _literal_scan(n),
     }
+
+
+def _literal_scan(n: int) -> set:
+    """The windows of [n] that avoid every pattern of TOP_PATTERNS, grown one
+    entry at a time.  An occurrence of a pattern ends at some entry, so each
+    step builds the signed pattern of every subsequence that ends at the new
+    entry, of each length the patterns use, looks it up in TOP_PATTERNS, and
+    extends the prefix only when none is there."""
+    patterns = set(TOP_PATTERNS)
+    # the entries an occurrence takes before its last
+    heads = sorted({len(t) - 1 for t in TOP_PATTERNS})
+    found = set()
+
+    def grow(prefix: tuple) -> None:
+        if len(prefix) == n:
+            found.add(prefix)
+            return
+        used = set(map(abs, prefix))
+        for a in range(1, n + 1):
+            if a in used:
+                continue
+            for v in (a, -a):
+                if not any(
+                    signed_pattern((*sub, v)) in patterns
+                    for k in heads
+                    for sub in combinations(prefix, k)
+                ):
+                    grow((*prefix, v))
+
+    grow(())
+    return found
 
 
 #: driver name -> routes(n), the ordered tables that the driver compares at
@@ -255,9 +289,10 @@ def _check_hdpeak(n: int) -> str | None:
         q = paths.g_map(p)
         if paths.path_counts(q) != (a, b):
             return f"g({p}) leaves the {a} x {b} rectangle"
-        if paths.hook_decomposition(q) != paths.peak_set(p):
+        hooks, peaks = paths.hook_decomposition(q), paths.peak_set(p)
+        if hooks != peaks:
             return f"hooks of g({p}) = {q} differ from peaks of {p}"
-        if paths.hd_star(q) != paths.peak_star(p):
+        if paths.hd_star(q, hooks) != paths.peak_star(p, peaks):
             return f"starred hooks of g({p}) differ from starred peaks"
         if paths.g_inverse(q) != p:
             return f"g_inverse(g({p})) != {p}"
@@ -362,19 +397,28 @@ THEOREMS: dict[str, tuple[str, int, Callable[[int], str | None]]] = {
 }
 
 
-def verify(theorem_id: str, max_size: int | None = None) -> VerificationReport:
-    """Run one driver for sizes 0..max_size (default per theorem)."""
+def sizes(theorem_id: str, max_size: int | None = None) -> range:
+    """The sizes verify runs a driver at: 0..max_size, by default 0 to the
+    theorem's own maximum.  Raises ValueError for an unknown theorem or a
+    negative max_size."""
     try:
-        _, default_max, fn = THEOREMS[theorem_id]
+        default_max = THEOREMS[theorem_id][1]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
     if max_size is None:
         max_size = default_max
     if max_size < 0:
         raise ValueError(f"max size must be non-negative (got {max_size})")
+    return range(max_size + 1)
+
+
+def verify(theorem_id: str, max_size: int | None = None) -> VerificationReport:
+    """Run one driver for sizes 0..max_size (default per theorem)."""
+    ns = sizes(theorem_id, max_size)
+    fn = THEOREMS[theorem_id][2]
     start = perf_counter()
     results = []
-    for n in range(max_size + 1):
+    for n in ns:
         cx = fn(n)
         results.append(SizeResult(n, "pass" if cx is None else "fail", cx))
     return VerificationReport(theorem_id, tuple(results), perf_counter() - start)

@@ -1,10 +1,11 @@
 """Code that only the tests use: reference implementations to compare the
-package against (the exhaustive pattern scans, plain and signed, the
-descent scans, the pairwise non-nesting test, the subset descent set, the
-step-by-step area, the rectangle path enumerator, row insertion, the
-filtered class generator, the per-mask path and signed-window streams, the
-arithmetic unfolding of a window), the shard rule by its definition, and
-small helpers for building test cases.
+package against (the exhaustive pattern scans, plain and signed, the signed
+patterns of every subsequence of a window, the descent scans, the pairwise
+non-nesting test, the subset descent set, the step-by-step area, the
+rectangle path enumerator, row insertion, the filtered class generator, the
+per-mask path and signed-window streams, the arithmetic unfolding of a
+window), the shard rule by its definition, and small helpers for building
+test cases.
 """
 
 from bisect import bisect_left, bisect_right
@@ -112,6 +113,27 @@ def signed_contains(s: SignedPerm, t: SignedPerm) -> bool:
 
 def signed_avoids(s: SignedPerm, t: SignedPerm) -> bool:
     return not signed_contains(s, t)
+
+
+def signed_patterns(s: SignedPerm, k: int) -> set[SignedPerm]:
+    """Signed patterns of the length-k subsequences of s, in one pass: each
+    entry becomes the rank of its |value| within the subsequence, carrying
+    the entry's sign.  The |values| of a window are distinct, so an entry's
+    index in the sorted |values| is its rank.  s avoids t iff t is not among
+    signed_patterns(s, len(t)).
+
+    >>> sorted(signed_patterns((3, -1, 2), 2))
+    [(-1, 2), (2, -1), (2, 1)]
+    >>> signed_patterns((1, 2), 0), signed_patterns((1, 2), 3)
+    ({()}, set())
+    """
+    found = set()
+    for sub in combinations(s, k):
+        order = sorted(map(abs, sub))
+        found.add(
+            tuple(order.index(v) + 1 if v > 0 else -order.index(-v) - 1 for v in sub)
+        )
+    return found
 
 
 # ---------- descents ----------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from centroinv import generate
 from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
 from centroinv.generate import CLASS_LABELS, format_object, generate_class
 from centroinv.verify import THEOREMS
+from test_distrib import assert_no_child_left, forks  # noqa: F401 (forks is a fixture)
 
 
 # child interpreters find the package where this one did, installed or not
@@ -189,7 +191,7 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bijection", "--name", "nope", "--apply", "x"])
     assert exc.value.code == 2
-    # verify has no --jobs: the drivers run serially
+    # verify has no --jobs: --name all sets its own number of processes
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--name", "T-recr", "--jobs", "2"])
     assert exc.value.code == 2
@@ -613,6 +615,95 @@ def test_verify_all(capsys):
     assert code == 0
     for name in THEOREMS:
         assert f"# {name}" in out
+
+
+def _masked(out: str) -> str:
+    # the one figure of verify output that differs between runs
+    return re.sub(r'"duration_s": [0-9.e-]+', '"duration_s": 0', out)
+
+
+def test_verify_all_output_is_the_same_in_any_number_of_processes(capsys, monkeypatch, forks):
+    # 1, 2 and 4 CPUs: the caller alone, then with 1 and 3 children.  A
+    # failing driver shows in its row and in the exit code alike
+    monkeypatch.setitem(THEOREMS, "T-recr", ("fails from size two on", 3,
+                                             lambda n: None if n < 2 else "boom"))
+    outputs = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for fmt in ("tsv", "json"):
+            for max_n in ("0", "3"):
+                code, out, err = run(capsys, "verify", "--name", "all", "--max-n", max_n,
+                                     "--format", fmt)
+                outputs.setdefault((fmt, max_n), set()).add((code, _masked(out), err))
+    assert all(len(seen) == 1 for seen in outputs.values()), outputs
+    code, out, err = outputs["tsv", "3"].pop()
+    assert (code, err) == (1, "")
+    assert "# T-recr\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n2\tfail\tboom\n" in out
+    assert [line[2:] for line in out.splitlines() if line.startswith("#")] == sorted(THEOREMS)
+    assert len(forks) == 4 * (0 + 1 + 3)
+    assert_no_child_left()
+
+
+def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+    assert len(forks) == 2
+    # one driver runs in the caller, and a bad request forks nothing
+    assert run(capsys, "verify", "--name", "T-cara", "--max-n", "1")[0] == 0
+    assert run(capsys, "verify", "--name", "all", "--max-n", "-1") == (
+        2, "", "error: max size must be non-negative (got -1)\n"
+    )
+    assert len(forks) == 2
+    # no os.fork: every driver runs in the caller, with the same output
+    code, out, _ = run(capsys, "verify", "--name", "all", "--max-n", "1")
+    assert len(forks) == 4
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[:2] == (code, out)
+    assert_no_child_left()
+
+
+def test_driver_failed_in_a_child_names_the_driver(capsys, monkeypatch):
+    # every driver raises in a child; the caller runs its own drivers, then
+    # reads the child's failure, which names the driver the child took
+    caller = os.getpid()
+    for name, (text, default_max, fn) in THEOREMS.items():
+        def failing(n, fn=fn):
+            if os.getpid() != caller:
+                raise ValueError("boom")
+            return fn(n)
+
+        monkeypatch.setitem(THEOREMS, name, (text, default_max, failing))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError) as exc:
+        run(capsys, "verify", "--name", "all", "--max-n", "1")
+    assert re.fullmatch(
+        r"process 1 of 2 failed: RuntimeError: driver (T-\w+) raised ValueError: boom",
+        str(exc.value),
+    ).group(1) in THEOREMS
+    assert capsys.readouterr() == ("", "")
+    assert_no_child_left()
+
+
+def test_verify_children_leave_stdio_alone():
+    # text the caller has buffered but not flushed is written once, before
+    # the reports, whatever the number of processes
+    code = (
+        "import os, sys\n"
+        "from centroinv import cli\n"
+        "os.cpu_count = lambda: int(sys.argv[1])\n"
+        "sys.stdout.write('before ')\n"
+        "sys.exit(cli.main(['verify', '--name', 'all', '--max-n', '2']))\n"
+    )
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    runs = [
+        subprocess.run([sys.executable, "-c", code, cpus], env=env,
+                       capture_output=True, text=True, check=True)
+        for cpus in ("1", "3")
+    ]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[1].stdout.startswith("before # T-cara\n")
+    assert runs[1].stdout.count("before") == 1
+    assert runs[1].stderr == ""
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

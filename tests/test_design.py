@@ -4,6 +4,7 @@ import ast
 import doctest
 import importlib
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -48,6 +49,54 @@ def test_every_package_name_has_a_caller():
         used |= _referenced(ast.parse(path.read_text()))
     unused = [f"{mod}.{name}" for mod, name in defined if name not in used]
     assert not unused, "only the tests call " + ", ".join(unused)
+
+
+def _check_texts() -> dict[str, tuple[re.Pattern, int]]:
+    """Every string that a per-object checker, verify._check_*, returns, as
+    the pattern of the texts it can give (each formatted value any run of
+    characters) and the number of characters it fixes."""
+    texts = {}
+    for stmt in ast.parse((PACKAGE / "verify.py").read_text()).body:
+        if not (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_check_")):
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Return):
+                continue
+            if isinstance(node.value, ast.JoinedStr):
+                pieces = node.value.values
+            elif isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+                pieces = [node.value]
+            else:
+                continue
+            fixed = [p.value for p in pieces if isinstance(p, ast.Constant)]
+            pattern = "".join(
+                re.escape(p.value) if isinstance(p, ast.Constant) else ".*" for p in pieces
+            )
+            texts[f"{stmt.name}: {ast.unparse(node.value)}"] = (
+                re.compile(pattern, re.DOTALL), sum(map(len, fixed)))
+    return texts
+
+
+def test_every_check_text_has_a_mutation():
+    # each text a per-object checker returns is the exact counterexample that
+    # some mutation test in tests/test_verify.py asserts, an entry of
+    # CHECK_MUTATIONS or a single test, so no check can pass vacuously.  A
+    # text that fits several checks' patterns counts for the one that fixes
+    # the most characters: "fp = 2, des = 1: ..." is T-cor2's, though T-cor1's
+    # "fp = {l}: ..." fits it too
+    checks = _check_texts()
+    assert len(checks) == 26
+    tree = ast.parse((ROOT / "tests" / "test_verify.py").read_text())
+    asserted = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    reached = set()
+    for text in asserted:
+        fits = [(fixed, name) for name, (pattern, fixed) in checks.items() if pattern.fullmatch(text)]
+        if fits:
+            reached.add(max(fits)[1])
+    assert not set(checks) - reached, sorted(set(checks) - reached)
 
 
 #: every module of the package, by its import name

@@ -1,5 +1,8 @@
 """Signed windows, the recentring maps, and the six-pattern characterisation."""
 
+import doctest
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,15 +13,17 @@ from centroinv.signed import (
     check_signed,
     is_top_element,
     parse_signed,
-    signed_patterns,
+    signed_pattern,
     theta,
     theta_inverse,
     unfold_window,
 )
+import oracles
 from oracles import (
     avoids,
     signed_avoids,
     signed_contains,
+    signed_patterns,
     unfold_by_arithmetic,
 )
 
@@ -112,6 +117,21 @@ def test_signed_patterns_equal_the_exhaustive_scan():
                 assert signed_patterns(s, k) == {
                     t for t in words[k] if signed_contains(s, t)
                 }, (s, k)
+
+
+def test_signed_pattern_equals_the_one_pass_scan():
+    # the signed pattern of each subsequence, one at a time, against the
+    # reference scan of all of them
+    for n in range(5):
+        for s in signed_perms(n):
+            for k in range(n + 2):
+                assert {signed_pattern(sub) for sub in combinations(s, k)} == (
+                    signed_patterns(s, k)
+                ), (s, k)
+
+
+def test_oracle_doctests():
+    assert doctest.testmod(oracles).failed == 0
 
 
 @given(windows())

@@ -180,13 +180,16 @@ def test_sixpat_catches_a_broken_fast_check(monkeypatch):
 
 def test_sixpat_catches_a_broken_literal_scan(monkeypatch):
     # a literal scan that never sees the pattern (1, -2) accepts (1, -2) at
-    # n = 2; the theta image and the linear scan both reject it
-    real = verify_module.signed_patterns
+    # n = 2; the theta image and the linear scan both reject it.  The scan
+    # builds the pattern of each subsequence with signed_pattern, and here
+    # that reads the pattern (1, -2) as (1, 2)
+    real = verify_module.signed_pattern
 
-    def without_1_minus_2(s, k):
-        return real(s, k) - {(1, -2)}
+    def without_1_minus_2(sub):
+        pattern = real(sub)
+        return (1, 2) if pattern == (1, -2) else pattern
 
-    monkeypatch.setattr(verify_module, "signed_patterns", without_1_minus_2)
+    monkeypatch.setattr(verify_module, "signed_pattern", without_1_minus_2)
     report = verify("T-sixpat", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
     assert report.results[2].counterexample == (
@@ -265,7 +268,7 @@ def test_hdpeak_catches_two_swapped_images(monkeypatch):
     monkeypatch.setattr(paths, "g_map", lambda w: real(swap.get(w, w)))
     report = verify("T-hdpeak", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "pass"]
-    assert report.results[2].counterexample.startswith("hooks of g(NE) = NE differ")
+    assert report.results[2].counterexample == "hooks of g(NE) = NE differ from peaks of NE"
 
 
 def test_fp_catches_two_swapped_images(monkeypatch):
@@ -279,7 +282,7 @@ def test_fp_catches_two_swapped_images(monkeypatch):
     monkeypatch.setattr(rsk, "theta_rect", swapped)
     report = verify("T-fp", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "pass"]
-    assert report.results[2].counterexample.startswith("hooks of theta(1 2) differ")
+    assert report.results[2].counterexample == "hooks of theta(1 2) differ from descents"
 
 
 def test_cor2_catches_a_wrong_area_on_one_hook(monkeypatch):
@@ -289,7 +292,7 @@ def test_cor2_catches_a_wrong_area_on_one_hook(monkeypatch):
     )
     report = verify("T-cor2", 3)
     assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
-    assert report.results[2].counterexample.startswith("1-hook diagrams in 1 x 1:")
+    assert report.results[2].counterexample == "1-hook diagrams in 1 x 1: (0, 0, 1) != (0, 1)"
 
 
 def test_cor1_catches_a_fixed_point_count_of_wrong_parity(monkeypatch):
@@ -382,9 +385,10 @@ CHECK_MUTATIONS = [
     # g with its N and E steps swapped
     ("T-hdpeak", 1, "g(E) leaves the 0 x 1 rectangle",
      (paths, "g_map", lambda real: lambda w: real(w).translate(_SWAP_STEPS))),
-    # starred hooks without the star: no label for a word that starts with N
+    # starred hooks without the star: the hooks the driver passes in, with no
+    # label for a word that starts with N
     ("T-hdpeak", 1, "starred hooks of g(N) differ from starred peaks",
-     (paths, "hd_star", lambda real: paths.hook_decomposition)),
+     (paths, "hd_star", lambda real: lambda word, hooks: hooks)),
     # g_inverse read right to left
     ("T-hdpeak", 2, "g_inverse(g(NE)) != NE",
      (paths, "g_inverse", lambda real: lambda w: real(w)[::-1])),
