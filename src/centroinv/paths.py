@@ -62,13 +62,8 @@ def peak_set(word: str) -> tuple[int, ...]:
 
 
 def peak_star(word: str, peaks: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Peaks after appending a virtual E step: peak_set(word), or peaks when
-    the caller has it already, plus the label len(word) exactly when the
-    word ends with N.
-
-    >>> peak_star("NEN"), peak_star("NEN", (1,))
-    ((1, 3), (1, 3))
-    """
+    """Peaks after appending a virtual E step: peak_set(word), or peaks if
+    the caller has it, plus the label len(word) when the word ends with N."""
     if peaks is None:
         peaks = peak_set(word)
     return peaks + (len(word),) if word.endswith("N") else peaks
@@ -134,13 +129,9 @@ def hook_decomposition(word: str) -> tuple[int, ...]:
 
 
 def hd_star(word: str, hooks: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Hook sizes, hook_decomposition(word) or hooks when the caller has it
-    already, plus the extra label len(word) when the word starts with N (the
-    counterpart of peak_star under g).
-
-    >>> hd_star("NEE"), hd_star("NEE", ())
-    ((3,), (3,))
-    """
+    """Hook sizes, hook_decomposition(word) or hooks if the caller has it,
+    plus the label len(word) when the word starts with N (the counterpart
+    of peak_star under g)."""
     if hooks is None:
         hooks = hook_decomposition(word)
     return hooks + (len(word),) if word.startswith("N") else hooks

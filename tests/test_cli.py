@@ -654,9 +654,9 @@ def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
         2, "", "error: max size must be non-negative (got -1)\n"
     )
     assert len(forks) == 2
-    # no os.fork: every driver runs in the caller, with the same output
     code, out, _ = run(capsys, "verify", "--name", "all", "--max-n", "1")
     assert len(forks) == 4
+    # no os.fork: every driver runs in the caller, with the same output
     monkeypatch.delattr(os, "fork")
     assert run(capsys, "verify", "--name", "all", "--max-n", "1")[:2] == (code, out)
     assert_no_child_left()

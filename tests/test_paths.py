@@ -84,6 +84,9 @@ def test_peaks():
     assert peak_set("EENN") == ()
     assert peak_star("EENN") == (4,)
     assert peak_star("NE") == (1,)
+    # peaks the caller has already: only the star label is added
+    assert peak_star("NEN", (1,)) == (1, 3)
+    assert peak_star("NENE", (1, 3)) == (1, 3)
     assert peak_set("") == ()
     with pytest.raises(ValueError):
         peak_set("NEX")
@@ -157,6 +160,9 @@ def test_hd_star():
     assert hd_star("NEE") == (3,)  # empty diagram, N start adds the length
     assert hd_star("NENE") == (1, 4)
     assert hd_star("EEN") == (2,)
+    # hooks the caller has already: only the star label is added
+    assert hd_star("NEE", ()) == (3,)
+    assert hd_star("EEN", (2,)) == (2,)
     # starred hook labels stay strictly increasing
     for w in all_paths(8):
         hs = hd_star(w)
