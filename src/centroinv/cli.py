@@ -23,11 +23,12 @@ use rsk.  json is loaded only for JSON output.  The commands call
 distribution and verify through the names this module binds, which load
 their modules on first call and which a caller may rebind.
 
-``verify --name all`` runs its drivers in min(os.cpu_count(), number of
-drivers) processes: the caller and children forked by distrib.run_forked,
-each taking the next driver when it is free.  The reports print in the
-sorted order of the names, as a serial run prints them.  One --name, one
-CPU or a platform without os.fork runs in the caller alone.
+``verify --name all`` runs its drivers in up to DRIVER_PROCESSES
+processes, no more than the CPUs it may run on (distrib.processes): the
+caller and children forked by distrib.run_forked, each taking the next
+driver when it is free.  The reports print in the sorted order of the
+names, as a serial run prints them.  One --name, one CPU or a platform
+without os.fork runs in the caller alone, through the same code.
 """
 
 from __future__ import annotations
@@ -276,22 +277,35 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+#: most processes ``verify --name all`` runs its drivers in.  Each process
+#: fills the caches of the drivers it takes for itself and adds its own
+#: memory, and two running processes each take more CPU time per driver
+#: than one alone, so more processes cost more CPU time and memory; two is
+#: the figure measured
+DRIVER_PROCESSES = 2
+
+
 def _run_drivers(names: list[str], max_n: int | None) -> list:
     """verify(name, max_n) for each name, the reports in the order of names.
-    They run in min(os.cpu_count(), len(names)) processes, one where os.fork
-    is missing: the caller and children forked by distrib.run_forked.  The
-    indices of names wait in a pipe, and each process takes the next index,
-    one byte at a time, whenever it is free.  A process sends its reports
-    back as plain tuples, which marshal."""
-    procs = min(os.cpu_count() or 1, len(names)) if hasattr(os, "fork") else 1
-    if procs == 1:
-        return [verify(name, max_n) for name in names]
-    from centroinv.distrib import run_forked
-    from centroinv.verify import SizeResult, VerificationReport
+    They run in distrib.processes(min(len(names), DRIVER_PROCESSES))
+    processes, the caller and children forked by distrib.run_forked.  With
+    more than one, the caller first walks the even census that four drivers
+    read, so that the processes share it.  The indices of names wait in a
+    pipe, and each process takes the next index, one byte at a time,
+    whenever it is free.  A process sends its reports back as plain tuples,
+    which marshal.  What a driver raises in the caller reaches the caller's
+    caller as it is; in a child, the driver's name is added, since the
+    child sends back only the text of what it raised."""
+    from centroinv.distrib import processes, run_forked
+    from centroinv.verify import SizeResult, VerificationReport, walk_even_census
 
+    procs = processes(min(len(names), DRIVER_PROCESSES))
+    if procs > 1:
+        walk_even_census(max_n)
     queue, write_end = os.pipe()
     os.write(write_end, bytes(range(len(names))))
     os.close(write_end)
+    caller = os.getpid()
 
     def drain() -> dict[int, tuple]:
         done = {}
@@ -300,6 +314,8 @@ def _run_drivers(names: list[str], max_n: int | None) -> list:
             try:
                 r = verify(name, max_n)
             except Exception as exc:
+                if os.getpid() == caller:
+                    raise
                 raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
             done[index[0]] = (r.theorem, tuple(map(tuple, r.results)), r.duration_s)
         return done

@@ -19,9 +19,11 @@ which also runs the drivers of ``verify --name all``: it makes each child
 with os.fork, and each child sends what its work returned back over a pipe
 as marshal.dumps((ok, payload)) and leaves with os._exit.  A child sends its
 tally as a dict, and the tallies are added; tally addition is commutative,
-so a sharded run is byte-identical to a serial one.  jobs is capped at
-os.cpu_count(), and at 1 on a platform without os.fork, which then runs
-serially.  The package starts no threads, so forking the caller is safe.
+so a sharded run is byte-identical to a serial one.  processes(jobs) caps
+jobs at the CPUs this process may run on, and at 1 on a platform without
+os.fork, which then runs serially; ``verify --name all`` sizes its
+processes by the same rule.  The package starts no threads, so forking the
+caller is safe.
 """
 
 from __future__ import annotations
@@ -54,6 +56,19 @@ class DistributionTable(NamedTuple):
     stat: str
     poly: QPoly
     count: int
+
+
+def processes(wanted: int) -> int:
+    """How many processes to run wanted pieces of work in: wanted, capped at
+    the CPUs this process may run on (its affinity set where the platform
+    reports one, else os.cpu_count()), and 1 on a platform without os.fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(wanted, cpus))
 
 
 def _fork(work: Callable[[], object]) -> tuple[int, int]:
@@ -160,8 +175,7 @@ def distribution(
     fn = stat_function(label, stat)
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    poly = tally_poly(_sharded_tally(_shard_work(label, size, stat, fn, jobs)))
+    poly = tally_poly(_sharded_tally(_shard_work(label, size, stat, fn, processes(jobs))))
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 
 

@@ -56,9 +56,13 @@ def peak_set(word: str) -> tuple[int, ...]:
     (1, 3)
     """
     check_path(word)
-    return tuple(
-        i for i in range(1, len(word)) if word[i - 1] == "N" and word[i] == "E"
-    )
+    # two NE corners never overlap, so each search starts past the last one
+    peaks = []
+    i = word.find("NE")
+    while i >= 0:
+        peaks.append(i + 1)
+        i = word.find("NE", i + 2)
+    return tuple(peaks)
 
 
 def peak_star(word: str, peaks: tuple[int, ...] | None = None) -> tuple[int, ...]:
@@ -182,8 +186,9 @@ def g_inverse(word: str) -> str:
     check_path(word)
     a, b = path_counts(word)
     r_run, s_run = word[:a], word[a:]
-    ys = sorted(a - idx for idx, ch in enumerate(r_run) if ch == "E")
-    xs = sorted(idx for idx, ch in enumerate(s_run) if ch == "N")
+    # both come out ascending, ys once reversed
+    ys = [a - idx for idx, ch in enumerate(r_run) if ch == "E"][::-1]
+    xs = [idx for idx, ch in enumerate(s_run) if ch == "N"]
     out = []
     px = py = 0
     for x, y in zip(xs, ys):

@@ -29,9 +29,10 @@ keeps its own star rule.
 verify(theorem_id) runs one driver over a size range (sizes checks the
 request) and returns a report with a per-size pass/fail status; a failure
 carries a concrete counterexample.  The registry key doubles as the CLI
-name.  ``verify --name all`` runs the drivers in up to os.cpu_count()
-processes through distrib.run_forked, the one fork helper that also shards
-``stats --jobs``; its reports come back as plain tuples.
+name.  ``verify --name all`` runs the drivers in up to two processes
+(cli.DRIVER_PROCESSES, capped by distrib.processes) through
+distrib.run_forked, the one fork helper that also shards ``stats --jobs``;
+its reports come back as plain tuples.
 """
 
 from __future__ import annotations
@@ -410,6 +411,17 @@ def sizes(theorem_id: str, max_size: int | None = None) -> range:
     if max_size < 0:
         raise ValueError(f"max size must be non-negative (got {max_size})")
     return range(max_size + 1)
+
+
+def walk_even_census(max_size: int | None = None) -> None:
+    """Walk kernels.census(2n) for n = 0..min(max_size, RAW_LIMIT), every
+    even census that T-cara and the raw routes of T-despoly, T-desfull and
+    T-majpoly read at sizes 0..max_size (each of the four runs to 12 by
+    default).  kernels.census is cached per process, so a runner that forks
+    calls this first, and its processes share the one walk."""
+    top = RAW_LIMIT if max_size is None else min(max_size, RAW_LIMIT)
+    for n in range(top + 1):
+        kernels.census(2 * n)
 
 
 def verify(theorem_id: str, max_size: int | None = None) -> VerificationReport:

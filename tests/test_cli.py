@@ -1,5 +1,6 @@
 """Command line round trips, formats, and exit codes."""
 
+import functools
 import json
 import os
 import re
@@ -11,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import centroinv
-from centroinv import generate
+from centroinv import cli, generate, kernels
 from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
 from centroinv.generate import CLASS_LABELS, format_object, generate_class
 from centroinv.verify import THEOREMS
-from test_distrib import assert_no_child_left, forks  # noqa: F401 (forks is a fixture)
+from test_distrib import assert_no_child_left, forks, set_cpus  # noqa: F401 (forks is a fixture)
 
 
 # child interpreters find the package where this one did, installed or not
@@ -623,13 +624,15 @@ def _masked(out: str) -> str:
 
 
 def test_verify_all_output_is_the_same_in_any_number_of_processes(capsys, monkeypatch, forks):
-    # 1, 2 and 4 CPUs: the caller alone, then with 1 and 3 children.  A
-    # failing driver shows in its row and in the exit code alike
+    # 1, 2 and 4 CPUs, with the cap raised to 4: the caller alone, then with
+    # 1 and 3 children.  A failing driver shows in its row and in the exit
+    # code alike
+    monkeypatch.setattr(cli, "DRIVER_PROCESSES", 4)
     monkeypatch.setitem(THEOREMS, "T-recr", ("fails from size two on", 3,
                                              lambda n: None if n < 2 else "boom"))
     outputs = {}
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, cpus)
         for fmt in ("tsv", "json"):
             for max_n in ("0", "3"):
                 code, out, err = run(capsys, "verify", "--name", "all", "--max-n", max_n,
@@ -645,35 +648,57 @@ def test_verify_all_output_is_the_same_in_any_number_of_processes(capsys, monkey
 
 
 def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 4)
+    # two processes by default, however many CPUs the process may use
+    assert cli.DRIVER_PROCESSES == 2
     assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
-    assert len(forks) == 2
+    assert len(forks) == 1
+    monkeypatch.setattr(cli, "DRIVER_PROCESSES", 3)
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+    assert len(forks) == 3
     # one driver runs in the caller, and a bad request forks nothing
     assert run(capsys, "verify", "--name", "T-cara", "--max-n", "1")[0] == 0
     assert run(capsys, "verify", "--name", "all", "--max-n", "-1") == (
         2, "", "error: max size must be non-negative (got -1)\n"
     )
-    assert len(forks) == 2
+    assert len(forks) == 3
     code, out, _ = run(capsys, "verify", "--name", "all", "--max-n", "1")
-    assert len(forks) == 4
+    assert len(forks) == 5
     # no os.fork: every driver runs in the caller, with the same output
     monkeypatch.delattr(os, "fork")
     assert run(capsys, "verify", "--name", "all", "--max-n", "1")[:2] == (code, out)
     assert_no_child_left()
 
 
-def test_driver_failed_in_a_child_names_the_driver(capsys, monkeypatch):
-    # every driver raises in a child; the caller runs its own drivers, then
-    # reads the child's failure, which names the driver the child took
+def _fail_drivers(monkeypatch, where):
+    """Make every driver raise ValueError("boom") in the caller (where is
+    "caller") or in a forked child (where is "child"), and run as before in
+    the other."""
     caller = os.getpid()
     for name, (text, default_max, fn) in THEOREMS.items():
         def failing(n, fn=fn):
-            if os.getpid() != caller:
+            if (os.getpid() == caller) == (where == "caller"):
                 raise ValueError("boom")
             return fn(n)
 
         monkeypatch.setitem(THEOREMS, name, (text, default_max, failing))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_driver_failed_in_the_caller_fails_as_in_a_serial_run(capsys, monkeypatch):
+    # what a driver raises in the caller reaches main as it is, with one CPU
+    # or two: a ValueError is a usage error, exit 2, and the child is killed
+    _fail_drivers(monkeypatch, "caller")
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        assert run(capsys, "verify", "--name", "all", "--max-n", "1") == (2, "", "error: boom\n")
+        assert_no_child_left()
+
+
+def test_driver_failed_in_a_child_names_the_driver(capsys, monkeypatch):
+    # every driver raises in a child; the caller runs its own drivers, then
+    # reads the child's failure, which names the driver the child took
+    _fail_drivers(monkeypatch, "child")
+    set_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError) as exc:
         run(capsys, "verify", "--name", "all", "--max-n", "1")
     assert re.fullmatch(
@@ -691,6 +716,7 @@ def test_verify_children_leave_stdio_alone():
         "import os, sys\n"
         "from centroinv import cli\n"
         "os.cpu_count = lambda: int(sys.argv[1])\n"
+        "os.sched_getaffinity = lambda pid: range(int(sys.argv[1]))\n"
         "sys.stdout.write('before ')\n"
         "sys.exit(cli.main(['verify', '--name', 'all', '--max-n', '2']))\n"
     )
@@ -698,12 +724,34 @@ def test_verify_children_leave_stdio_alone():
     runs = [
         subprocess.run([sys.executable, "-c", code, cpus], env=env,
                        capture_output=True, text=True, check=True)
-        for cpus in ("1", "3")
+        for cpus in ("1", "2")
     ]
     assert runs[0].stdout == runs[1].stdout
     assert runs[1].stdout.startswith("before # T-cara\n")
     assert runs[1].stdout.count("before") == 1
     assert runs[1].stderr == ""
+
+
+def test_verify_all_walks_each_census_once(capsys, monkeypatch, tmp_path):
+    # kernels.census is cached per process; the caller walks the even census
+    # that four drivers read before it forks, so that no size is walked in
+    # both processes.  Each walk, in any process, appends its size to a file
+    log = tmp_path / "walks"
+    real = kernels.census.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def census(m):
+        with open(log, "a") as f:
+            f.write(f"{m}\n")
+        return real(m)
+
+    monkeypatch.setattr(kernels, "census", census)
+    set_cpus(monkeypatch, 2)
+    assert run(capsys, "verify", "--name", "all", "--max-n", "5")[0] == 0
+    walks = log.read_text().split()
+    assert sorted(walks, key=int) == sorted(set(walks), key=int)
+    assert {"0", "2", "4", "6", "8", "10"} <= set(walks)
+    assert_no_child_left()
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

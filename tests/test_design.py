@@ -148,6 +148,7 @@ def test_cli_import_and_sharded_run_leave_out_heavy_modules():
         "print(sorted({'dataclasses', 'inspect', 'concurrent.futures'} & set(sys.modules)))\n"
         "from centroinv import distrib\n"
         "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: range(2)\n"
         "forks = []\n"
         "fork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"

@@ -168,6 +168,12 @@ def forks(monkeypatch):
     return calls
 
 
+def set_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -175,7 +181,7 @@ def assert_no_child_left():
 
 def test_parallel_matches_serial(monkeypatch, forks):
     # 4 CPUs whatever the machine has, so 3 and 4 shards really run
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     cases = [
         ("cinv321-even", 12, "maj+"),
         ("cinv321-odd", 11, "des+"),
@@ -193,20 +199,35 @@ def test_parallel_matches_serial(monkeypatch, forks):
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch, forks):
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     serial = distribution("cinv321-even", 10, "maj+")
     assert forks == []  # one job tallies in the caller
     for jobs in (2, 3, 5):
         assert distribution("cinv321-even", 10, "maj+", jobs=jobs) == serial
     # capped at 2 jobs: the caller and one child per run
     assert len(forks) == 3
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: None)
+    # a platform that reports no affinity set: os.cpu_count() caps, and a
+    # count it cannot tell is 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert distribution("cinv321-even", 10, "maj+", jobs=3) == serial
     assert len(forks) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert distribution("cinv321-even", 10, "maj+", jobs=3) == serial
+    assert len(forks) == 5
+
+
+def test_processes_follow_the_affinity_set(monkeypatch):
+    # a process that may run on 2 of 64 CPUs runs in 2 processes, not 64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert [distrib.processes(k) for k in (1, 2, 11)] == [1, 2, 2]
+    monkeypatch.delattr(os, "fork")
+    assert distrib.processes(11) == 1
 
 
 def test_bad_size_rejected_before_workers(monkeypatch, forks):
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     with pytest.raises(ValueError, match="non-negative"):
         distribution("subsets", -1, "des", jobs=2)
     with pytest.raises(ValueError, match="even size"):
@@ -241,8 +262,8 @@ def _patch_shards(monkeypatch, child=None, caller=None):
     """Wrap the shard work distribution makes: the work of shard 0 runs
     caller first, the work of a shard >= 1 runs child first, and a missing
     hook runs the real work alone.  The work is made before the fork, so
-    each forked child runs its wrapped work.  The CPU count is set to 4, so
-    up to 4 shards run."""
+    each forked child runs its wrapped work.  The process may run on 4
+    CPUs, so up to 4 shards run."""
     real = distrib._shard_work
 
     def hooked(hook, work):
@@ -258,7 +279,7 @@ def _patch_shards(monkeypatch, child=None, caller=None):
         return [hooked(caller if s == 0 else child, w) for s, w in enumerate(work)]
 
     monkeypatch.setattr(distrib, "_shard_work", patched)
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
 
 
 def boom():
@@ -283,7 +304,7 @@ def test_failed_tally_reaches_the_caller(monkeypatch, forks):
         return real(n, shard, nshards)
 
     monkeypatch.setitem(CLASSES["subsets"].tallies, "des", tally)
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     with pytest.raises(RuntimeError, match="shard 1 of 2 failed: ValueError: boom"):
         distribution("subsets", 9, "des", jobs=2)
     assert len(forks) == 1
@@ -298,7 +319,7 @@ def test_child_without_result_raises(monkeypatch):
 
 
 def test_every_child_reaped(monkeypatch):
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     serial = distribution("inv321", 8, "maj")
     assert distribution("inv321", 8, "maj", jobs=4) == serial
     assert_no_child_left()
@@ -313,7 +334,7 @@ def test_every_child_reaped(monkeypatch):
 
 
 def test_no_fork_runs_serially(monkeypatch):
-    monkeypatch.setattr(distrib.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     monkeypatch.delattr(distrib.os, "fork")
     serial = distribution("cinv321-even", 10, "maj+")
     assert distribution("cinv321-even", 10, "maj+", jobs=2) == serial
@@ -327,6 +348,7 @@ def test_children_leave_stdio_alone():
         "import os, sys\n"
         "from centroinv import distrib\n"
         "os.cpu_count = lambda: 3\n"
+        "os.sched_getaffinity = lambda pid: range(3)\n"
         "sys.stdout.write('before ')\n"
         "print(distrib.distribution('subsets', 6, 'des', jobs=3).count)\n"
     )

@@ -92,6 +92,15 @@ def test_peaks():
         peak_set("NEX")
 
 
+def test_peak_set_reads_every_ne_corner():
+    # the corner search skips past each corner it finds; every word of up to
+    # 10 letters, runs of N and of E of every length among them
+    for length in range(11):
+        for word in map("".join, product("NE", repeat=length)):
+            corners = tuple(i for i in range(1, length) if word[i - 1:i + 1] == "NE")
+            assert peak_set(word) == corners, word
+
+
 def test_area_examples():
     assert area("EENN") == 4
     assert area("NENE") == 1
