@@ -96,40 +96,28 @@ def area(word: str) -> int:
 # ---------- Young diagrams ----------
 
 
-def path_partition(word: str) -> tuple[int, ...]:
-    """Partition of the diagram northwest of the path, rows top-down.
-
-    >>> path_partition("EENN")
-    (2, 2)
-    >>> path_partition("NENE")
-    (1,)
-    """
-    check_path(word)
-    e_before = []
-    e = 0
-    for s in word:
-        if s == "E":
-            e += 1
-        else:
-            e_before.append(e)
-    return tuple(x for x in reversed(e_before) if x > 0)
-
-
 def hook_decomposition(word: str) -> tuple[int, ...]:
     """Hook sizes peeled off the top-left corner of the diagram, ascending.
 
     Peeling removes the first row and first column; the count of peels is the
-    Durfee side and the sizes sum to the area.
+    Durfee side and the sizes sum to the area.  Peel i takes the hook of
+    diagonal box i, whose row ends at the i-th N step from the end of the
+    word and whose column ends at the i-th E step from the start: its size
+    is the difference of the two steps' positions, and the box exists while
+    that E step comes first.
 
     >>> hook_decomposition("EENN")
     (1, 3)
     """
-    parts = list(path_partition(word))
+    check_path(word)
     hooks = []
-    while parts:
-        hooks.append(parts[0] + len(parts) - 1)
-        parts = [r - 1 for r in parts[1:] if r > 1]
-    return tuple(sorted(hooks))
+    n_at, e_at = len(word), -1
+    while True:
+        n_at = word.rfind("N", 0, n_at)
+        e_at = word.find("E", e_at + 1)
+        if e_at < 0 or n_at < e_at:
+            return tuple(reversed(hooks))
+        hooks.append(n_at - e_at)
 
 
 def hd_star(word: str, hooks: tuple[int, ...] | None = None) -> tuple[int, ...]:

@@ -79,8 +79,15 @@ def format_perm(p: Perm) -> str:
     return " ".join(map(_TEXT.__getitem__, p))
 
 
+# is_involution and is_centrosymmetric run once or twice per object of a
+# driver; a plain loop takes about half the time of all() over a generator
+
+
 def is_involution(p: Perm) -> bool:
-    return all(p[v - 1] == i for i, v in enumerate(p, start=1))
+    for i, v in enumerate(p, start=1):
+        if p[v - 1] != i:
+            return False
+    return True
 
 
 def is_centrosymmetric(p: Perm) -> bool:
@@ -94,7 +101,10 @@ def is_centrosymmetric(p: Perm) -> bool:
     m = len(p)
     # the pair condition is symmetric, so the first half of the positions,
     # with the middle one when m is odd, covers every pair
-    return all(p[i] + p[m - 1 - i] == m + 1 for i in range((m + 1) // 2))
+    for i in range((m + 1) // 2):
+        if p[i] + p[m - 1 - i] != m + 1:
+            return False
+    return True
 
 
 def descent_set(p: Perm) -> tuple[int, ...]:

@@ -2,10 +2,10 @@
 package against (the exhaustive pattern scans, plain and signed, the signed
 patterns of every subsequence of a window, the descent scans, the pairwise
 non-nesting test, the subset descent set, the step-by-step area, the
-rectangle path enumerator, row insertion, the filtered class generator, the
-per-mask path and signed-window streams, the arithmetic unfolding of a
-window), the shard rule by its definition, and small helpers for building
-test cases.
+partition of a path and its hooks by peeling, the rectangle path
+enumerator, row insertion, the filtered class generator, the per-mask path
+and signed-window streams, the arithmetic unfolding of a window), the shard
+rule by its definition, and small helpers for building test cases.
 """
 
 from bisect import bisect_left, bisect_right
@@ -197,6 +197,37 @@ def area_by_steps(word: str) -> int:
         else:
             total += e_before
     return total
+
+
+def path_partition(word: str) -> tuple[int, ...]:
+    """Partition of the diagram northwest of the path, rows top-down.
+
+    >>> path_partition("EENN")
+    (2, 2)
+    >>> path_partition("NENE")
+    (1,)
+    """
+    check_path(word)
+    e_before = []
+    e = 0
+    for s in word:
+        if s == "E":
+            e += 1
+        else:
+            e_before.append(e)
+    return tuple(x for x in reversed(e_before) if x > 0)
+
+
+def hooks_by_peeling(word: str) -> tuple[int, ...]:
+    """Hook sizes of the diagram northwest of the path, ascending: peel off
+    the first row and first column, a hook of (first row) + (rows) - 1
+    boxes, until the diagram is empty."""
+    parts = list(path_partition(word))
+    hooks = []
+    while parts:
+        hooks.append(parts[0] + len(parts) - 1)
+        parts = [r - 1 for r in parts[1:] if r > 1]
+    return tuple(sorted(hooks))
 
 
 def rect_paths(a: int, b: int) -> Iterator[str]:

@@ -18,13 +18,18 @@ from centroinv.paths import (
     hd_star,
     hook_decomposition,
     path_counts,
-    path_partition,
     peak_set,
     peak_star,
     subset_path,
 )
 from centroinv.perms import half_descent_set
-from oracles import area_by_steps, rect_paths, rotate_first_to_last
+from oracles import (
+    area_by_steps,
+    hooks_by_peeling,
+    path_partition,
+    rect_paths,
+    rotate_first_to_last,
+)
 
 word_strategy = st.text(alphabet="NE", min_size=0, max_size=12)
 
@@ -158,6 +163,7 @@ def test_hook_decomposition_examples():
 def test_hooks_sum_to_area_and_count_durfee():
     for w in all_paths(9):
         hooks = hook_decomposition(w)
+        assert hooks == hooks_by_peeling(w)
         assert sum(hooks) == area(w)
         # Durfee side: largest d with parts[d-1] >= d
         parts = path_partition(w)
@@ -210,7 +216,7 @@ def test_each_public_call_checks_its_word_once(monkeypatch):
     real = paths.check_path
     monkeypatch.setattr(paths, "check_path", lambda w: calls.append(w) or real(w))
     for fn in (
-        peak_set, peak_star, path_partition,
+        peak_set, peak_star,
         hook_decomposition, hd_star, g_map, g_inverse,
     ):
         calls.clear()
