@@ -81,8 +81,6 @@ def format_perm(p: Perm) -> str:
 
 # is_involution and is_centrosymmetric run once or twice per object of a
 # driver; a plain loop takes about half the time of all() over a generator
-
-
 def is_involution(p: Perm) -> bool:
     for i, v in enumerate(p, start=1):
         if p[v - 1] != i:
