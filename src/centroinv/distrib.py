@@ -4,20 +4,21 @@ distribution(label, size, stat) tallies one statistic over one class; the
 result records the tally as a polynomial (coefficient of q^i counts the
 objects with statistic i) plus the number of objects.
 
-The class is split into jobs shards by the one shard rule of the generators
-(see centroinv.generate), and each shard's work is one zero-argument
-callable that returns its tally as a Counter: the class's block tally of
-the statistic where it has one (ObjectClass.tallies: every statistic of
-subsets, paths-rect and signed-all, and des+, maj+ and des of cinv321-even;
-paths-rect peaks and the even tallies are subset tallies, read through
-subset_path and subset_involution), otherwise the evaluator counted over
-the shard stream.  All jobs shard streams are made first, which checks the
-request and builds nothing, before any child is forked.  The caller runs
-the work of shard 0 itself and the work of shards 1 to jobs - 1 (none for
-one job) in children, through run_forked, the package's one fork helper,
-which also runs the drivers of ``verify --name all``: it makes each child
-with os.fork, and each child sends what its work returned back over a pipe
-as marshal.dumps((ok, payload)) and leaves with os._exit.  A child sends its
+Where the class has a block tally of the statistic (ObjectClass.tallies:
+every statistic of subsets, paths-rect and signed-all, and des+, maj+ and
+des of cinv321-even; paths-rect peaks and the even tallies are subset
+tallies, read through subset_path and subset_involution), the caller runs
+it whole, whatever jobs asks for: a tally takes milliseconds, less than a
+fork costs.  Otherwise the class is split into jobs shards by the one
+shard rule of the generators (see centroinv.generate), and each shard's
+work is a zero-argument callable that counts the evaluator over its shard
+stream.  Every stream is made first, which checks the request and builds
+nothing, before any child is forked.  The caller runs the work of shard 0
+itself and the work of shards 1 to jobs - 1 (none for one job) in
+children, through run_forked, the package's one fork helper, which also
+runs the drivers of ``verify --name all``: it makes each child with
+os.fork, and each child sends what its work returned back over a pipe as
+marshal.dumps((ok, payload)) and leaves with os._exit.  A child sends its
 tally as a dict, and the tallies are added; tally addition is commutative,
 so a sharded run is byte-identical to a serial one.  processes(jobs) caps
 jobs at the CPUs this process may run on, and at 1 on a platform without
@@ -152,15 +153,16 @@ def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
 
 
 def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable[[], Counter]]:
-    """The work of each of the jobs shards, a zero-argument callable that
-    returns the shard's tally: the class's block tally of stat where it has
-    one, else the Counter of the evaluator over the shard stream.  The
-    shard streams are made first either way: that checks the request and
-    builds nothing, so a bad one fails here, before any fork."""
-    streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
+    """Zero-argument callables that return tallies: one, the class's block
+    tally of stat at size, where it has one, else for each of the jobs
+    shards the Counter of the evaluator over its shard stream.  A stream is
+    made first either way: that checks the request and builds nothing, so a
+    bad one fails here, before any fork."""
     tally = generate.object_class(label).tallies.get(stat)
     if tally is not None:
-        return [partial(tally, size, s, jobs) for s in range(jobs)]
+        generate.generate_class(label, size)
+        return [partial(tally, size)]
+    streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
     return [partial(Counter, map(fn, stream)) for stream in streams]
 
 

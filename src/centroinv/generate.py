@@ -60,20 +60,20 @@ a word of paths-rect is its own text.  The format functions stay the
 per-object definition.
 
 Beside its per-object evaluators in stats, a class may list block tallies in
-tallies: tally(size, shard, nshards) is the Counter of a statistic over that
-shard stream, got without building every object, over the same outer loop as
-the stream.  subsets, paths-rect and signed-all tally each of their
-statistics, cinv321-even three of its five, and the other classes none:
+tallies: tally(size) is the Counter of a statistic over generate(size), got
+without building every object.  subsets, paths-rect and signed-all tally
+each of their statistics, cinv321-even three of its five, and the other
+classes none:
 
 * subsets (des+, maj+, des) and paths-rect area: each statistic is a share
   of the low word plus a share of the high word plus a term that crosses
   the boundary, so a tally groups the 2**k low words by what crosses, walks
-  the shard's high words and joins the two groupings;
+  the high words and joins the two groupings;
 * paths-rect peaks and cinv321-even (des+, maj+, des) are subset tallies:
   all_paths(n) is map(subset_path, subsets(n)), and the starred peaks of
   subset_path(e) are the descents of e; subset_involution carries
   subset_des, subset_maj and des_from_subset to des+, maj+ and des of the
-  even class at 2n.  Both hold object by object and shard by shard;
+  even class at 2n.  Both hold object by object;
 * signed-all: over the 2**n sign choices of one tau, fp reads only the
   number of fixed points of tau and the other statistics only its rises,
   so tau is grouped by those and the evaluator is counted over the windows
@@ -533,7 +533,7 @@ _PATH_STATS = {
 
 # ---------- block tallies ----------
 
-Tally = Callable[[int, int, int], Counter]
+Tally = Callable[[int], Counter]
 
 
 def _join_blocks(lows: Iterable[tuple], highs: Iterable[tuple], cross: int) -> Counter:
@@ -550,7 +550,7 @@ def _join_blocks(lows: Iterable[tuple], highs: Iterable[tuple], cross: int) -> C
 
 
 def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
-    """The tally of a descent statistic over subsets(n, shard, nshards).
+    """The tally of a descent statistic over subsets(n).
 
     In a mask h * 2**k + l, the low k bits of the descent mask
     mask & ~(mask >> 1) are those of l, less bit k - 1 when bit 0 of h is
@@ -561,52 +561,49 @@ def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
     set.  With k = n there is no h to take that descent away, and with
     k = 0 no bit of l to give it."""
 
-    def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
-        _check_shard(shard, nshards)
+    def tally(n: int) -> Counter:
         if n < 0:
             return Counter()
         k = _low_bits(n)
         lows = ((l >> (k - 1) if k else 0, stat((n, l))) for l in range(1 << k))
-        highs = ((h & 1, stat((n, h << k))) for h in range(shard, 1 << (n - k), nshards))
+        highs = ((h & 1, stat((n, h << k))) for h in range(1 << (n - k)))
         return _join_blocks(lows, highs, -stat((n, 1 << (k - 1))) if 0 < k < n else 0)
 
     return tally
 
 
-def _area_tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
-    """The tally of area over all_paths(n, shard, nshards).  A low word L
-    and a high word H join as area(L + H) = area(L) + area(H) + E(L) * N(H)."""
-    _check_shard(shard, nshards)
-    low, highs = _path_halves(n, shard, nshards)
+def _area_tally(n: int) -> Counter:
+    """The tally of area over all_paths(n).  A low word L and a high word H
+    join as area(L + H) = area(L) + area(H) + E(L) * N(H)."""
+    low, highs = _path_halves(n, 0, 1)
     lows = ((w.count("E"), paths.area(w)) for w in low)
     return _join_blocks(lows, ((w.count("N"), paths.area(w)) for w in highs), 1)
 
 
 _SUBSET_TALLIES = {name: _subset_tally(fn) for name, fn in _SUBSET_STATS.items()}
 
-#: all_paths(n, shard, nshards) is map(subset_path, subsets(n, shard,
-#: nshards)), and the starred peaks of subset_path(e) are the descents of e
+#: all_paths(n) is map(subset_path, subsets(n)), and the starred peaks of
+#: subset_path(e) are the descents of e
 _PATH_TALLIES = {"area": _area_tally, "peaks": _SUBSET_TALLIES["des+"]}
 
 
 def _signed_tally(stat: str) -> Tally:
-    """The tally of stat over signed_perms(n, shard, nshards), counted with
-    its own evaluator.
+    """The tally of stat over signed_perms(n), counted with its own
+    evaluator.
 
     With tau = |s|, window descent i < n holds iff s_i+1 < 0 at a rise of
     tau or s_i > 0 at a fall; the centre of unfold_window(s) is a descent iff
     s_1 < 0, and s_i = i is a fixed point.  So over the 2**n sign choices of
     one tau, fp depends on tau only through its number of fixed points, and
     every other statistic only through its rises.  The tally groups the
-    shard's tau by that key and counts the evaluator over the windows of one
+    tau by that key and counts the evaluator over the windows of one
     tau per group, weighted by the group's size."""
     evaluate = _SIGNED_STATS[stat]
 
-    def tally(n: int, shard: int = 0, nshards: int = 1) -> Counter:
-        _check_shard(shard, nshards)
+    def tally(n: int) -> Counter:
         points = range(1, n + 1)
         groups = {}  # what stat reads of tau: [the first tau that reads it, how many do]
-        for tau in _shard_taus(n, shard, nshards):
+        for tau in _shard_taus(n, 0, 1):
             key = sum(map(eq, tau, points)) if stat == "fp" else tuple(map(lt, tau, tau[1:]))
             groups.setdefault(key, [tau, 0])[1] += 1
         blocks = _sign_products(n, [tau for tau, _ in groups.values()], _any_signs, int)
@@ -620,16 +617,15 @@ def _signed_tally(stat: str) -> Tally:
 
 
 def _even_tally(stat: str) -> Tally:
-    """The tally of stat over cinv321_even(m, shard, nshards): the tally of
-    its subset statistic over subsets(m // 2, shard, nshards).
-    subset_involution maps that shard stream onto the even one object for
-    object, since both split a mask by _low_bits, and carries subset_des,
-    subset_maj and des_from_subset to half_des, half_maj and des."""
+    """The tally of stat over cinv321_even(m): the tally of its subset
+    statistic over subsets(m // 2).  subset_involution maps that stream
+    onto the even one object for object and carries subset_des, subset_maj
+    and des_from_subset to half_des, half_maj and des."""
     subset_tally = _SUBSET_TALLIES[stat]
 
-    def tally(m: int, shard: int = 0, nshards: int = 1) -> Counter:
+    def tally(m: int) -> Counter:
         _check_even(m)
-        return subset_tally(m // 2, shard, nshards)
+        return subset_tally(m // 2)
 
     return tally
 
@@ -637,9 +633,9 @@ def _even_tally(stat: str) -> Tally:
 class ObjectClass(NamedTuple):
     """generate(size, shard, nshards) streams the class; format gives the
     text form of one object; stats maps a statistic name to its evaluator;
-    tallies maps some of those names to tally(size, shard, nshards), the
-    Counter of the statistic over that shard stream, got without building
-    its objects; text_stream, where given, is what texts(size) returns."""
+    tallies maps some of those names to tally(size), the Counter of the
+    statistic over generate(size), got without building its objects;
+    text_stream, where given, is what texts(size) returns."""
 
     generate: Callable[[int, int, int], Iterator]
     format: Callable[[object], str]

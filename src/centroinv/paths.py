@@ -120,12 +120,10 @@ def hook_decomposition(word: str) -> tuple[int, ...]:
         hooks.append(n_at - e_at)
 
 
-def hd_star(word: str, hooks: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Hook sizes, hook_decomposition(word) or hooks if the caller has it,
-    plus the label len(word) when the word starts with N (the counterpart
-    of peak_star under g)."""
-    if hooks is None:
-        hooks = hook_decomposition(word)
+def hd_star(word: str, hooks: tuple[int, ...]) -> tuple[int, ...]:
+    """The hook sizes hooks = hook_decomposition(word), which the caller
+    has, plus the label len(word) when the word starts with N (the
+    counterpart of peak_star under g)."""
     return hooks + (len(word),) if word.startswith("N") else hooks
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import centroinv
 from centroinv import cli, generate, kernels
+from centroinv import verify as verify_module
 from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
 from centroinv.generate import CLASS_LABELS, format_object, generate_class
 from centroinv.verify import THEOREMS
@@ -667,6 +668,21 @@ def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
     # no os.fork: every driver runs in the caller, with the same output
     monkeypatch.delattr(os, "fork")
     assert run(capsys, "verify", "--name", "all", "--max-n", "1")[:2] == (code, out)
+    assert_no_child_left()
+
+
+def test_even_census_walked_first_only_when_forking(capsys, monkeypatch):
+    # the caller walks the shared even census only when a child will read
+    # it: at 2 CPUs, not at 1, and not for one driver
+    walks = []
+    monkeypatch.setattr(verify_module, "walk_even_census", walks.append)
+    set_cpus(monkeypatch, 2)
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+    assert walks == [1]
+    assert run(capsys, "verify", "--name", "T-cara", "--max-n", "1")[0] == 0
+    set_cpus(monkeypatch, 1)
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+    assert walks == [1]
     assert_no_child_left()
 
 

@@ -152,7 +152,7 @@ def test_cli_import_and_sharded_run_leave_out_heavy_modules():
         "forks = []\n"
         "fork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
-        "assert distrib.distribution('subsets', 6, 'des', jobs=2).count == 64\n"
+        "assert distrib.distribution('inv321', 8, 'maj', jobs=2).count == 70\n"
         "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
     run = subprocess.run(

@@ -18,7 +18,7 @@ from centroinv.distrib import (
     table_json,
     table_tsv,
 )
-from centroinv.generate import CLASS_LABELS, CLASSES, generate_class
+from centroinv.generate import CLASS_LABELS, CLASSES
 from centroinv.paths import area, peak_star
 from centroinv.qpoly import (
     full_des_poly,
@@ -84,62 +84,44 @@ SMALL = {
 }
 
 
-#: label -> (sizes at which every shard of every split of a block tally is
-#: checked, larger sizes at which only shard 6 of 7 is)
+#: label -> the sizes at which each block tally is checked: a range past
+#: LOW_BITS for the even class (n = 9..12), subsets and paths-rect (n = 9..13),
+#: and every workload size (cinv321-even 28 and 32, subsets and paths-rect
+#: 18, signed-all 6)
 TALLY_SIZES = {
-    "cinv321-even": (range(0, 25, 2), (28, 32)),
-    "signed-all": (range(7), (7,)),
-    "subsets": (range(14), (18, 19)),
-    "paths-rect": (range(14), (18, 19)),
+    "cinv321-even": (*range(0, 25, 2), 28, 32),
+    "signed-all": range(7),
+    "subsets": (*range(14), 18),
+    "paths-rect": (*range(14), 18),
 }
-
-#: the splits checked shard by shard, as (shard, nshards)
-SPLITS = [(shard, nshards) for nshards in (1, 2, 3, 4, 7) for shard in range(nshards)]
 
 
 def test_block_tallies_equal_their_definitions(monkeypatch):
-    # every pair with a block tally, shard by shard, against the Counter of
-    # its evaluator over the same shard stream; each shard stream is read
-    # once per size and each object evaluated once per statistic.  The even
-    # class is checked past LOW_BITS (n = 9..12) and at 28 and 32, subsets
-    # and paths-rect at 18 and 19, signed-all at 7.  At a negative size
+    # every pair with a block tally, whole, against the Counter of its
+    # evaluator over the class stream; each stream is read once per size
+    # and each object evaluated once per statistic.  At a negative size
     # (the even class's odd -1 is refused) every tally is the empty Counter
     # of its evaluator over the empty stream
     pairs = [(label, stat) for label in CLASSES for stat in CLASSES[label].tallies]
     assert len(pairs) == 13
     assert {label for label, _ in pairs} == set(TALLY_SIZES)
-    for label, (every_shard, last_shard) in TALLY_SIZES.items():
+
+    def check(label, sizes):
         cls = CLASSES[label]
-        for n in (-2,) if label == "cinv321-even" else (-1, -2):
+        for n in sizes:
+            stream = list(cls.generate(n, 0, 1))
             for stat, tally in cls.tallies.items():
-                assert tally(n) == Counter(map(cls.stats[stat], cls.generate(n, 0, 1))), (
-                    label, stat, n)
-        for n in every_shard:
-            streams = {split: list(generate_class(label, n, *split)) for split in SPLITS}
-            for stat, tally in cls.tallies.items():
-                value = dict(zip(streams[0, 1], map(cls.stats[stat], streams[0, 1])))
-                for split, stream in streams.items():
-                    assert tally(n, *split) == Counter(map(value.__getitem__, stream)), (
-                        label, stat, n, split)
-        for n in last_shard:
-            stream = list(generate_class(label, n, 6, 7))
-            for stat, tally in cls.tallies.items():
-                assert tally(n, 6, 7) == Counter(map(cls.stats[stat], stream)), (label, stat, n)
-    # paths-rect 8 has one high word, so shard 1 of 2 is idle
-    assert CLASSES["paths-rect"].tallies["area"](8, 1, 2) == Counter()
+                assert tally(n) == Counter(map(cls.stats[stat], stream)), (label, stat, n)
+
+    for label, sizes in TALLY_SIZES.items():
+        check(label, (-2,) if label == "cinv321-even" else (-1, -2))
+        check(label, sizes)
     # with LOW_BITS = 2 every mask's k shrinks to 1 at n = 4 and to 0 from
     # n = 8 on, as it does from n = 256 and n = 2**15 with LOW_BITS = 8
     monkeypatch.setattr(generate, "LOW_BITS", 2)
-    for label, sizes in (
-        ("cinv321-even", range(0, 21, 2)), ("subsets", range(13)), ("paths-rect", range(13)),
-    ):
-        cls = CLASSES[label]
-        for n in sizes:
-            for shard in range(3):
-                stream = list(generate_class(label, n, shard, 3))
-                for stat, tally in cls.tallies.items():
-                    assert tally(n, shard, 3) == Counter(map(cls.stats[stat], stream)), (
-                        label, stat, n, shard)
+    check("cinv321-even", range(0, 21, 2))
+    check("subsets", range(13))
+    check("paths-rect", range(13))
 
 
 def test_every_legal_pair_runs():
@@ -192,28 +174,32 @@ def test_parallel_matches_serial(monkeypatch, forks):
     cases += [(label, SMALL[label], stat) for label in CLASSES for stat in CLASSES[label].stats]
     for label, size, stat in cases:
         serial = distribution(label, size, stat)
+        before = len(forks)
         for jobs in (2, 3, 4):
             assert distribution(label, size, stat, jobs=jobs) == serial, (label, stat, jobs)
-    assert len(forks) == len(cases) * (1 + 2 + 3)
+        # a block tally runs whole in the caller; a stream forks a child
+        # per shard after the first
+        tallied = stat in CLASSES[label].tallies
+        assert len(forks) - before == (0 if tallied else 1 + 2 + 3), (label, stat)
     assert_no_child_left()
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch, forks):
     set_cpus(monkeypatch, 2)
-    serial = distribution("cinv321-even", 10, "maj+")
-    assert forks == []  # one job tallies in the caller
+    serial = distribution("inv321", 8, "maj")
+    assert forks == []  # one job runs in the caller
     for jobs in (2, 3, 5):
-        assert distribution("cinv321-even", 10, "maj+", jobs=jobs) == serial
+        assert distribution("inv321", 8, "maj", jobs=jobs) == serial
     # capped at 2 jobs: the caller and one child per run
     assert len(forks) == 3
     # a platform that reports no affinity set: os.cpu_count() caps, and a
     # count it cannot tell is 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert distribution("cinv321-even", 10, "maj+", jobs=3) == serial
+    assert distribution("inv321", 8, "maj", jobs=3) == serial
     assert len(forks) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert distribution("cinv321-even", 10, "maj+", jobs=3) == serial
+    assert distribution("inv321", 8, "maj", jobs=3) == serial
     assert len(forks) == 5
 
 
@@ -296,18 +282,13 @@ def test_failed_shard_reaches_the_caller(monkeypatch):
 
 
 def test_failed_tally_reaches_the_caller(monkeypatch, forks):
-    real = CLASSES["subsets"].tallies["des"]
-
-    def tally(n, shard, nshards):
-        if shard == 1:
-            boom()
-        return real(n, shard, nshards)
-
-    monkeypatch.setitem(CLASSES["subsets"].tallies, "des", tally)
+    # a block tally runs in the caller under any jobs, so what it raises
+    # reaches the caller as it is, and nothing is forked
+    monkeypatch.setitem(CLASSES["subsets"].tallies, "des", lambda n: boom())
     set_cpus(monkeypatch, 4)
-    with pytest.raises(RuntimeError, match="shard 1 of 2 failed: ValueError: boom"):
+    with pytest.raises(ValueError, match="^boom$"):
         distribution("subsets", 9, "des", jobs=2)
-    assert len(forks) == 1
+    assert forks == []
     assert_no_child_left()
 
 
@@ -336,8 +317,8 @@ def test_every_child_reaped(monkeypatch):
 def test_no_fork_runs_serially(monkeypatch):
     set_cpus(monkeypatch, 4)
     monkeypatch.delattr(distrib.os, "fork")
-    serial = distribution("cinv321-even", 10, "maj+")
-    assert distribution("cinv321-even", 10, "maj+", jobs=2) == serial
+    serial = distribution("inv321", 8, "maj")
+    assert distribution("inv321", 8, "maj", jobs=2) == serial
 
 
 def test_children_leave_stdio_alone():
@@ -350,7 +331,7 @@ def test_children_leave_stdio_alone():
         "os.cpu_count = lambda: 3\n"
         "os.sched_getaffinity = lambda pid: range(3)\n"
         "sys.stdout.write('before ')\n"
-        "print(distrib.distribution('subsets', 6, 'des', jobs=3).count)\n"
+        "print(distrib.distribution('inv321', 8, 'maj', jobs=3).count)\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -362,7 +343,7 @@ def test_children_leave_stdio_alone():
         text=True,
         check=True,
     )
-    assert run.stdout == "before 64\n"
+    assert run.stdout == "before 70\n"
     assert run.stderr == ""
 
 

@@ -172,15 +172,13 @@ def test_hooks_sum_to_area_and_count_durfee():
 
 
 def test_hd_star():
-    assert hd_star("NEE") == (3,)  # empty diagram, N start adds the length
-    assert hd_star("NENE") == (1, 4)
-    assert hd_star("EEN") == (2,)
-    # hooks the caller has already: only the star label is added
-    assert hd_star("NEE", ()) == (3,)
+    # the caller hands over the hooks; only the star label is added
+    assert hd_star("NEE", ()) == (3,)  # empty diagram, N start adds the length
+    assert hd_star("NENE", hook_decomposition("NENE")) == (1, 4)
     assert hd_star("EEN", (2,)) == (2,)
     # starred hook labels stay strictly increasing
     for w in all_paths(8):
-        hs = hd_star(w)
+        hs = hd_star(w, hook_decomposition(w))
         assert list(hs) == sorted(hs)
 
 
@@ -203,7 +201,7 @@ def test_g_transport_exhaustive_small():
                 q = g_map(p)
                 assert path_counts(q) == (a, b)
                 assert hook_decomposition(q) == peak_set(p)
-                assert hd_star(q) == peak_star(p)
+                assert hd_star(q, hook_decomposition(q)) == peak_star(p)
                 # ends-with-N on one side matches starts-with-N on the other
                 assert p.endswith("N") == q.startswith("N")
                 assert g_inverse(q) == p
@@ -215,10 +213,7 @@ def test_each_public_call_checks_its_word_once(monkeypatch):
     calls = []
     real = paths.check_path
     monkeypatch.setattr(paths, "check_path", lambda w: calls.append(w) or real(w))
-    for fn in (
-        peak_set, peak_star,
-        hook_decomposition, hd_star, g_map, g_inverse,
-    ):
+    for fn in (peak_set, peak_star, hook_decomposition, g_map, g_inverse):
         calls.clear()
         fn("NNEENE")
         assert len(calls) == 1, fn.__name__

@@ -63,6 +63,18 @@ def test_raw_routes_stay_inside_the_census_guard():
     assert kernels.census(m)["count"] == comb(RAW_LIMIT, RAW_LIMIT // 2)
 
 
+def test_walk_even_census_fills_the_even_sizes_read():
+    # from a cleared cache, the walk fills census(2n) for n up to its bound
+    # and RAW_LIMIT, and nothing else: each of those is then a hit
+    for max_size, top in ((0, 0), (3, 3), (RAW_LIMIT + 3, RAW_LIMIT), (None, RAW_LIMIT)):
+        kernels.census.cache_clear()
+        verify_module.walk_even_census(max_size)
+        assert kernels.census.cache_info().currsize == top + 1, max_size
+        for n in range(top + 1):
+            kernels.census(2 * n)
+        assert kernels.census.cache_info()[:2] == (top + 1, top + 1), max_size
+
+
 def test_unknown_theorem():
     with pytest.raises(ValueError):
         verify("T-nope")
