@@ -4,7 +4,10 @@ Subcommands: enumerate (stream a class), stats (statistic distribution as a
 q-polynomial), bijection (apply one of the named maps to one object), verify
 (run a theorem driver).  Exit code 0 means success, 1 a verification failure,
 2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
-in ``enumerate ... | head``.
+in ``enumerate ... | head``, and 74 (EX_IOERR) any other failed write to
+stdout, such as a full disk, with the one line "error: cannot write output:
+<reason>" on stderr.  Every write to stdout goes through _write, which tells
+such a failure from any other OSError.
 
 ``enumerate`` reads the class's text stream (``ObjectClass.texts``), writes
 its first text and flushes it at once, then reads the rest in lists and
@@ -25,10 +28,17 @@ their modules on first call and which a caller may rebind.
 
 ``verify --name all`` runs its drivers in up to DRIVER_PROCESSES
 processes, no more than the CPUs it may run on (distrib.processes): the
-caller and children forked by distrib.run_forked, each taking the next
-driver when it is free.  The reports print in the sorted order of the
-names, as a serial run prints them.  One --name, one CPU or a platform
-without os.fork runs in the caller alone, through the same code.
+caller and children forked by distrib.run_forked.  Process i starts with
+the i-th driver of the sorted names, so the caller starts with T-cara, and
+then each takes the next driver left when it is free.  The reports print in
+the sorted order of the names, as a serial run prints them, each written
+and flushed by the caller as soon as it and every report before it are
+known: the caller's own at once, a child's when the child is done.  So the
+first bytes are T-cara's whole report, and no header or separator is
+written before its report.  When a driver raises, the reports already
+written stay on stdout.  One --name, one CPU or a platform without os.fork
+runs in the caller alone, through the same code, and then every report is
+written as soon as it is known.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -145,6 +156,29 @@ BIJECTIONS = {
 #: capacity, so the reader is woken once per pipe-full, not once per 8 KiB
 WRITE_CHUNK = 1 << 16
 
+#: exit code of a failed write to stdout other than a closed pipe
+#: (EX_IOERR of sysexits.h)
+EXIT_WRITE_FAILED = 74
+
+
+class WriteError(Exception):
+    """A write to stdout failed; the message is the reason."""
+
+
+def _write(text: str = "", flush: bool = False) -> None:
+    """Write text, if any, to stdout, and flush stdout if asked.  A failed
+    write raises WriteError, so that main can tell it from any other
+    OSError; a reader that went away still raises BrokenPipeError."""
+    try:
+        if text:
+            sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise WriteError(exc.strerror or str(exc)) from exc
+
 
 def _write_chunked(
     head: str, texts: Iterator[str], dump: Callable[[list[str]], str], sep: str, tail: str
@@ -159,14 +193,12 @@ def _write_chunked(
     ends at most one text past WRITE_CHUNK unless texts grow to twice that
     mean within a chunk, a short first text cannot make one chunk take the
     whole stream, and at most one write is held in memory."""
-    out = sys.stdout
     first = list(islice(texts, 1))
     if not first:
-        out.write(head + tail)
+        _write(head + tail)
         return
     text = dump(first)
-    out.write(head + text)
-    out.flush()
+    _write(head + text, flush=True)
     seen, written = 1, len(text)
     batch: list[str] = []
     size = 0
@@ -182,11 +214,11 @@ def _write_chunked(
         size += len(text)
         written += len(text)
         if size >= WRITE_CHUNK:
-            out.write("".join(batch))
+            _write("".join(batch))
             batch = []
             size = 0
     batch.append(tail)
-    out.write("".join(batch))
+    _write("".join(batch))
 
 
 def _tsv_lines(chunk: list[str]) -> str:
@@ -233,7 +265,7 @@ def _cmd_stats(args) -> int:
     size = _int(args.size)
     _check_built(args.size, size)
     table = distribution(args.label, size, args.stat, jobs=_int(args.jobs))
-    print(table_json(table) if args.format == "json" else table_tsv(table))
+    _write((table_json(table) if args.format == "json" else table_tsv(table)) + "\n")
     return 0
 
 
@@ -250,9 +282,8 @@ def _cmd_bijection(args) -> int:
     if args.format == "json":
         from json import dumps
 
-        print(dumps({"name": args.name, "input": args.text, "output": out}))
-    else:
-        print(out)
+        out = dumps({"name": args.name, "input": args.text, "output": out})
+    _write(out + "\n")
     return 0
 
 
@@ -263,17 +294,20 @@ def _cmd_verify(args) -> int:
     max_n = None if args.max_n is None else _int(args.max_n)
     for name in names:
         sizes(name, max_n)  # a bad request fails here, before any fork
-    reports = _run_drivers(names, max_n)
+    many = len(names) > 1
     if args.format == "json":
-        if len(reports) == 1:
-            print(report_json(reports[0]))
-        else:
-            print("[" + ",".join(report_json(r) for r in reports) + "]")
+        # one report alone, or the items of a list
+        def text(i, r) -> str:
+            return ("," if i else "[" if many else "") + report_json(r)
+
+        tail = "]\n" if many else "\n"
     else:
-        for r in reports:
-            if len(reports) > 1:
-                print(f"# {r.theorem}")
-            print(report_tsv(r))
+        def text(i, r) -> str:
+            return (f"# {r.theorem}\n" if many else "") + report_tsv(r) + "\n"
+
+        tail = ""
+    reports = _run_drivers(names, max_n, lambda i, r: _write(text(i, r), flush=True))
+    _write(tail)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -285,17 +319,23 @@ def _cmd_verify(args) -> int:
 DRIVER_PROCESSES = 2
 
 
-def _run_drivers(names: list[str], max_n: int | None) -> list:
+def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, object], None]) -> list:
     """verify(name, max_n) for each name, the reports in the order of names.
-    They run in distrib.processes(min(len(names), DRIVER_PROCESSES))
-    processes, the caller and children forked by distrib.run_forked.  With
-    more than one, the caller first walks the even census that four drivers
-    read, so that the processes share it.  The indices of names wait in a
-    pipe, and each process takes the next index, one byte at a time,
-    whenever it is free.  A process sends its reports back as plain tuples,
-    which marshal.  What a driver raises in the caller reaches the caller's
-    caller as it is; in a child, the driver's name is added, since the
-    child sends back only the text of what it raised."""
+    show(i, report) is called in the caller for each report in that order,
+    as soon as it and every report before it are known.  The drivers run in
+    distrib.processes(min(len(names), DRIVER_PROCESSES)) processes, the
+    caller and children forked by distrib.run_forked.  With more than one,
+    the caller first walks the even census that four drivers read, so that
+    the processes share it.  Process i runs names[i] first, so every process
+    runs a driver however the processes are scheduled; the other indices
+    wait in a pipe, and each process takes the next, one byte at a time,
+    whenever it is free.  The caller calls show after each driver of its
+    own, inside run_forked, so that what show raises kills and reaps the
+    children; it shows the children's reports once run_forked has returned
+    them.  A child sends its reports back as plain tuples, which marshal.
+    What a driver raises in the caller reaches the caller's caller as it
+    is; in a child, the driver's name is added, since the child sends back
+    only the text of what it raised."""
     from centroinv.distrib import processes, run_forked
     from centroinv.verify import SizeResult, VerificationReport, walk_even_census
 
@@ -303,31 +343,46 @@ def _run_drivers(names: list[str], max_n: int | None) -> list:
     if procs > 1:
         walk_even_census(max_n)
     queue, write_end = os.pipe()
-    os.write(write_end, bytes(range(len(names))))
+    os.write(write_end, bytes(range(procs, len(names))))
     os.close(write_end)
-    caller = os.getpid()
+    reports = {}
+    shown = 0
 
-    def drain() -> dict[int, tuple]:
+    def show_known() -> None:
+        nonlocal shown
+        while shown in reports:
+            show(shown, reports[shown])
+            shown += 1
+
+    def run(index: int, in_caller: bool) -> dict[int, tuple]:
+        # names[index], then each index taken from the queue until it is empty
         done = {}
-        while index := os.read(queue, 1):
-            name = names[index[0]]
+        while True:
+            name = names[index]
             try:
                 r = verify(name, max_n)
             except Exception as exc:
-                if os.getpid() == caller:
+                if in_caller:
                     raise
                 raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
-            done[index[0]] = (r.theorem, tuple(map(tuple, r.results)), r.duration_s)
-        return done
+            if in_caller:
+                reports[index] = r
+                show_known()
+            else:
+                done[index] = (r.theorem, tuple(map(tuple, r.results)), r.duration_s)
+            if not (taken := os.read(queue, 1)):
+                return done
+            index = taken[0]
 
     try:
-        done = {i: r for part in run_forked([drain] * procs, "process") for i, r in part.items()}
+        parts = run_forked([partial(run, i, i == 0) for i in range(procs)], "process")
     finally:
         os.close(queue)
-    return [
-        VerificationReport(theorem, tuple(SizeResult(*row) for row in rows), duration)
-        for theorem, rows, duration in map(done.__getitem__, range(len(names)))
-    ]
+    for part in parts[1:]:
+        for i, (theorem, rows, duration) in part.items():
+            reports[i] = VerificationReport(theorem, tuple(SizeResult(*row) for row in rows), duration)
+    show_known()
+    return [reports[i] for i in range(len(names))]
 
 
 def _enumerate_arguments(en: argparse.ArgumentParser) -> None:
@@ -402,16 +457,24 @@ def main(argv=None) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        _write(flush=True)
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader is gone: send what is still buffered nowhere, so the
-        # interpreter's final flush does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         return 141
+    except WriteError as exc:
+        _drop_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_WRITE_FAILED
+
+
+def _drop_stdout() -> None:
+    """Send what stdout still buffers nowhere, so that the interpreter's
+    final flush does not fail a second time."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

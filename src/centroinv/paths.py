@@ -130,19 +130,6 @@ def hd_star(word: str, hooks: tuple[int, ...]) -> tuple[int, ...]:
 # ---------- the peak/hook bijection ----------
 
 
-def _peak_coords(word: str) -> list[tuple[int, int]]:
-    coords = []
-    x = y = 0
-    for i, s in enumerate(word):
-        if s == "N":
-            y += 1
-        else:
-            if i > 0 and word[i - 1] == "N":
-                coords.append((x, y))
-            x += 1
-    return coords
-
-
 def g_map(word: str) -> str:
     """Rectangle bijection sending peak labels to hook sizes.
 
@@ -158,12 +145,19 @@ def g_map(word: str) -> str:
     """
     check_path(word)
     a, b = path_counts(word)
-    r_run = ["N"] * a
+    r_run = ["N"] * a  # read left to right: height a down to 1
     s_run = ["E"] * b
-    for x, y in _peak_coords(word):
-        r_run[y - 1] = "E"
-        s_run[x] = "N"
-    return "".join(reversed(r_run)) + "".join(s_run)
+    # the NE corner at j has y = the N steps up to j and x = j + 1 - y;
+    # two corners never overlap, so each search starts past the last one
+    y = counted = 0
+    j = word.find("NE")
+    while j >= 0:
+        y += word.count("N", counted, j + 1)
+        counted = j + 1
+        r_run[a - y] = "E"
+        s_run[j + 1 - y] = "N"
+        j = word.find("NE", j + 2)
+    return "".join(r_run) + "".join(s_run)
 
 
 def g_inverse(word: str) -> str:
@@ -171,13 +165,14 @@ def g_inverse(word: str) -> str:
     rebuild the unique path with exactly those peaks."""
     check_path(word)
     a, b = path_counts(word)
-    r_run, s_run = word[:a], word[a:]
-    # both come out ascending, ys once reversed
-    ys = [a - idx for idx, ch in enumerate(r_run) if ch == "E"][::-1]
-    xs = [idx for idx, ch in enumerate(s_run) if ch == "N"]
+    # the peaks in ascending order: the E steps of the R run word[:a] from
+    # the right give the heights y, the N steps of the S run word[a:] from
+    # the left the offsets x; the shorter run ends the walk
     out = []
     px = py = 0
-    for x, y in zip(xs, ys):
+    e_at, n_at = a, a - 1
+    while (e_at := word.rfind("E", 0, e_at)) >= 0 and (n_at := word.find("N", n_at + 1)) >= 0:
+        x, y = n_at - a, a - e_at
         out.append("E" * (x - px) + "N" * (y - py))
         px, py = x, y
     out.append("E" * (b - px) + "N" * (a - py))

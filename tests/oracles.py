@@ -2,8 +2,8 @@
 package against (the exhaustive pattern scans, plain and signed, the signed
 patterns of every subsequence of a window, the descent scans, the pairwise
 non-nesting test, the subset descent set, the step-by-step area, the
-partition of a path and its hooks by peeling, the rectangle path
-enumerator, row insertion, the filtered class generator, the per-mask path
+partition of a path and its hooks by peeling, the maps g and g^-1 by peak
+coordinates, the rectangle path enumerator, row insertion, the filtered class generator, the per-mask path
 and signed-window streams, the arithmetic unfolding of a window), the shard
 rule by its definition, and small helpers for building test cases.
 """
@@ -228,6 +228,51 @@ def hooks_by_peeling(word: str) -> tuple[int, ...]:
         hooks.append(parts[0] + len(parts) - 1)
         parts = [r - 1 for r in parts[1:] if r > 1]
     return tuple(sorted(hooks))
+
+
+def _peak_coords(word: str) -> list[tuple[int, int]]:
+    coords = []
+    x = y = 0
+    for i, s in enumerate(word):
+        if s == "N":
+            y += 1
+        else:
+            if i > 0 and word[i - 1] == "N":
+                coords.append((x, y))
+            x += 1
+    return coords
+
+
+def g_map_by_coords(word: str) -> str:
+    """paths.g_map by its definition: the R run has an E at each peak
+    height y, read from a down to 1, and the S run an N at each peak offset
+    x, read from 0."""
+    check_path(word)
+    a, b = word.count("N"), word.count("E")
+    r_run = ["N"] * a
+    s_run = ["E"] * b
+    for x, y in _peak_coords(word):
+        r_run[y - 1] = "E"
+        s_run[x] = "N"
+    return "".join(reversed(r_run)) + "".join(s_run)
+
+
+def g_inverse_by_coords(word: str) -> str:
+    """paths.g_inverse by its definition: list the peak heights and offsets
+    that the two runs carry, pair them in ascending order, and walk to each
+    peak in turn."""
+    check_path(word)
+    a, b = word.count("N"), word.count("E")
+    r_run, s_run = word[:a], word[a:]
+    ys = [a - idx for idx, ch in enumerate(r_run) if ch == "E"][::-1]
+    xs = [idx for idx, ch in enumerate(s_run) if ch == "N"]
+    out = []
+    px = py = 0
+    for x, y in zip(xs, ys):
+        out.append("E" * (x - px) + "N" * (y - py))
+        px, py = x, y
+    out.append("E" * (b - px) + "N" * (a - py))
+    return "".join(out)
 
 
 def rect_paths(a: int, b: int) -> Iterator[str]:

@@ -1,12 +1,15 @@
 """Command line round trips, formats, and exit codes."""
 
+import errno
 import functools
 import json
 import os
 import re
+import select
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -547,11 +550,12 @@ def test_wrong_parity_exits_2_before_any_output(capsys, label, size, want, fmt):
     assert (code, out, err) == (2, "", f"error: {want} size required\n")
 
 
-def close_after_first(argv, first):
-    """Run the CLI with stdout on a pipe, read the first bytes, close the
-    pipe, and check that the writer exits 141 with nothing on stderr."""
+def close_after_first(argv, first, program=("-m", "centroinv.cli")):
+    """Run the CLI (or the Python program given, with argv as its
+    arguments) with stdout on a pipe, read the first bytes, close the pipe,
+    and check that the writer exits 141 with nothing on stderr."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "centroinv.cli", *argv],
+        [sys.executable, *program, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=CHILD_ENV,
@@ -721,7 +725,200 @@ def test_driver_failed_in_a_child_names_the_driver(capsys, monkeypatch):
         r"process 1 of 2 failed: RuntimeError: driver (T-\w+) raised ValueError: boom",
         str(exc.value),
     ).group(1) in THEOREMS
-    assert capsys.readouterr() == ("", "")
+    # the caller's first report was complete, so it was written; the child's
+    # first driver comes next in sorted order, so nothing after it was
+    assert capsys.readouterr() == (
+        "# T-cara\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n", ""
+    )
+    assert_no_child_left()
+
+
+def _log_stdout_at_each_driver(monkeypatch, capsys, log):
+    """Before each driver the caller runs, append (name, what stdout holds
+    so far) to log.  Returns the list of the texts read, which the run's
+    output follows."""
+    caller, real = os.getpid(), cli.verify
+    taken = []
+
+    def logged(name, max_n):
+        if os.getpid() == caller:
+            taken.append(capsys.readouterr().out)
+            log.append((name, "".join(taken)))
+        return real(name, max_n)
+
+    monkeypatch.setattr(cli, "verify", logged)
+    return taken
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_reports_stream_in_order_at_one_cpu(capsys, monkeypatch, fmt):
+    # in one process, each driver starts with every earlier report already
+    # complete on stdout, and nothing more
+    set_cpus(monkeypatch, 1)
+    argv = ("verify", "--name", "all", "--max-n", "3", "--format", fmt)
+    code, want, _ = run(capsys, *argv)
+    log = []
+    taken = _log_stdout_at_each_driver(monkeypatch, capsys, log)
+    code_now, out, err = run(capsys, *argv)
+    assert (code_now, _masked("".join(taken) + out), err) == (code, _masked(want), "")
+    assert [name for name, _ in log] == sorted(THEOREMS)
+    for name, seen in log:
+        if fmt == "tsv":
+            start = want.index(f"# {name}\n")
+        else:  # the report, less the "[" or "," before it
+            start = want.index(f'{{"theorem": "{name}"') - 1
+        assert _masked(seen) == _masked(want[:start]), name
+
+
+def test_caller_second_driver_sees_the_first_report_alone(capsys, monkeypatch):
+    # at 2 CPUs the child's first driver, T-cor1, waits until the caller
+    # starts its second, so the caller surely has one.  By then T-cara's
+    # report is complete on stdout, and no other: T-cor1's comes next
+    set_cpus(monkeypatch, 2)
+    code, want, _ = run(capsys, "verify", "--name", "all", "--max-n", "1")
+    log = []
+    taken = _log_stdout_at_each_driver(monkeypatch, capsys, log)
+    logged = cli.verify
+    gate, opened = os.pipe()
+
+    def gated(name, max_n):
+        if name == "T-cor1":
+            select.select([gate], [], [], 60)
+        r = logged(name, max_n)
+        if len(log) == 2:
+            os.write(opened, b"x")
+        return r
+
+    monkeypatch.setattr(cli, "verify", gated)
+    try:
+        code_now, out, err = run(capsys, "verify", "--name", "all", "--max-n", "1")
+    finally:
+        os.close(gate)
+        os.close(opened)
+    assert (code_now, "".join(taken) + out, err) == (code, want, "")
+    assert log[0] == ("T-cara", "")
+    assert log[1][1] == "# T-cara\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n"
+    assert_no_child_left()
+
+
+def test_each_process_starts_on_its_own_driver(capsys, monkeypatch, tmp_path):
+    # at 2 CPUs the caller starts with T-cara and the child with T-cor1.  The
+    # caller waits a little after each fork, which under one shared queue
+    # would let the child take T-cara first
+    set_cpus(monkeypatch, 2)
+    fork = os.fork
+
+    def slow_fork():
+        pid = fork()
+        if pid:
+            time.sleep(0.05)
+        return pid
+
+    monkeypatch.setattr(os, "fork", slow_fork)
+    log = tmp_path / "drivers"
+    real = cli.verify
+
+    def logged(name, max_n):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {name}\n")
+        return real(name, max_n)
+
+    monkeypatch.setattr(cli, "verify", logged)
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+    first = {}
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        first.setdefault(int(pid), name)
+    caller = first.pop(os.getpid())
+    assert (caller, list(first.values())) == ("T-cara", ["T-cor1"])
+    assert_no_child_left()
+
+
+#: run the CLI with argv at 2 CPUs whatever the machine has, and say on
+#: stderr if it left a child behind
+TWO_CPU_CLI = (
+    "import os, sys\n"
+    "from centroinv import cli\n"
+    "os.cpu_count = lambda: 2\n"
+    "os.sched_getaffinity = lambda pid: range(2)\n"
+    "{setup}"
+    "code = cli.main(sys.argv[1:])\n"
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "except ChildProcessError:\n"
+    "    pass\n"
+    "else:\n"
+    "    sys.stderr.write('a child was left\\n')\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_closed_pipe_mid_verify_exits_141():
+    # every driver but T-cara waits until the reader has gone (poll reports
+    # an error on a pipe with no reader), so every report after T-cara's is
+    # written to a closed pipe, by the caller or after the child is reaped
+    setup = (
+        "import select\n"
+        "real = cli.verify\n"
+        "def verify(name, max_n):\n"
+        "    if name != 'T-cara':\n"
+        "        poll = select.poll()\n"
+        "        poll.register(1, 0)\n"
+        "        poll.poll(20000)\n"
+        "    return real(name, max_n)\n"
+        "cli.verify = verify\n"
+    )
+    close_after_first(
+        ["verify", "--name", "all"], b"# T-cara\n", ("-c", TWO_CPU_CLI.format(setup=setup))
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--name", "all"],
+        ["verify", "--name", "T-cor1"],
+        ["stats", "--class", "inv321", "--size", "14", "--stat", "maj", "--jobs", "2"],
+        ["enumerate", "--class", "subsets", "--size", "3"],
+        ["bijection", "--name", "g", "--apply", "EN"],
+    ],
+    ids=["verify-all", "verify", "stats", "enumerate", "bijection"],
+)
+def test_full_disk_ends_in_a_plain_message(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_CPU_CLI.format(setup=""), *argv],
+            stdout=full, stderr=subprocess.PIPE, env=CHILD_ENV, text=True, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        cli.EXIT_WRITE_FAILED, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+class FullStream(ClosingStream):
+    """A ClosingStream whose device is full: every write raises OSError."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_kills_and_reaps_the_child(capsys, monkeypatch):
+    # the child sleeps in its first driver, so the caller's write of T-cara's
+    # report fails while the child runs; the run ends long before the sleep
+    set_cpus(monkeypatch, 2)
+    caller, real = os.getpid(), cli.verify
+    monkeypatch.setattr(
+        cli, "verify", lambda name, max_n: real(name, max_n) if os.getpid() == caller else time.sleep(60)
+    )
+    start = time.monotonic()
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", FullStream([], 0, null))
+        code = main(["verify", "--name", "all", "--max-n", "1"])
+    assert (code, capsys.readouterr().err) == (
+        cli.EXIT_WRITE_FAILED, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert time.monotonic() - start < 30
     assert_no_child_left()
 
 

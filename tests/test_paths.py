@@ -25,6 +25,8 @@ from centroinv.paths import (
 from centroinv.perms import half_descent_set
 from oracles import (
     area_by_steps,
+    g_inverse_by_coords,
+    g_map_by_coords,
     hooks_by_peeling,
     path_partition,
     rect_paths,
@@ -207,6 +209,16 @@ def test_g_transport_exhaustive_small():
                 assert g_inverse(q) == p
                 images.add(q)
             assert len(images) == comb(n, a)
+
+
+def test_g_maps_equal_their_references():
+    # on every N/E word of up to 12 letters, images of g as well as words
+    # that are not
+    for n in range(13):
+        for letters in product("NE", repeat=n):
+            word = "".join(letters)
+            assert g_map(word) == g_map_by_coords(word), word
+            assert g_inverse(word) == g_inverse_by_coords(word), word
 
 
 def test_each_public_call_checks_its_word_once(monkeypatch):
