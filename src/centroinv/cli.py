@@ -4,9 +4,10 @@ Subcommands: enumerate (stream a class), stats (statistic distribution as a
 q-polynomial), bijection (apply one of the named maps to one object), verify
 (run a theorem driver).  Exit code 0 means success, 1 a verification failure,
 2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
-in ``enumerate ... | head``, and 74 (EX_IOERR) any other failed write to
+in ``enumerate ... | head``, 74 (EX_IOERR) any other failed write to
 stdout, such as a full disk, with the one line "error: cannot write output:
-<reason>" on stderr.  Every write to stdout goes through _write, which tells
+<reason>" on stderr, and 130 (128 + SIGINT) an interrupt, such as Ctrl-C,
+with no traceback.  Every write to stdout goes through _write, which tells
 such a failure from any other OSError.
 
 ``enumerate`` reads the class's text stream (``ObjectClass.texts``), writes
@@ -159,6 +160,10 @@ WRITE_CHUNK = 1 << 16
 #: exit code of a failed write to stdout other than a closed pipe
 #: (EX_IOERR of sysexits.h)
 EXIT_WRITE_FAILED = 74
+
+#: exit code of an interrupt (128 + SIGINT); run_forked has killed and
+#: reaped any child before the interrupt reaches main
+EXIT_INTERRUPTED = 130
 
 
 class WriteError(Exception):
@@ -469,6 +474,8 @@ def main(argv=None) -> int:
         _drop_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_WRITE_FAILED
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
 
 
 def _drop_stdout() -> None:

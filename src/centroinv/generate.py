@@ -29,10 +29,10 @@ gathers and one tuple concatenation.  It yields the objects of
 map(subset_involution, subsets(n)) in the same order, but shares no code
 with subset_involution, which stays the per-object definition.
 
-Every mask stream and tally splits a mask of n bits as h * 2**k + l under
-one rule, k = _low_bits(n): k is LOW_BITS up to n = 255 and then loses one
-bit for each further bit of n.  A low scan of the even class holds O(n)
-values, so that keeps its low table under 2**(2 * LOW_BITS) cells.
+Every mask stream splits a mask of n bits as h * 2**k + l, and every tally
+cuts it into blocks of max(1, k) bits, k = _low_bits(n): LOW_BITS up to n =
+255, then one bit less per further bit of n, which keeps the low table of
+the even class, O(n) values per low scan, under 2**(2 * LOW_BITS) cells.
 
 involutions, inv321, signed_perms, subsets, all_paths, cinv321_even and
 cinv321_odd take an optional shard, under one rule: shard s of nshards takes
@@ -65,10 +65,10 @@ without building every object.  subsets, paths-rect and signed-all tally
 each of their statistics, cinv321-even three of its five, and the other
 classes none:
 
-* subsets (des+, maj+, des) and paths-rect area: each statistic is a share
-  of the low word plus a share of the high word plus a term that crosses
-  the boundary, so a tally groups the 2**k low words by what crosses, walks
-  the high words and joins the two groupings;
+* subsets (des+, maj+, des) and paths-rect area: each statistic is a sum
+  over the block words plus a term at each boundary that reads only the top
+  bit, or the number of E steps, below it; _transfer carries the Counter of
+  values so far per such state from block to block, polynomial in n;
 * paths-rect peaks and cinv321-even (des+, maj+, des) are subset tallies:
   all_paths(n) is map(subset_path, subsets(n)), and the starred peaks of
   subset_path(e) are the descents of e; subset_involution carries
@@ -87,7 +87,7 @@ same n! loop over tau either way, so they keep none.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from itertools import accumulate, chain, islice, product, repeat
 from itertools import permutations as _permutations
 from operator import add, eq, itemgetter, lt
@@ -99,8 +99,8 @@ from centroinv.perms import Perm
 from centroinv.signed import SignedPerm, unfold_window
 
 
-#: bits of a mask whose words (all_paths) or FIFO scans (cinv321_even) are
-#: built once per stream and joined to every high word, up to n = 255
+#: bits of a mask whose words or FIFO scans a stream builds once and joins
+#: to every high word, and the width of a tally's blocks, up to n = 255
 LOW_BITS = 8
 
 
@@ -240,19 +240,11 @@ def all_paths(n: int, shard: int = 0, nshards: int = 1) -> Iterator[str]:
 
 
 def _path_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[str]]:
-    # one block of paths per high word; the low words are built on first read
-    low, highs = _path_halves(n, shard, nshards)
-    for high in highs:
-        yield map(add, low, repeat(high))
-
-
-def _path_halves(n: int, shard: int, nshards: int) -> tuple[list[str], Iterator[str]]:
-    """The 2**k words of the low k = _low_bits(n) bits of a mask, as a
-    list, and the words of the shard's high words, as a stream."""
+    # one block of paths per high word of the shard; low words built on first read
     k = _low_bits(n)
     low = list(map(paths.subset_path, subsets(k)))
-    highs = zip(repeat(n - k), range(shard, 1 << (n - k), nshards))
-    return low, map(paths.subset_path, highs)
+    for high in map(paths.subset_path, zip(repeat(n - k), range(shard, 1 << (n - k), nshards))):
+        yield map(add, low, repeat(high))
 
 
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
@@ -319,21 +311,22 @@ def cinv321_even(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     the high values, the partners of the r openers and all their mirrors
     out of a source.  One object is then two itemgetter calls and one tuple
     concatenation."""
-    _check_even(m)
+    n = _even_half(m)
     _check_shard(shard, nshards)
-    return chain.from_iterable(_even_blocks(m // 2, shard, nshards) if m >= 0 else ())
+    return chain.from_iterable(_even_blocks(n, shard, nshards) if m >= 0 else ())
 
 
 def _even_texts(m: int) -> Iterator[str]:
     """format_perm of each object of cinv321_even(m), from the same blocks
     with the values of the low table written as text."""
-    _check_even(m)
-    return chain.from_iterable(_even_blocks(m // 2, 0, 1, text=True) if m >= 0 else ())
+    n = _even_half(m)
+    return chain.from_iterable(_even_blocks(n, 0, 1, text=True) if m >= 0 else ())
 
 
-def _check_even(m: int) -> None:
+def _even_half(m: int) -> int:
     if m % 2:
         raise ValueError("even size required")
+    return m // 2
 
 
 def _even_blocks(n: int, shard: int, nshards: int, text: bool = False) -> Iterator[Iterator]:
@@ -536,48 +529,59 @@ _PATH_STATS = {
 Tally = Callable[[int], Counter]
 
 
-def _join_blocks(lows: Iterable[tuple], highs: Iterable[tuple], cross: int) -> Counter:
-    """Tally lv + hv + cross * lk * hk over every object made of a low word,
-    seen in lows as the pair (lk, lv), and a high word, seen in highs as
-    (hk, hv).  Both sides are grouped first, so the work is the product of
-    the numbers of distinct pairs, not of words."""
-    total = Counter()
-    lows = Counter(lows).items()
-    for (hk, hv), hc in Counter(highs).items():
-        for (lk, lv), lc in lows:
-            total[lv + hv + cross * lk * hk] += lc * hc
-    return total
+def _transfer(n: int, words: Callable[[int, int], Iterable], join: Callable) -> Counter:
+    """The Counter of a statistic over the 2**n masks of n bits, got block by
+    block: the mask is cut from bit 0 up into blocks of max(1, _low_bits(n))
+    bits, the last maybe shorter.  words(offset, width) keys each word of a
+    block, and join(state, key) is the state after the word and what the word
+    adds, given the state before it (0 below bit 0).  A Counter of the values
+    so far is carried per state."""
+    if n < 0:
+        return Counter()
+    k = max(1, _low_bits(n))
+    tallies = {0: Counter({0: 1})}
+    for offset in range(0, n, k):
+        block = Counter(words(offset, min(k, n - offset))).items()
+        after = defaultdict(Counter)
+        for (state, tally), (key, count) in product(tallies.items(), block):
+            following, delta = join(state, key)
+            after[following].update({value + delta: c * count for value, c in tally.items()})
+        tallies = after
+    return sum(tallies.values(), Counter())
 
 
 def _subset_tally(stat: Callable[[Subset], int]) -> Tally:
-    """The tally of a descent statistic over subsets(n).
+    """The tally of a descent statistic over subsets(n), by _transfer.
 
-    In a mask h * 2**k + l, the low k bits of the descent mask
-    mask & ~(mask >> 1) are those of l, less bit k - 1 when bit 0 of h is
-    set (k + 1 is a member), and the high bits are those of h.  stat adds
-    up a weight per descent (less 1 for des when n is a member, a bit of l
-    or of h), so stat((n, mask)) is stat((n, l)) + stat((n, h * 2**k)), less
-    the weight of the descent at k when bit k - 1 of l and bit 0 of h are
-    set.  With k = n there is no h to take that descent away, and with
-    k = 0 no bit of l to give it."""
+    stat adds a weight per descent, a member i with i + 1 not a member (and
+    des takes 1 away when n, in the top block, is a member).  A block's word
+    alone at its offset keeps the descents of the mask in it, and gains one
+    at its top bit when the next block's bottom bit is set.  So stat((n,
+    mask)) is the sum of stat((n, word << offset)) over the blocks, less
+    stat((n, 1 << (offset - 1))) at each offset where the bits at and below
+    it are both set.  The state is the top bit so far."""
 
     def tally(n: int) -> Counter:
-        if n < 0:
-            return Counter()
-        k = _low_bits(n)
-        lows = ((l >> (k - 1) if k else 0, stat((n, l))) for l in range(1 << k))
-        highs = ((h & 1, stat((n, h << k))) for h in range(1 << (n - k)))
-        return _join_blocks(lows, highs, -stat((n, 1 << (k - 1))) if 0 < k < n else 0)
+        def words(offset: int, width: int) -> Iterator[tuple[int, int, int]]:
+            # (what a set top bit below takes away, this top bit, the value)
+            cross = stat((n, 1 << (offset - 1))) if offset else 0
+            for word in range(1 << width):
+                yield cross * (word & 1), word >> (width - 1), stat((n, word << offset))
+
+        return _transfer(n, words, lambda top, key: (key[1], key[2] - top * key[0]))
 
     return tally
 
 
 def _area_tally(n: int) -> Counter:
-    """The tally of area over all_paths(n).  A low word L and a high word H
-    join as area(L + H) = area(L) + area(H) + E(L) * N(H)."""
-    low, highs = _path_halves(n, 0, 1)
-    lows = ((w.count("E"), paths.area(w)) for w in low)
-    return _join_blocks(lows, ((w.count("N"), paths.area(w)) for w in highs), 1)
+    """The tally of area over all_paths(n), by _transfer: a block word B after
+    E earlier E steps adds area(B) + E * N(B).  The state is E."""
+
+    def words(offset: int, width: int) -> list[tuple[int, int, int]]:
+        block = map(paths.subset_path, subsets(width))
+        return [(word.count("N"), word.count("E"), paths.area(word)) for word in block]
+
+    return _transfer(n, words, lambda east, key: (east + key[1], key[2] + east * key[0]))
 
 
 _SUBSET_TALLIES = {name: _subset_tally(fn) for name, fn in _SUBSET_STATS.items()}
@@ -622,12 +626,7 @@ def _even_tally(stat: str) -> Tally:
     onto the even one object for object and carries subset_des, subset_maj
     and des_from_subset to half_des, half_maj and des."""
     subset_tally = _SUBSET_TALLIES[stat]
-
-    def tally(m: int) -> Counter:
-        _check_even(m)
-        return subset_tally(m // 2)
-
-    return tally
+    return lambda m: subset_tally(_even_half(m))
 
 
 class ObjectClass(NamedTuple):

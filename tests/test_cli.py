@@ -690,15 +690,15 @@ def test_even_census_walked_first_only_when_forking(capsys, monkeypatch):
     assert_no_child_left()
 
 
-def _fail_drivers(monkeypatch, where):
-    """Make every driver raise ValueError("boom") in the caller (where is
+def _fail_drivers(monkeypatch, where, error=ValueError):
+    """Make every driver raise error("boom") in the caller (where is
     "caller") or in a forked child (where is "child"), and run as before in
     the other."""
     caller = os.getpid()
     for name, (text, default_max, fn) in THEOREMS.items():
         def failing(n, fn=fn):
             if (os.getpid() == caller) == (where == "caller"):
-                raise ValueError("boom")
+                raise error("boom")
             return fn(n)
 
         monkeypatch.setitem(THEOREMS, name, (text, default_max, failing))
@@ -711,6 +711,20 @@ def test_driver_failed_in_the_caller_fails_as_in_a_serial_run(capsys, monkeypatc
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
         assert run(capsys, "verify", "--name", "all", "--max-n", "1") == (2, "", "error: boom\n")
+        assert_no_child_left()
+
+
+def test_interrupt_exits_130_with_no_traceback(capsys, monkeypatch):
+    # Ctrl-C in the caller's first driver, T-cara: nothing was written yet,
+    # and at two CPUs the child that runs meanwhile is killed and reaped
+    _fail_drivers(monkeypatch, "caller", KeyboardInterrupt)
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        try:
+            result = run(capsys, "verify", "--name", "all", "--max-n", "1")
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt left main")
+        assert result == (cli.EXIT_INTERRUPTED, "", "")
         assert_no_child_left()
 
 

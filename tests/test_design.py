@@ -208,7 +208,8 @@ def test_each_command_loads_only_what_it_runs(argv, left_out):
 
 def test_each_block_class_reads_one_scan():
     # every mask stream, text stream and tally splits a mask by one rule,
-    # generate._low_bits; the even class has one FIFO loop,
+    # generate._low_bits, and every mask tally runs one transfer loop,
+    # generate._transfer; the even class has one FIFO loop,
     # generate._fifo_scan, and the signed classes one builder of windows,
     # generate._sign_products: the even stream and text stream run the
     # first, and every signed stream, text stream and tally the second
@@ -222,6 +223,7 @@ def test_each_block_class_reads_one_scan():
         reads[f"{label} texts"] = (generate._low_bits, lambda c=c, n=size: [*c.texts(n)])
         for name, tally in c.tallies.items():
             reads[f"{label} {name} tally"] = (generate._low_bits, partial(tally, size))
+            reads[f"{label} {name} transfer"] = (generate._transfer, partial(tally, size))
     reads |= {
         "even stream": (generate._fifo_scan, lambda: [*even.generate(20, 0, 1)]),
         "even texts": (generate._fifo_scan, lambda: [*even.texts(20)]),

@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from centroinv import distrib, generate
+from centroinv.cli import main
 from centroinv.distrib import (
     STATS,
     distribution,
@@ -122,6 +123,35 @@ def test_block_tallies_equal_their_definitions(monkeypatch):
     check("cinv321-even", range(0, 21, 2))
     check("subsets", range(13))
     check("paths-rect", range(13))
+
+
+def test_mask_tallies_agree_across_block_widths_at_large_n(monkeypatch):
+    # the five subsets and paths-rect tallies are polynomial in n: far past
+    # any stream, at n = 24 and 40, each counts the 2**n masks and is the
+    # same at the default block width and with LOW_BITS = 3, one bit there
+    tallies = {
+        (label, stat): tally
+        for label in ("subsets", "paths-rect")
+        for stat, tally in CLASSES[label].tallies.items()
+    }
+    assert len(tallies) == 5
+    wide = {(pair, n): tally(n) for pair, tally in tallies.items() for n in (24, 40)}
+    monkeypatch.setattr(generate, "LOW_BITS", 3)
+    for (pair, n), tally in wide.items():
+        assert sum(tally.values()) == 2**n, (pair, n)
+        assert tallies[pair](n) == tally, (pair, n)
+
+
+@pytest.mark.parametrize(
+    "label, size, stat, n",
+    [("subsets", 40, "des", 40), ("paths-rect", 40, "area", 40), ("cinv321-even", 60, "maj+", 30)],
+)
+def test_tallied_stats_at_large_sizes_finish(capsys, label, size, stat, n):
+    # each finishes at once, where a walk of 2**(n - 8) high words would not end
+    argv = ["stats", "--class", label, "--size", str(size), "--stat", stat, "--format", "json"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["count"], err) == (2**n, "")
 
 
 def test_every_legal_pair_runs():
