@@ -31,15 +31,16 @@ their modules on first call and which a caller may rebind.
 processes, no more than the CPUs it may run on (distrib.processes): the
 caller and children forked by distrib.run_forked.  Process i starts with
 the i-th driver of the sorted names, so the caller starts with T-cara, and
-then each takes the next driver left when it is free.  The reports print in
-the sorted order of the names, as a serial run prints them, each written
-and flushed by the caller as soon as it and every report before it are
-known: the caller's own at once, a child's when the child is done.  So the
-first bytes are T-cara's whole report, and no header or separator is
-written before its report.  When a driver raises, the reports already
-written stay on stdout.  One --name, one CPU or a platform without os.fork
-runs in the caller alone, through the same code, and then every report is
-written as soon as it is known.
+then each takes the next driver left when it is free.  The output is a
+serial run's, in the sorted order of the names, and it streams by rows:
+the caller writes and flushes each row as soon as it and every row before
+it are known, its own as its driver makes them and a child's as it reads
+them from the child's pipe.  A report's opening (its "# name" header, or
+its "[" or "," and JSON head) goes out with its first row, and its JSON
+closing, with duration_s, when its driver ends.  When a driver raises, the
+rows already written stay on stdout, and one that raises before its first
+row leaves nothing of its report.  One --name, one CPU or a platform
+without os.fork runs in the caller alone, through the same code.
 """
 
 from __future__ import annotations
@@ -238,12 +239,12 @@ def distribution(label: str, size: int, stat: str, jobs: int = 1):
     return distribution(label, size, stat, jobs)
 
 
-def verify(theorem_id: str, max_size: int | None = None):
+def verify(theorem_id: str, max_size: int | None = None, row=None):
     """verify.verify, loaded on first call; the verify command calls it by
     this name."""
     from centroinv.verify import verify
 
-    return verify(theorem_id, max_size)
+    return verify(theorem_id, max_size, row)
 
 
 def _cmd_enumerate(args) -> int:
@@ -293,26 +294,41 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from centroinv.verify import THEOREMS, report_json, report_tsv, sizes
+    from centroinv.verify import THEOREMS, SizeResult, report_text, sizes
 
     names = sorted(THEOREMS) if args.name == "all" else [args.name]
     max_n = None if args.max_n is None else _int(args.max_n)
     for name in names:
         sizes(name, max_n)  # a bad request fails here, before any fork
     many = len(names) > 1
+    head, row, sep, tail = report_text(args.format)
     if args.format == "json":
         # one report alone, or the items of a list
-        def text(i, r) -> str:
-            return ("," if i else "[" if many else "") + report_json(r)
+        def opening(i: int) -> str:
+            return ("," if i else "[" if many else "") + head(names[i])
 
-        tail = "]\n" if many else "\n"
+        end = "]\n" if many else "\n"
     else:
-        def text(i, r) -> str:
-            return (f"# {r.theorem}\n" if many else "") + report_tsv(r) + "\n"
+        def opening(i: int) -> str:
+            return (f"# {names[i]}\n" if many else "") + head(names[i])
 
-        tail = ""
-    reports = _run_drivers(names, max_n, lambda i, r: _write(text(i, r), flush=True))
-    _write(tail)
+        end = ""
+    begun = -1
+
+    def show(i: int, part) -> None:
+        # part is report i's next row, or the report once it is done; the
+        # report's opening goes out with whichever comes first
+        nonlocal begun
+        is_row = isinstance(part, SizeResult)
+        text = row(part) if is_row else tail(part.duration_s)
+        if i != begun:
+            begun, text = i, opening(i) + text
+        elif is_row:
+            text = sep + text
+        _write(text, flush=True)
+
+    reports = _run_drivers(names, max_n, show)
+    _write(end)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -326,21 +342,22 @@ DRIVER_PROCESSES = 2
 
 def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, object], None]) -> list:
     """verify(name, max_n) for each name, the reports in the order of names.
-    show(i, report) is called in the caller for each report in that order,
-    as soon as it and every report before it are known.  The drivers run in
+    In the caller, show(i, row) is called for each row of report i and then
+    show(i, report) at its end, in the order of names and of the rows, each
+    as soon as it and everything before it are known.  The drivers run in
     distrib.processes(min(len(names), DRIVER_PROCESSES)) processes, the
     caller and children forked by distrib.run_forked.  With more than one,
     the caller first walks the even census that four drivers read, so that
     the processes share it.  Process i runs names[i] first, so every process
     runs a driver however the processes are scheduled; the other indices
     wait in a pipe, and each process takes the next, one byte at a time,
-    whenever it is free.  The caller calls show after each driver of its
-    own, inside run_forked, so that what show raises kills and reaps the
-    children; it shows the children's reports once run_forked has returned
-    them.  A child sends its reports back as plain tuples, which marshal.
-    What a driver raises in the caller reaches the caller's caller as it
-    is; in a child, the driver's name is added, since the child sends back
-    only the text of what it raised."""
+    whenever it is free.  Every process sends (index, row, None) for each
+    row it makes and (index, None, duration_s) at each driver's end, as
+    plain tuples, which marshal; run_forked hands them to the caller, which
+    shows what they complete, so that what show raises kills and reaps the
+    children.  What a driver raises in the caller reaches the caller's
+    caller as it is; in a child, the driver's name is added, since the child
+    sends back only the text of what it raised."""
     from centroinv.distrib import processes, run_forked
     from centroinv.verify import SizeResult, VerificationReport, walk_even_census
 
@@ -350,43 +367,46 @@ def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, objec
     queue, write_end = os.pipe()
     os.write(write_end, bytes(range(procs, len(names))))
     os.close(write_end)
+    rows: list[list] = [[] for _ in names]
     reports = {}
-    shown = 0
+    shown = [0, 0]  # the report, and the row of it, to show next
 
-    def show_known() -> None:
-        nonlocal shown
-        while shown in reports:
-            show(shown, reports[shown])
-            shown += 1
+    def receive(_, message) -> None:
+        index, row, duration = message
+        if row is None:
+            reports[index] = VerificationReport(names[index], tuple(rows[index]), duration)
+        else:
+            rows[index].append(SizeResult(*row))
+        while shown[0] < len(names):
+            i, k = shown
+            if k < len(rows[i]):
+                show(i, rows[i][k])
+                shown[1] += 1
+            elif i in reports:
+                show(i, reports[i])
+                shown[:] = i + 1, 0
+            else:
+                break
 
-    def run(index: int, in_caller: bool) -> dict[int, tuple]:
+    def run(index: int, in_caller: bool, send) -> None:
         # names[index], then each index taken from the queue until it is empty
-        done = {}
         while True:
             name = names[index]
             try:
-                r = verify(name, max_n)
+                r = verify(name, max_n, row=lambda s: send((index, tuple(s), None)))
             except Exception as exc:
                 if in_caller:
                     raise
                 raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
-            if in_caller:
-                reports[index] = r
-                show_known()
-            else:
-                done[index] = (r.theorem, tuple(map(tuple, r.results)), r.duration_s)
+            send((index, None, r.duration_s))
             if not (taken := os.read(queue, 1)):
-                return done
+                return
             index = taken[0]
 
     try:
-        parts = run_forked([partial(run, i, i == 0) for i in range(procs)], "process")
+        run_forked([partial(run, i, i == 0) for i in range(procs)], "process", receive)
     finally:
         os.close(queue)
-    for part in parts[1:]:
-        for i, (theorem, rows, duration) in part.items():
-            reports[i] = VerificationReport(theorem, tuple(SizeResult(*row) for row in rows), duration)
-    show_known()
     return [reports[i] for i in range(len(names))]
 
 

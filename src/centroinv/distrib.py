@@ -16,15 +16,20 @@ stream.  Every stream is made first, which checks the request and builds
 nothing, before any child is forked.  The caller runs the work of shard 0
 itself and the work of shards 1 to jobs - 1 (none for one job) in
 children, through run_forked, the package's one fork helper, which also
-runs the drivers of ``verify --name all``: it makes each child with
-os.fork, and each child sends what its work returned back over a pipe as
-marshal.dumps((ok, payload)) and leaves with os._exit.  A child sends its
-tally as a dict, and the tallies are added; tally addition is commutative,
-so a sharded run is byte-identical to a serial one.  processes(jobs) caps
-jobs at the CPUs this process may run on, and at 1 on a platform without
-os.fork, which then runs serially; ``verify --name all`` sizes its
-processes by the same rule.  The package starts no threads, so forking the
-caller is safe.
+runs the drivers of ``verify --name all``.  It calls every piece of work
+with a send function and makes each child with os.fork.  A child's pipe
+carries frames, each a length and then that many bytes of marshal data:
+(None, message) for each message its work sends, which the caller hands to
+a receive callback as it reads them, and last the reply (ok, payload),
+what the work returned or the text of what it raised; then the child
+leaves with os._exit.  A frame cut short is never decoded, and a pipe that
+ends without a whole reply means the child ended without a result.  Shard
+work sends nothing.  A child sends its tally as a dict, and the tallies are
+added; tally addition is commutative, so a sharded run is byte-identical to
+a serial one.  processes(jobs) caps jobs at the CPUs this process may run
+on, and at 1 on a platform without os.fork, which then runs serially;
+``verify --name all`` sizes its processes by the same rule.  The package
+starts no threads, so forking the caller is safe.
 """
 
 from __future__ import annotations
@@ -72,10 +77,23 @@ def processes(wanted: int) -> int:
     return max(1, min(wanted, cpus))
 
 
-def _fork(work: Callable[[], object]) -> tuple[int, int]:
-    """Start a child that runs work; returns its pid and the read end of the
-    pipe that carries marshal.dumps((ok, payload)): what work returned, or
-    the text "<ExcType>: <message>" of what it raised."""
+#: bytes of the length that comes before each frame on a child's pipe
+_PREFIX = 8
+
+
+def _write_frame(fd: int, value: object) -> None:
+    """Write marshal.dumps(value) to fd as one frame: its length, then it."""
+    data = marshal.dumps(value)
+    frame = memoryview(len(data).to_bytes(_PREFIX, "little") + data)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _fork(work: Callable[[Callable[[object], None]], object]) -> tuple[int, int]:
+    """Start a child that runs work(send); returns its pid and the read end
+    of the pipe that carries the child's frames: (None, message) for each
+    send(message), then the reply (ok, payload), what work returned or the
+    text "<ExcType>: <message>" of what it raised."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -91,44 +109,95 @@ def _fork(work: Callable[[], object]) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            reply = (True, work())
+            reply = (True, work(lambda message: _write_frame(write_fd, (None, message))))
         except BaseException as exc:
             reply = (False, f"{type(exc).__name__}: {exc}")
-        data = memoryview(marshal.dumps(reply))
-        while data:
-            data = data[os.write(write_fd, data):]
+        _write_frame(write_fd, reply)
     finally:
         os._exit(0)
 
 
-def _read_reply(fd: int, part: str) -> object:
-    """Read one child's reply to end of file; raise if its work failed or
-    the child ended without a reply."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    try:
-        ok, payload = marshal.loads(b"".join(chunks))
-    except (EOFError, ValueError):
-        raise RuntimeError(f"{part} ended without a result") from None
-    if not ok:
-        raise RuntimeError(f"{part} failed: {payload}")
-    return payload
+class _Pipes:
+    """The caller's ends of the children's pipes.  read passes each whole
+    frame on as it comes: a message to receive(i, message), a reply to
+    replies; a frame cut short stays in its buffer and is never decoded."""
+
+    def __init__(self, fds: list[int], receive: Callable[[int, object], None]):
+        self.open = {fd: i for i, fd in enumerate(fds, 1)}  # fd -> child, until end of file
+        self.buffers = {fd: bytearray() for fd in fds}
+        self.replies: dict[int, tuple] = {}
+        self.receive = receive
+
+    def read(self, timeout: float | None) -> None:
+        """Read once from each pipe that is readable within timeout seconds
+        (None waits until one is), and pass on every frame now whole."""
+        from select import select
+
+        for fd in select(list(self.open), [], [], timeout)[0]:
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                del self.open[fd]
+                continue
+            buffer = self.buffers[fd]
+            buffer += chunk
+            while len(buffer) >= _PREFIX:
+                end = _PREFIX + int.from_bytes(buffer[:_PREFIX], "little")
+                if len(buffer) < end:
+                    break
+                ok, payload = marshal.loads(buffer[_PREFIX:end])
+                del buffer[:end]
+                if ok is None:
+                    self.receive(self.open[fd], payload)
+                else:
+                    self.replies[fd] = (ok, payload)
+
+    def reply(self, fd: int, part: str) -> object:
+        """Read until pipe fd ends and return its child's payload; raise if
+        the child's work failed or it ended without a whole reply frame,
+        which comes last."""
+        while fd in self.open:
+            self.read(None)
+        if fd not in self.replies:
+            raise RuntimeError(f"{part} ended without a result")
+        ok, payload = self.replies[fd]
+        if not ok:
+            raise RuntimeError(f"{part} failed: {payload}")
+        return payload
 
 
-def run_forked(work: list[Callable[[], object]], part: str) -> list:
-    """Run work[0] here and work[1:] in forked children, and return what
-    each returned, in order; what a child's work returns must marshal.  A
-    child that fails raises RuntimeError "<part> <i> of <len(work)> failed:
-    <ExcType>: <message>" here.  Every child is reaped before this returns
-    or raises; on failure the children still running are killed first."""
+def run_forked(
+    work: list[Callable[[Callable[[object], None]], object]],
+    part: str,
+    receive: Callable[[int, object], None] = lambda i, message: None,
+) -> list:
+    """Run work[0](send) here and work[i](send) for i >= 1 in forked
+    children, and return what each returned, in order; what a child's work
+    returns or sends must marshal.  send(message) hands message to
+    receive(i, message) here: at once from the caller's own work, and from
+    child i's as one frame over its pipe, which the caller reads without
+    blocking whenever its own work sends, and with select to end of file
+    once its own work has returned.  So each process's messages reach
+    receive in the order it sent them, and work that has nothing to send
+    ignores send.  The children are checked in order, each once its pipe
+    ends: one that fails raises RuntimeError "<part> <i> of <len(work)>
+    failed: <ExcType>: <message>" here, and one whose pipe ends without a
+    whole reply frame "<part> <i> of <len(work)> ended without a result".
+    Every child is reaped before this returns or raises; on failure the
+    children still running are killed first."""
     children: list[tuple[int, int]] = []
     try:
         for i in range(1, len(work)):
             children.append(_fork(work[i]))
-        payloads = [work[0]()]
+        pipes = _Pipes([fd for _, fd in children], receive)
+
+        def send(message: object) -> None:
+            receive(0, message)
+            if pipes.open:
+                pipes.read(0)
+
+        payloads = [work[0](send)]
         for i, (_, fd) in enumerate(children, 1):
-            payloads.append(_read_reply(fd, f"{part} {i} of {len(work)}"))
+            payloads.append(pipes.reply(fd, f"{part} {i} of {len(work)}"))
         return payloads
     except BaseException:
         import signal
@@ -145,8 +214,11 @@ def run_forked(work: list[Callable[[], object]], part: str) -> list:
 def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
     """The sum of the shards' tallies, shard 0 tallied here and shards 1..
     in forked children (run_forked); a child sends its tally as a dict."""
-    # a Counter does not marshal; the dict of its counts does
-    tally, *others = run_forked([work[0], *(lambda w=w: dict(w()) for w in work[1:])], "shard")
+    # a Counter does not marshal; the dict of its counts does.  Shard work
+    # sends nothing
+    tally, *others = run_forked(
+        [lambda send: work[0](), *(lambda send, w=w: dict(w()) for w in work[1:])], "shard"
+    )
     for other in others:
         tally.update(other)
     return tally

@@ -28,11 +28,14 @@ keeps its own star rule.
 
 verify(theorem_id) runs one driver over a size range (sizes checks the
 request) and returns a report with a per-size pass/fail status; a failure
-carries a concrete counterexample.  The registry key doubles as the CLI
-name.  ``verify --name all`` runs the drivers in up to two processes
-(cli.DRIVER_PROCESSES, capped by distrib.processes) through
-distrib.run_forked, the one fork helper that also shards ``stats --jobs``;
-its reports come back as plain tuples.
+carries a concrete counterexample.  Its row argument, if given, gets each
+size's result as soon as it is known, and report_text gives a report's text
+in pieces (head, row, separator, tail) that the CLI writes as they become
+known.  The registry key doubles as the CLI name.  ``verify --name all``
+runs the drivers in up to two processes (cli.DRIVER_PROCESSES, capped by
+distrib.processes) through distrib.run_forked, the one fork helper that
+also shards ``stats --jobs``; a child sends each row, and each driver's
+end, to the caller as a message of run_forked, a plain tuple.
 """
 
 from __future__ import annotations
@@ -424,34 +427,56 @@ def walk_even_census(max_size: int | None = None) -> None:
         kernels.census(2 * n)
 
 
-def verify(theorem_id: str, max_size: int | None = None) -> VerificationReport:
-    """Run one driver for sizes 0..max_size (default per theorem)."""
+def verify(
+    theorem_id: str,
+    max_size: int | None = None,
+    row: Callable[[SizeResult], object] | None = None,
+) -> VerificationReport:
+    """Run one driver for sizes 0..max_size (default per theorem); row, if
+    given, is called with each size's result as soon as it is known.  The
+    report's duration_s is the time the sizes took, less the calls of row."""
     ns = sizes(theorem_id, max_size)
     fn = THEOREMS[theorem_id][2]
-    start = perf_counter()
+    duration = 0.0
     results = []
     for n in ns:
+        start = perf_counter()
         cx = fn(n)
+        duration += perf_counter() - start
         results.append(SizeResult(n, "pass" if cx is None else "fail", cx))
-    return VerificationReport(theorem_id, tuple(results), perf_counter() - start)
+        if row is not None:
+            row(results[-1])
+    return VerificationReport(theorem_id, tuple(results), duration)
 
 
-def report_json(r: VerificationReport) -> str:
+class ReportText(NamedTuple):
+    """A report's text in one format, in pieces that can be written while
+    the report is made: head(theorem), row(result) for each size, sep
+    between two rows, and tail(duration_s).  ``verify`` writes them one by
+    one; joined, they are the report's whole text."""
+
+    head: Callable[[str], str]
+    row: Callable[[SizeResult], str]
+    sep: str
+    tail: Callable[[float], str]
+
+
+def report_text(fmt: str) -> ReportText:
+    """The pieces of a report in format fmt, "tsv" or "json".  A TSV row
+    ends its line; the JSON pieces join to json.dumps of the report."""
+    if fmt == "tsv":
+        return ReportText(
+            lambda theorem: "n\tstatus\tcounterexample\n",
+            lambda s: f"{s.n}\t{s.status}\t{s.counterexample or ''}\n",
+            "",
+            lambda duration: "",
+        )
     from json import dumps
 
-    return dumps(
-        {
-            "theorem": r.theorem,
-            "results": [
-                {"n": s.n, "status": s.status, "counterexample": s.counterexample}
-                for s in r.results
-            ],
-            "duration_s": round(r.duration_s, 3),
-        }
+    return ReportText(
+        lambda theorem: f'{{"theorem": {dumps(theorem)}, "results": [',
+        lambda s: dumps({"n": s.n, "status": s.status, "counterexample": s.counterexample}),
+        ", ",
+        lambda duration: f'], "duration_s": {dumps(round(duration, 3))}}}',
     )
 
-
-def report_tsv(r: VerificationReport) -> str:
-    lines = ["n\tstatus\tcounterexample"]
-    lines.extend(f"{s.n}\t{s.status}\t{s.counterexample or ''}" for s in r.results)
-    return "\n".join(lines)

@@ -4,10 +4,12 @@ patterns of every subsequence of a window, the descent scans, the pairwise
 non-nesting test, the subset descent set, the step-by-step area, the
 partition of a path and its hooks by peeling, the maps g and g^-1 by peak
 coordinates, the rectangle path enumerator, row insertion, the filtered class generator, the per-mask path
-and signed-window streams, the arithmetic unfolding of a window), the shard
-rule by its definition, and small helpers for building test cases.
+and signed-window streams, the arithmetic unfolding of a window, a driver
+report's whole text), the shard rule by its definition, and small helpers
+for building test cases.
 """
 
+import json
 from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -416,3 +418,27 @@ def filtered_class(m: int) -> Iterator[Perm]:
         for p in involutions(m)
         if is_centrosymmetric(p) and not contains_321(p)
     )
+
+
+# ---------- driver reports ----------
+
+
+def report_json(r) -> str:
+    """A verify report as one json.dumps of the whole document."""
+    return json.dumps(
+        {
+            "theorem": r.theorem,
+            "results": [
+                {"n": s.n, "status": s.status, "counterexample": s.counterexample}
+                for s in r.results
+            ],
+            "duration_s": round(r.duration_s, 3),
+        }
+    )
+
+
+def report_tsv(r) -> str:
+    """A verify report as TSV lines, with no newline after the last."""
+    lines = ["n\tstatus\tcounterexample"]
+    lines.extend(f"{s.n}\t{s.status}\t{s.counterexample or ''}" for s in r.results)
+    return "\n".join(lines)

@@ -7,6 +7,7 @@ import os
 import re
 import select
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -20,11 +21,14 @@ from centroinv import verify as verify_module
 from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
 from centroinv.generate import CLASS_LABELS, format_object, generate_class
 from centroinv.verify import THEOREMS
+from oracles import report_json, report_tsv
 from test_distrib import assert_no_child_left, forks, set_cpus  # noqa: F401 (forks is a fixture)
 
 
-# child interpreters find the package where this one did, installed or not
+# child interpreters find the package where this one did, installed or not,
+# and can import the helpers of this directory
 PACKAGE_ROOT = str(Path(centroinv.__file__).parents[1])
+TESTS = str(Path(__file__).parent)
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(
@@ -37,6 +41,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def before_verify(hook):
+    """cli.verify as it is bound now, with hook(name) called first in
+    whichever process runs the driver; the row argument is passed on.
+    Rebind cli.verify to what this returns."""
+    real = cli.verify
+
+    def verify(name, max_n=None, row=None):
+        hook(name)
+        return real(name, max_n, row=row)
+
+    return verify
 
 
 def test_enumerate_tsv(capsys):
@@ -751,16 +768,15 @@ def _log_stdout_at_each_driver(monkeypatch, capsys, log):
     """Before each driver the caller runs, append (name, what stdout holds
     so far) to log.  Returns the list of the texts read, which the run's
     output follows."""
-    caller, real = os.getpid(), cli.verify
+    caller = os.getpid()
     taken = []
 
-    def logged(name, max_n):
+    def logged(name):
         if os.getpid() == caller:
             taken.append(capsys.readouterr().out)
             log.append((name, "".join(taken)))
-        return real(name, max_n)
 
-    monkeypatch.setattr(cli, "verify", logged)
+    monkeypatch.setattr(cli, "verify", before_verify(logged))
     return taken
 
 
@@ -791,19 +807,18 @@ def test_caller_second_driver_sees_the_first_report_alone(capsys, monkeypatch):
     set_cpus(monkeypatch, 2)
     code, want, _ = run(capsys, "verify", "--name", "all", "--max-n", "1")
     log = []
-    taken = _log_stdout_at_each_driver(monkeypatch, capsys, log)
-    logged = cli.verify
     gate, opened = os.pipe()
+    caller = os.getpid()
 
-    def gated(name, max_n):
+    def gated(name):
+        # the caller opens the gate once it has logged its second driver
         if name == "T-cor1":
             select.select([gate], [], [], 60)
-        r = logged(name, max_n)
-        if len(log) == 2:
+        elif len(log) == 2 and os.getpid() == caller:
             os.write(opened, b"x")
-        return r
 
-    monkeypatch.setattr(cli, "verify", gated)
+    monkeypatch.setattr(cli, "verify", before_verify(gated))
+    taken = _log_stdout_at_each_driver(monkeypatch, capsys, log)
     try:
         code_now, out, err = run(capsys, "verify", "--name", "all", "--max-n", "1")
     finally:
@@ -830,14 +845,12 @@ def test_each_process_starts_on_its_own_driver(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(os, "fork", slow_fork)
     log = tmp_path / "drivers"
-    real = cli.verify
 
-    def logged(name, max_n):
+    def logged(name):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {name}\n")
-        return real(name, max_n)
 
-    monkeypatch.setattr(cli, "verify", logged)
+    monkeypatch.setattr(cli, "verify", before_verify(logged))
     assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
     first = {}
     for line in log.read_text().splitlines():
@@ -845,6 +858,173 @@ def test_each_process_starts_on_its_own_driver(capsys, monkeypatch, tmp_path):
         first.setdefault(int(pid), name)
     caller = first.pop(os.getpid())
     assert (caller, list(first.values())) == ("T-cara", ["T-cor1"])
+    assert_no_child_left()
+
+
+def _log_stdout_at_each_size(monkeypatch, capsys, names):
+    """Before each size of each named driver that the caller runs, append
+    (name, n, what stdout holds so far) to the first list returned.  The
+    second holds the texts read, which the run's output follows."""
+    caller = os.getpid()
+    log, taken = [], []
+    for name in names:
+        text, default_max, fn = THEOREMS[name]
+
+        def logged(n, name=name, fn=fn):
+            if os.getpid() == caller:
+                taken.append(capsys.readouterr().out)
+                log.append((name, n, "".join(taken)))
+            return fn(n)
+
+        monkeypatch.setitem(THEOREMS, name, (text, default_max, logged))
+    return log, taken
+
+
+def _assert_rows_before_each_size(log, want, fmt):
+    """At each logged size n of a driver, stdout holds what comes before its
+    row n in want: every earlier report, and its own rows 0..n-1 with their
+    header, and nothing more."""
+    want = _masked(want)
+    for name, n, seen in log:
+        seen = _masked(seen)
+        rest = want[len(seen):]
+        assert want.startswith(seen), (name, n)
+        if fmt == "tsv":
+            assert rest.startswith(f"# {name}\n" if n == 0 else f"{n}\t"), (name, n)
+        elif n == 0:
+            assert rest[0] in "[," and rest[1:].startswith(f'{{"theorem": "{name}"'), name
+        else:
+            assert rest.startswith(f', {{"n": {n}, '), (name, n)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_rows_stream_in_order_at_one_cpu(capsys, monkeypatch, fmt):
+    # in one process, each size of each driver starts with every row before
+    # it on stdout, and nothing more
+    set_cpus(monkeypatch, 1)
+    argv = ("verify", "--name", "all", "--max-n", "3", "--format", fmt)
+    code, want, _ = run(capsys, *argv)
+    log, taken = _log_stdout_at_each_size(monkeypatch, capsys, THEOREMS)
+    code_now, out, err = run(capsys, *argv)
+    assert (code_now, _masked("".join(taken) + out), err) == (code, _masked(want), "")
+    assert [(name, n) for name, n, _ in log] == [(name, n) for name in sorted(THEOREMS) for n in range(4)]
+    _assert_rows_before_each_size(log, want, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_caller_rows_stream_at_two_cpus(capsys, monkeypatch, fmt):
+    # at 2 CPUs the caller runs T-cara first, while the child runs; each of
+    # its sizes starts with the rows before it on stdout
+    set_cpus(monkeypatch, 2)
+    argv = ("verify", "--name", "all", "--max-n", "3", "--format", fmt)
+    code, want, _ = run(capsys, *argv)
+    log, taken = _log_stdout_at_each_size(monkeypatch, capsys, ["T-cara"])
+    code_now, out, err = run(capsys, *argv)
+    assert (code_now, _masked("".join(taken) + out), err) == (code, _masked(want), "")
+    assert [(name, n) for name, n, _ in log] == [("T-cara", n) for n in range(4)]
+    _assert_rows_before_each_size(log, want, fmt)
+    assert_no_child_left()
+
+
+def test_child_rows_stream_once_earlier_reports_are_complete(capsys):
+    # at 2 CPUs the child runs T-cor1 first, and each of its sizes after the
+    # first waits for one byte on stdin.  This test sends that byte only when
+    # stdout holds everything before the size's row: T-cara's whole report
+    # and T-cor1's rows so far, written by the caller as they came
+    main(["verify", "--name", "all", "--max-n", "3"])
+    want = capsys.readouterr().out
+    setup = (
+        "from centroinv.verify import THEOREMS\n"
+        "text, default_max, fn = THEOREMS['T-cor1']\n"
+        "def gated(n):\n"
+        "    if n:\n"
+        "        os.read(0, 1)\n"
+        "    return fn(n)\n"
+        "THEOREMS['T-cor1'] = (text, default_max, gated)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", TWO_CPU_CLI.format(setup=setup),
+         "verify", "--name", "all", "--max-n", "3"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    )
+    out = b""
+    try:
+        start = want.index("# T-cor1\n")
+        for n in range(1, 4):
+            before = want[: want.index(f"\n{n}\t", start) + 1].encode()
+            while len(out) < len(before):
+                assert select.select([proc.stdout], [], [], 60)[0], (n, out)
+                out += os.read(proc.stdout.fileno(), 1 << 16)
+            assert out == before, n
+            proc.stdin.write(b"x")
+            proc.stdin.flush()
+        out += proc.stdout.read()
+        assert (proc.wait(timeout=60), out.decode(), proc.stderr.read()) == (0, want, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_child_ended_mid_stream_keeps_the_rows_written(capsys, monkeypatch, how):
+    # the child's first driver, T-cor1, sends row 0 and ends at n = 1 with
+    # no reply: the run fails, and the rows written before stay on stdout
+    caller = os.getpid()
+    text, default_max, fn = THEOREMS["T-cor1"]
+
+    def ending(n):
+        if n == 1 and os.getpid() != caller:
+            if how == "exit":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(n)
+
+    monkeypatch.setitem(THEOREMS, "T-cor1", (text, default_max, ending))
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^process 1 of 2 ended without a result$"):
+        run(capsys, "verify", "--name", "all", "--max-n", "1")
+    assert capsys.readouterr() == (
+        "# T-cara\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n"
+        "# T-cor1\nn\tstatus\tcounterexample\n0\tpass\t\n",
+        "",
+    )
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_streamed_output_equals_the_joined_reports(capsys, monkeypatch, fmt):
+    # what streams out is, byte for byte, the reports _run_drivers returns,
+    # each as one whole text: for --name all and one --name, at 1, 2 and 4
+    # CPUs (with the cap raised to 4).  T-recr fails with a counterexample
+    # that json.dumps escapes
+    monkeypatch.setattr(cli, "DRIVER_PROCESSES", 4)
+    monkeypatch.setitem(THEOREMS, "T-recr", ("fails from size two on", 3,
+                                             lambda n: None if n < 2 else 'a "b" \\ \t é'))
+    returned = []
+    real = cli._run_drivers
+    monkeypatch.setattr(cli, "_run_drivers", lambda *args: returned.append(real(*args)) or returned[-1])
+    for cpus in (1, 2, 4):
+        set_cpus(monkeypatch, cpus)
+        for name in ("all", "T-recr"):
+            for max_n in range(4):
+                code, out, err = run(capsys, "verify", "--name", name, "--max-n", str(max_n),
+                                     "--format", fmt)
+                reports = returned.pop()
+                if fmt == "json":
+                    texts = list(map(report_json, reports))
+                    want = "[" + ",".join(texts) + "]\n" if name == "all" else texts[0] + "\n"
+                else:
+                    texts = list(map(report_tsv, reports))
+                    if name == "all":
+                        want = "".join(f"# {r.theorem}\n{t}\n" for r, t in zip(reports, texts))
+                    else:
+                        want = texts[0] + "\n"
+                assert (code, out, err) == (int(max_n >= 2), want, ""), (cpus, name, max_n)
+    escaped = 'a \\"b\\" \\\\ \\t \\u00e9' if fmt == "json" else 'a "b" \\ \t é'
+    assert escaped in out
     assert_no_child_left()
 
 
@@ -872,15 +1052,15 @@ def test_closed_pipe_mid_verify_exits_141():
     # an error on a pipe with no reader), so every report after T-cara's is
     # written to a closed pipe, by the caller or after the child is reaped
     setup = (
+        f"sys.path.insert(0, {TESTS!r})\n"
         "import select\n"
-        "real = cli.verify\n"
-        "def verify(name, max_n):\n"
+        "from test_cli import before_verify\n"
+        "def hook(name):\n"
         "    if name != 'T-cara':\n"
         "        poll = select.poll()\n"
         "        poll.register(1, 0)\n"
         "        poll.poll(20000)\n"
-        "    return real(name, max_n)\n"
-        "cli.verify = verify\n"
+        "cli.verify = before_verify(hook)\n"
     )
     close_after_first(
         ["verify", "--name", "all"], b"# T-cara\n", ("-c", TWO_CPU_CLI.format(setup=setup))
@@ -921,9 +1101,9 @@ def test_failed_write_kills_and_reaps_the_child(capsys, monkeypatch):
     # the child sleeps in its first driver, so the caller's write of T-cara's
     # report fails while the child runs; the run ends long before the sleep
     set_cpus(monkeypatch, 2)
-    caller, real = os.getpid(), cli.verify
+    caller = os.getpid()
     monkeypatch.setattr(
-        cli, "verify", lambda name, max_n: real(name, max_n) if os.getpid() == caller else time.sleep(60)
+        cli, "verify", before_verify(lambda name: os.getpid() == caller or time.sleep(60))
     )
     start = time.monotonic()
     with open(os.devnull, "w") as null:

@@ -2,10 +2,12 @@
 
 import json
 import os
+import select
 import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -326,6 +328,79 @@ def test_child_without_result_raises(monkeypatch):
     _patch_shards(monkeypatch, child=lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="shard 1 of 2 ended without a result"):
         distribution("inv321", 8, "maj", jobs=2)
+    assert_no_child_left()
+
+
+def test_messages_reach_the_caller_in_order():
+    # each process sends its messages in order, some longer than a pipe
+    # holds, so that one frame takes many reads; receive gets every message
+    # of each process in the order it was sent, and the replies come back
+    big = "x" * (3 << 16)
+
+    def work(i, send):
+        for k in range(200):
+            send((i, k, big if k % 50 == 0 else k))
+        return i * 10
+
+    got = {}
+    payloads = distrib.run_forked(
+        [partial(work, i) for i in range(3)], "part", lambda i, m: got.setdefault(i, []).append(m)
+    )
+    assert payloads == [0, 10, 20]
+    assert got == {i: [(i, k, big if k % 50 == 0 else k) for k in range(200)] for i in range(3)}
+    assert_no_child_left()
+
+
+def test_caller_reads_messages_while_its_work_runs():
+    # the child sends one message and then waits for a gate that the caller's
+    # work opens only once it has received that message, which it can only
+    # do through its own sends
+    gate, opened = os.pipe()
+    got = []
+
+    def child(send):
+        send("ready")
+        select.select([gate], [], [], 60)
+        return "done"
+
+    def caller(send):
+        deadline = time.monotonic() + 30
+        while not got and time.monotonic() < deadline:
+            send("poll")
+            time.sleep(0.001)
+        os.write(opened, b"x")
+        return list(got)
+
+    try:
+        payloads = distrib.run_forked(
+            [caller, child], "part", lambda i, m: i and got.append(m)
+        )
+    finally:
+        os.close(gate)
+        os.close(opened)
+    assert payloads == [["ready"], "done"]
+    assert_no_child_left()
+
+
+def test_cut_frame_is_never_read():
+    # the child sends one whole message, then writes half of the next frame
+    # and ends: only the whole message is received, and the cut frame means
+    # the child ended without a result
+    def work(send):
+        send("whole")
+        write = os.write
+
+        def half(fd, data):
+            write(fd, bytes(data)[: len(data) // 2])
+            os._exit(0)
+
+        os.write = half  # in the child only, which ends in it
+        send("cut")
+
+    got = []
+    with pytest.raises(RuntimeError, match="^part 1 of 2 ended without a result$"):
+        distrib.run_forked([lambda send: None, work], "part", lambda i, m: got.append((i, m)))
+    assert got == [(1, "whole")]
     assert_no_child_left()
 
 

@@ -15,11 +15,10 @@ from centroinv.verify import (
     THEOREMS,
     SizeResult,
     VerificationReport,
-    report_json,
-    report_tsv,
+    report_text,
     verify,
 )
-from oracles import signed_avoids
+from oracles import report_json, report_tsv, signed_avoids
 
 EXPECTED_IDS = (
     "T-despoly",
@@ -80,6 +79,12 @@ def test_unknown_theorem():
         verify("T-nope")
 
 
+def joined(fmt: str, r: VerificationReport) -> str:
+    """The pieces of report_text(fmt) of r, joined as ``verify`` writes them."""
+    head, row, sep, tail = report_text(fmt)
+    return head(r.theorem) + sep.join(map(row, r.results)) + tail(r.duration_s)
+
+
 def test_failure_reporting():
     fake = VerificationReport(
         "T-fake",
@@ -90,7 +95,9 @@ def test_failure_reporting():
         0.5,
     )
     assert not fake.ok
-    doc = json.loads(report_json(fake))
+    assert joined("json", fake) == report_json(fake)
+    assert joined("tsv", fake) == report_tsv(fake) + "\n"
+    doc = json.loads(joined("json", fake))
     assert doc == {
         "theorem": "T-fake",
         "results": [
@@ -99,7 +106,7 @@ def test_failure_reporting():
         ],
         "duration_s": 0.5,
     }
-    assert report_tsv(fake).splitlines() == [
+    assert joined("tsv", fake).splitlines() == [
         "n\tstatus\tcounterexample",
         "0\tpass\t",
         "1\tfail\tboom",
@@ -501,9 +508,22 @@ def test_drivers_without_a_route_table():
     assert set(ROUTES) == set(THEOREMS) - no_table
 
 
+def test_row_is_called_as_each_size_ends(monkeypatch):
+    # row gets each size's result before the next size starts, and the
+    # report holds the same results
+    calls = []
+    text, default_max, fn = THEOREMS["T-recr"]
+    monkeypatch.setitem(
+        THEOREMS, "T-recr", (text, default_max, lambda n: calls.append(n) or fn(n))
+    )
+    report = verify("T-recr", 3, row=calls.append)
+    assert calls == [x for r in report.results for x in (r.n, r)]
+    assert verify("T-recr", 3).results == report.results
+
+
 def test_report_json_schema():
     report = verify("T-recr", max_size=5)
-    doc = json.loads(report_json(report))
+    doc = json.loads(joined("json", report))
     assert doc["theorem"] == "T-recr"
     assert len(doc["results"]) == 6
     assert all(r["status"] == "pass" for r in doc["results"])
