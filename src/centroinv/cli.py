@@ -30,8 +30,10 @@ their modules on first call and which a caller may rebind.
 ``verify --name all`` runs its drivers in up to DRIVER_PROCESSES
 processes, no more than the CPUs it may run on (distrib.processes): the
 caller and children forked by distrib.run_forked.  Process i starts with
-the i-th driver of the sorted names, so the caller starts with T-cara, and
-then each takes the next driver left when it is free.  The output is a
+the i-th unit of work, then each takes the next unit left when it is
+free.  Every driver is a unit of its own, but with more than one process
+the four that read the even census (verify.EVEN_CENSUS_READERS) are one,
+T-cara's, so the child starts with T-cor1.  The output is a
 serial run's, in the sorted order of the names, and it streams by rows:
 the caller writes and flushes each row as soon as it and every row before
 it are known, its own as its driver makes them and a child's as it reads
@@ -346,10 +348,10 @@ def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, objec
     show(i, report) at its end, in the order of names and of the rows, each
     as soon as it and everything before it are known.  The drivers run in
     distrib.processes(min(len(names), DRIVER_PROCESSES)) processes, the
-    caller and children forked by distrib.run_forked.  With more than one,
-    the caller first walks the even census that four drivers read, so that
-    the processes share it.  Process i runs names[i] first, so every process
-    runs a driver however the processes are scheduled; the other indices
+    caller and children forked by distrib.run_forked.  Each driver is a unit
+    of work, but with more than one process verify.EVEN_CENSUS_READERS
+    are one, the first.  Process i runs unit i first, so every process
+    runs a driver however the processes are scheduled; the other units
     wait in a pipe, and each process takes the next, one byte at a time,
     whenever it is free.  Every process sends (index, row, None) for each
     row it makes and (index, None, duration_s) at each driver's end, as
@@ -359,13 +361,15 @@ def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, objec
     caller as it is; in a child, the driver's name is added, since the child
     sends back only the text of what it raised."""
     from centroinv.distrib import processes, run_forked
-    from centroinv.verify import SizeResult, VerificationReport, walk_even_census
+    from centroinv.verify import EVEN_CENSUS_READERS, SizeResult, VerificationReport
 
     procs = processes(min(len(names), DRIVER_PROCESSES))
+    units = [[i] for i in range(len(names))]
     if procs > 1:
-        walk_even_census(max_n)
+        readers = [i for i, name in enumerate(names) if name in EVEN_CENSUS_READERS]
+        units = [readers] + [[i] for i in range(len(names)) if i not in readers]
     queue, write_end = os.pipe()
-    os.write(write_end, bytes(range(procs, len(names))))
+    os.write(write_end, bytes(range(procs, len(units))))
     os.close(write_end)
     rows: list[list] = [[] for _ in names]
     reports = {}
@@ -388,20 +392,21 @@ def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, objec
             else:
                 break
 
-    def run(index: int, in_caller: bool, send) -> None:
-        # names[index], then each index taken from the queue until it is empty
+    def run(unit: int, in_caller: bool, send) -> None:
+        # units[unit], then each unit taken from the queue until it is empty
         while True:
-            name = names[index]
-            try:
-                r = verify(name, max_n, row=lambda s: send((index, tuple(s), None)))
-            except Exception as exc:
-                if in_caller:
-                    raise
-                raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
-            send((index, None, r.duration_s))
+            for index in units[unit]:
+                name = names[index]
+                try:
+                    r = verify(name, max_n, row=lambda s: send((index, tuple(s), None)))
+                except Exception as exc:
+                    if in_caller:
+                        raise
+                    raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
+                send((index, None, r.duration_s))
             if not (taken := os.read(queue, 1)):
                 return
-            index = taken[0]
+            unit = taken[0]
 
     try:
         run_forked([partial(run, i, i == 0) for i in range(procs)], "process", receive)

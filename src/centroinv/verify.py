@@ -35,7 +35,8 @@ known.  The registry key doubles as the CLI name.  ``verify --name all``
 runs the drivers in up to two processes (cli.DRIVER_PROCESSES, capped by
 distrib.processes) through distrib.run_forked, the one fork helper that
 also shards ``stats --jobs``; a child sends each row, and each driver's
-end, to the caller as a message of run_forked, a plain tuple.
+end, to the caller as a message of run_forked, a plain tuple.  With two,
+the EVEN_CENSUS_READERS run in the caller alone and share its census.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ from centroinv.signed import TOP_PATTERNS, is_top_element, signed_pattern, theta
 
 #: largest half-size for the raw census cross-check at the double size
 RAW_LIMIT = 9
+
+#: the drivers that read kernels.census(2n) for n <= min(max_size, RAW_LIMIT).
+#: Each process caches its census; a runner that forks runs them in one process.
+EVEN_CENSUS_READERS = frozenset({"T-cara", "T-desfull", "T-despoly", "T-majpoly"})
 
 
 class SizeResult(NamedTuple):
@@ -414,17 +419,6 @@ def sizes(theorem_id: str, max_size: int | None = None) -> range:
     if max_size < 0:
         raise ValueError(f"max size must be non-negative (got {max_size})")
     return range(max_size + 1)
-
-
-def walk_even_census(max_size: int | None = None) -> None:
-    """Walk kernels.census(2n) for n = 0..min(max_size, RAW_LIMIT), every
-    even census that T-cara and the raw routes of T-despoly, T-desfull and
-    T-majpoly read at sizes 0..max_size (each of the four runs to 12 by
-    default).  kernels.census is cached per process, so a runner that forks
-    calls this first, and its processes share the one walk."""
-    top = RAW_LIMIT if max_size is None else min(max_size, RAW_LIMIT)
-    for n in range(top + 1):
-        kernels.census(2 * n)
 
 
 def verify(

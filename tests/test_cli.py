@@ -17,10 +17,9 @@ import pytest
 
 import centroinv
 from centroinv import cli, generate, kernels
-from centroinv import verify as verify_module
 from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
 from centroinv.generate import CLASS_LABELS, format_object, generate_class
-from centroinv.verify import THEOREMS
+from centroinv.verify import EVEN_CENSUS_READERS, THEOREMS
 from oracles import report_json, report_tsv
 from test_distrib import assert_no_child_left, forks, set_cpus  # noqa: F401 (forks is a fixture)
 
@@ -580,6 +579,7 @@ def close_after_first(argv, first, program=("-m", "centroinv.cli")):
     assert proc.stdout.read(len(first)) == first
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
 
@@ -692,18 +692,38 @@ def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_even_census_walked_first_only_when_forking(capsys, monkeypatch):
-    # the caller walks the shared even census only when a child will read
-    # it: at 2 CPUs, not at 1, and not for one driver
-    walks = []
-    monkeypatch.setattr(verify_module, "walk_even_census", walks.append)
-    set_cpus(monkeypatch, 2)
-    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
-    assert walks == [1]
-    assert run(capsys, "verify", "--name", "T-cara", "--max-n", "1")[0] == 0
-    set_cpus(monkeypatch, 1)
-    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
-    assert walks == [1]
+def test_even_census_walked_first_only_when_forking(capsys, monkeypatch, tmp_path):
+    # nothing is walked before the fork: at 2 CPUs the caller walks no
+    # census size before its first driver, T-cara, starts, and the four
+    # census readers run in the caller and in no other process.  At 1 CPU
+    # the drivers run in sorted order.  Each process appends its pid and
+    # each census walk or driver start to a file
+    log = tmp_path / "events"
+    real = kernels.census.__wrapped__
+
+    def logged(event):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {event}\n")
+
+    @functools.lru_cache(maxsize=None)
+    def census(m):
+        logged(f"census({m})")
+        return real(m)
+
+    monkeypatch.setattr(kernels, "census", census)
+    monkeypatch.setattr(cli, "verify", before_verify(logged))
+    runs = {}
+    for cpus in (2, 1):
+        census.cache_clear()
+        log.write_text("")
+        set_cpus(monkeypatch, cpus)
+        assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+        runs[cpus] = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    caller = str(os.getpid())
+    assert [event for pid, event in runs[2] if pid == caller][0] == "T-cara"
+    assert {pid for pid, event in runs[2] if event in EVEN_CENSUS_READERS} == {caller}
+    assert {event for pid, event in runs[2] if pid == caller} >= EVEN_CENSUS_READERS
+    assert [event for _, event in runs[1] if event in THEOREMS] == sorted(THEOREMS)
     assert_no_child_left()
 
 
@@ -1140,24 +1160,27 @@ def test_verify_children_leave_stdio_alone():
 
 
 def test_verify_all_walks_each_census_once(capsys, monkeypatch, tmp_path):
-    # kernels.census is cached per process; the caller walks the even census
-    # that four drivers read before it forks, so that no size is walked in
-    # both processes.  Each walk, in any process, appends its size to a file
+    # kernels.census is cached per process; the four drivers that read the
+    # even census run in one process, the caller, so that no size is walked
+    # in both processes.  Each walk, in any process, appends its pid and its
+    # size to a file
     log = tmp_path / "walks"
     real = kernels.census.__wrapped__
 
     @functools.lru_cache(maxsize=None)
     def census(m):
         with open(log, "a") as f:
-            f.write(f"{m}\n")
+            f.write(f"{os.getpid()} {m}\n")
         return real(m)
 
     monkeypatch.setattr(kernels, "census", census)
     set_cpus(monkeypatch, 2)
     assert run(capsys, "verify", "--name", "all", "--max-n", "5")[0] == 0
-    walks = log.read_text().split()
-    assert sorted(walks, key=int) == sorted(set(walks), key=int)
-    assert {"0", "2", "4", "6", "8", "10"} <= set(walks)
+    walks = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    sizes = [m for _, m in walks]
+    assert sorted(sizes) == sorted(set(sizes))
+    assert {0, 2, 4, 6, 8, 10} <= set(sizes)
+    assert {pid for pid, m in walks if m % 2 == 0} == {os.getpid()}
     assert_no_child_left()
 
 

@@ -1,5 +1,6 @@
 """The theorem drivers and their reports."""
 
+import functools
 import json
 from itertools import islice
 from math import comb
@@ -10,6 +11,7 @@ from centroinv import generate, kernels, matchings, paths, perms, rsk
 from centroinv import verify as verify_module
 from centroinv.signed import TOP_PATTERNS
 from centroinv.verify import (
+    EVEN_CENSUS_READERS,
     RAW_LIMIT,
     ROUTES,
     THEOREMS,
@@ -62,16 +64,31 @@ def test_raw_routes_stay_inside_the_census_guard():
     assert kernels.census(m)["count"] == comb(RAW_LIMIT, RAW_LIMIT // 2)
 
 
-def test_walk_even_census_fills_the_even_sizes_read():
-    # from a cleared cache, the walk fills census(2n) for n up to its bound
-    # and RAW_LIMIT, and nothing else: each of those is then a hit
+def test_walk_even_census_fills_the_even_sizes_read(monkeypatch):
+    # EVEN_CENSUS_READERS are the drivers that walk the even census.  From a
+    # cleared cache they walk census(2n) for n up to max_size and RAW_LIMIT,
+    # and nothing else; no other driver, run up to RAW_LIMIT, walks an even
+    # size, so a new reader left out of the set fails here
+    walked = []
+    real = kernels.census.__wrapped__
+
+    def walk(m):
+        walked.append(m)
+        return real(m)
+
+    def cleared():
+        walked.clear()
+        monkeypatch.setattr(kernels, "census", functools.lru_cache(maxsize=None)(walk))
+
     for max_size, top in ((0, 0), (3, 3), (RAW_LIMIT + 3, RAW_LIMIT), (None, RAW_LIMIT)):
-        kernels.census.cache_clear()
-        verify_module.walk_even_census(max_size)
-        assert kernels.census.cache_info().currsize == top + 1, max_size
-        for n in range(top + 1):
-            kernels.census(2 * n)
-        assert kernels.census.cache_info()[:2] == (top + 1, top + 1), max_size
+        cleared()
+        for name in EVEN_CENSUS_READERS:
+            assert verify(name, max_size).ok, (name, max_size)
+        assert sorted(walked) == list(range(0, 2 * top + 1, 2)), max_size
+    cleared()
+    for name in THEOREMS.keys() - EVEN_CENSUS_READERS:
+        assert verify(name, min(THEOREMS[name][1], RAW_LIMIT)).ok, name
+    assert [m for m in walked if m % 2 == 0] == []
 
 
 def test_unknown_theorem():
