@@ -6,9 +6,11 @@ q-polynomial), bijection (apply one of the named maps to one object), verify
 2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
 in ``enumerate ... | head``, 74 (EX_IOERR) any other failed write to
 stdout, such as a full disk, with the one line "error: cannot write output:
-<reason>" on stderr, and 130 (128 + SIGINT) an interrupt, such as Ctrl-C,
-with no traceback.  Every write to stdout goes through _write, which tells
-such a failure from any other OSError.
+<reason>" on stderr, 130 (128 + SIGINT) an interrupt, such as Ctrl-C, and
+143 (128 + SIGTERM) or 129 (128 + SIGHUP) that signal while children run,
+which are killed and reaped first; these three print nothing.  SIGKILL
+leaves the children running.  Every write to stdout goes through _write,
+which tells such a failure from any other OSError.
 
 ``enumerate`` reads the class's text stream (``ObjectClass.texts``), writes
 its first text and flushes it at once, then reads the rest in lists and
@@ -165,7 +167,8 @@ WRITE_CHUNK = 1 << 16
 EXIT_WRITE_FAILED = 74
 
 #: exit code of an interrupt (128 + SIGINT); run_forked has killed and
-#: reaped any child before the interrupt reaches main
+#: reaped any child before the interrupt reaches main, as it does before
+#: the SystemExit(128 + signal) it raises past main on SIGTERM or SIGHUP
 EXIT_INTERRUPTED = 130
 
 

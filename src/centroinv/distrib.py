@@ -17,25 +17,29 @@ nothing, before any child is forked.  The caller runs the work of shard 0
 itself and the work of shards 1 to jobs - 1 (none for one job) in
 children, through run_forked, the package's one fork helper, which also
 runs the drivers of ``verify --name all``.  It calls every piece of work
-with a send function and makes each child with os.fork.  A child's pipe
-carries frames, each a length and then that many bytes of marshal data:
-(None, message) for each message its work sends, which the caller hands to
-a receive callback as it reads them, and last the reply (ok, payload),
-what the work returned or the text of what it raised; then the child
-leaves with os._exit.  A frame cut short is never decoded, and a pipe that
-ends without a whole reply means the child ended without a result.  Shard
-work sends nothing.  A child sends its tally as a dict, and the tallies are
-added; tally addition is commutative, so a sharded run is byte-identical to
-a serial one.  processes(jobs) caps jobs at the CPUs this process may run
-on, and at 1 on a platform without os.fork, which then runs serially;
-``verify --name all`` sizes its processes by the same rule.  The package
-starts no threads, so forking the caller is safe.
+with a send function, the one way work hands data to the caller, and
+makes each child with os.fork.  A child's pipe carries frames, each a
+length and then that many bytes of marshal data: (None, message) for each
+message its work sends, which the caller hands to a receive callback as it
+reads them, and last the end frame, (True, None) or (False, the text of
+what the work raised); then the child leaves with os._exit.  A frame cut
+short is never decoded, and a pipe that ends without a whole end frame
+means the child ended without a result.  Every shard, shard 0 too, sends
+its tally as a dict, and the caller adds the tallies up; tally addition
+is commutative, so a sharded run is byte-identical to a serial one.  While
+it has children, a SIGTERM or SIGHUP to the caller kills and reaps them,
+then ends it with exit status 128 + the signal number.  processes(jobs)
+caps jobs at the CPUs this process may run on, and at 1 on a platform
+without os.fork, which then runs serially; ``verify --name all`` sizes its
+processes by the same rule.  The package starts no threads, so forking the
+caller is safe.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
+import sys
 from collections import Counter
 from functools import partial
 from typing import Callable, NamedTuple
@@ -92,8 +96,9 @@ def _write_frame(fd: int, value: object) -> None:
 def _fork(work: Callable[[Callable[[object], None]], object]) -> tuple[int, int]:
     """Start a child that runs work(send); returns its pid and the read end
     of the pipe that carries the child's frames: (None, message) for each
-    send(message), then the reply (ok, payload), what work returned or the
-    text "<ExcType>: <message>" of what it raised."""
+    send(message), then the end frame, (True, None) once work has returned
+    or (False, "<ExcType>: <message>") if it raised.  What work returns is
+    dropped.  The child takes the default action on SIGTERM and SIGHUP."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -107,121 +112,104 @@ def _fork(work: Callable[[Callable[[object], None]], object]) -> tuple[int, int]
     # the child: whatever happens, leave by os._exit, so the caller's stdio
     # buffers are never flushed twice and no exit handler runs here
     try:
+        import signal
+
+        for signum in (signal.SIGTERM, signal.SIGHUP):
+            signal.signal(signum, signal.SIG_DFL)
         os.close(read_fd)
         try:
-            reply = (True, work(lambda message: _write_frame(write_fd, (None, message))))
+            work(lambda message: _write_frame(write_fd, (None, message)))
+            end = (True, None)
         except BaseException as exc:
-            reply = (False, f"{type(exc).__name__}: {exc}")
-        _write_frame(write_fd, reply)
+            end = (False, f"{type(exc).__name__}: {exc}")
+        _write_frame(write_fd, end)
     finally:
         os._exit(0)
-
-
-class _Pipes:
-    """The caller's ends of the children's pipes.  read passes each whole
-    frame on as it comes: a message to receive(i, message), a reply to
-    replies; a frame cut short stays in its buffer and is never decoded."""
-
-    def __init__(self, fds: list[int], receive: Callable[[int, object], None]):
-        self.open = {fd: i for i, fd in enumerate(fds, 1)}  # fd -> child, until end of file
-        self.buffers = {fd: bytearray() for fd in fds}
-        self.replies: dict[int, tuple] = {}
-        self.receive = receive
-
-    def read(self, timeout: float | None) -> None:
-        """Read once from each pipe that is readable within timeout seconds
-        (None waits until one is), and pass on every frame now whole."""
-        from select import select
-
-        for fd in select(list(self.open), [], [], timeout)[0]:
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                del self.open[fd]
-                continue
-            buffer = self.buffers[fd]
-            buffer += chunk
-            while len(buffer) >= _PREFIX:
-                end = _PREFIX + int.from_bytes(buffer[:_PREFIX], "little")
-                if len(buffer) < end:
-                    break
-                ok, payload = marshal.loads(buffer[_PREFIX:end])
-                del buffer[:end]
-                if ok is None:
-                    self.receive(self.open[fd], payload)
-                else:
-                    self.replies[fd] = (ok, payload)
-
-    def reply(self, fd: int, part: str) -> object:
-        """Read until pipe fd ends and return its child's payload; raise if
-        the child's work failed or it ended without a whole reply frame,
-        which comes last."""
-        while fd in self.open:
-            self.read(None)
-        if fd not in self.replies:
-            raise RuntimeError(f"{part} ended without a result")
-        ok, payload = self.replies[fd]
-        if not ok:
-            raise RuntimeError(f"{part} failed: {payload}")
-        return payload
 
 
 def run_forked(
     work: list[Callable[[Callable[[object], None]], object]],
     part: str,
-    receive: Callable[[int, object], None] = lambda i, message: None,
-) -> list:
+    receive: Callable[[int, object], None],
+) -> None:
     """Run work[0](send) here and work[i](send) for i >= 1 in forked
-    children, and return what each returned, in order; what a child's work
-    returns or sends must marshal.  send(message) hands message to
-    receive(i, message) here: at once from the caller's own work, and from
-    child i's as one frame over its pipe, which the caller reads without
-    blocking whenever its own work sends, and with select to end of file
-    once its own work has returned.  So each process's messages reach
-    receive in the order it sent them, and work that has nothing to send
-    ignores send.  The children are checked in order, each once its pipe
-    ends: one that fails raises RuntimeError "<part> <i> of <len(work)>
-    failed: <ExcType>: <message>" here, and one whose pipe ends without a
-    whole reply frame "<part> <i> of <len(work)> ended without a result".
-    Every child is reaped before this returns or raises; on failure the
-    children still running are killed first."""
+    children; what work returns is dropped, and what it sends must marshal.
+    send(message) hands message to receive(i, message) here: at once from
+    the caller's own work, and from child i's as one frame over its pipe,
+    which the caller reads without blocking whenever its own work sends,
+    and with select to end of file once its own work has returned.  So each
+    process's messages reach receive in the order it sent them.  The
+    children are checked in order, each once its pipe ends: one that fails
+    raises RuntimeError "<part> <i> of <len(work)> failed: <ExcType>:
+    <message>" here, and one whose pipe ends without a whole end frame
+    "<part> <i> of <len(work)> ended without a result".  Every child is
+    reaped before this returns or raises; on failure the children still
+    running are killed first.  While there are children, SIGTERM and SIGHUP
+    raise SystemExit(128 + the signal number) here, so that they take that
+    path too, and their handlers are restored before this returns; Python
+    sets handlers in the main thread only, so forking must start there."""
     children: list[tuple[int, int]] = []
+    handlers = {}
     try:
+        if len(work) > 1:
+            import signal
+
+            for signum in (signal.SIGTERM, signal.SIGHUP):
+                handlers[signum] = signal.signal(signum, lambda n, frame: sys.exit(128 + n))
         for i in range(1, len(work)):
             children.append(_fork(work[i]))
-        pipes = _Pipes([fd for _, fd in children], receive)
+        open_fds = {fd: i for i, (_, fd) in enumerate(children, 1)}  # until end of file
+        buffers = {fd: bytearray() for fd in open_fds}
+        ends = {}
+
+        def read(timeout: float | None) -> None:
+            # read once from each pipe readable within timeout seconds (None
+            # waits until one is) and decode every frame now whole; a frame
+            # cut short stays in its buffer
+            from select import select
+
+            for fd in select(list(open_fds), [], [], timeout)[0]:
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    del open_fds[fd]
+                    continue
+                buffer = buffers[fd]
+                buffer += chunk
+                while len(buffer) >= _PREFIX:
+                    end = _PREFIX + int.from_bytes(buffer[:_PREFIX], "little")
+                    if len(buffer) < end:
+                        break
+                    ok, payload = marshal.loads(buffer[_PREFIX:end])
+                    del buffer[:end]
+                    if ok is None:
+                        receive(open_fds[fd], payload)
+                    else:
+                        ends[fd] = ok, payload
 
         def send(message: object) -> None:
             receive(0, message)
-            if pipes.open:
-                pipes.read(0)
+            if open_fds:
+                read(0)
 
-        payloads = [work[0](send)]
+        work[0](send)
         for i, (_, fd) in enumerate(children, 1):
-            payloads.append(pipes.reply(fd, f"{part} {i} of {len(work)}"))
-        return payloads
+            while fd in open_fds:
+                read(None)
+            if fd not in ends:
+                raise RuntimeError(f"{part} {i} of {len(work)} ended without a result")
+            ok, failure = ends[fd]
+            if not ok:
+                raise RuntimeError(f"{part} {i} of {len(work)} failed: {failure}")
     except BaseException:
-        import signal
-
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
-
-
-def _sharded_tally(work: list[Callable[[], Counter]]) -> Counter:
-    """The sum of the shards' tallies, shard 0 tallied here and shards 1..
-    in forked children (run_forked); a child sends its tally as a dict."""
-    # a Counter does not marshal; the dict of its counts does.  Shard work
-    # sends nothing
-    tally, *others = run_forked(
-        [lambda send: work[0](), *(lambda send, w=w: dict(w()) for w in work[1:])], "shard"
-    )
-    for other in others:
-        tally.update(other)
-    return tally
 
 
 def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable[[], Counter]]:
@@ -249,7 +237,13 @@ def distribution(
     fn = stat_function(label, stat)
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    poly = tally_poly(_sharded_tally(_shard_work(label, size, stat, fn, processes(jobs))))
+    work = _shard_work(label, size, stat, fn, processes(jobs))
+    tally = Counter()
+    # a Counter does not marshal; the dict of its counts does
+    run_forked(
+        [lambda send, w=w: send(dict(w())) for w in work], "shard", lambda i, c: tally.update(c)
+    )
+    poly = tally_poly(tally)
     return DistributionTable(label, size, stat, poly, peval(poly, 1))
 
 

@@ -991,7 +991,7 @@ def test_child_rows_stream_once_earlier_reports_are_complete(capsys):
 @pytest.mark.parametrize("how", ["exit", "kill"])
 def test_child_ended_mid_stream_keeps_the_rows_written(capsys, monkeypatch, how):
     # the child's first driver, T-cor1, sends row 0 and ends at n = 1 with
-    # no reply: the run fails, and the rows written before stay on stdout
+    # no end frame: the run fails, and the rows written before stay on stdout
     caller = os.getpid()
     text, default_max, fn = THEOREMS["T-cor1"]
 
@@ -1108,6 +1108,58 @@ def test_full_disk_ends_in_a_plain_message(argv):
     assert (proc.returncode, proc.stderr) == (
         cli.EXIT_WRITE_FAILED, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
     )
+
+
+def _alive(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc/<pid>/task")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--class", "inv321", "--size", "26", "--stat", "maj", "--jobs", "2"],
+        ["verify", "--name", "all", "--max-n", "11"],
+    ],
+    ids=["stats", "verify-all"],
+)
+def test_signal_to_the_caller_ends_its_child(argv, signum):
+    # both commands run far longer than the test: the caller is signalled
+    # once its child has started, and must kill and reap it before it exits
+    # 128 + signum with nothing on stderr.  stderr is read once every child
+    # is gone, since a child left running would hold it open
+    proc = subprocess.Popen(
+        [sys.executable, "-c", TWO_CPU_CLI.format(setup=""), *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=CHILD_ENV,
+    )
+    children = []
+    with proc.stderr:
+        try:
+            deadline = time.monotonic() + 60
+            while not children and time.monotonic() < deadline:
+                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as listed:
+                    children = [int(pid) for pid in listed.read().split()]
+                time.sleep(0.01)
+            assert children, "no child was forked"
+            proc.send_signal(signum)
+            code = proc.wait(timeout=60)
+            deadline = time.monotonic() + 1
+            while any(map(_alive, children)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            left = list(filter(_alive, children))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in filter(_alive, children):
+                os.kill(pid, signal.SIGKILL)
+        err = proc.stderr.read()
+    assert (code, err, left) == (128 + signum, b"", [])
 
 
 class FullStream(ClosingStream):

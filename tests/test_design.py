@@ -165,19 +165,20 @@ def test_cli_import_and_sharded_run_leave_out_heavy_modules():
     assert run.stdout.splitlines() == ["[]", "1 []"]
 
 
-#: a command line, and the package modules that running it must not load
+#: a command line, and the package modules that running it must not load;
+#: select and signal are loaded only to fork, which none of these does
 COMMAND_IMPORTS = [
     (
         ["stats", "--class", "signed-all", "--size", "3", "--stat", "des"],
-        {"verify", "rsk", "json", "kernels"},
+        {"verify", "rsk", "json", "kernels", "select", "signal"},
     ),
     (
         ["bijection", "--name", "g", "--apply", "EN"],
-        {"generate", "distrib", "verify", "json", "kernels"},
+        {"generate", "distrib", "verify", "json", "kernels", "select", "signal"},
     ),
     (
         ["enumerate", "--class", "subsets", "--size", "3"],
-        {"distrib", "verify", "rsk", "json", "kernels"},
+        {"distrib", "verify", "rsk", "json", "kernels", "select", "signal"},
     ),
 ]
 
@@ -185,14 +186,16 @@ COMMAND_IMPORTS = [
 @pytest.mark.parametrize("argv, left_out", COMMAND_IMPORTS)
 def test_each_command_loads_only_what_it_runs(argv, left_out):
     # a fresh interpreter runs one command and lists the package modules it
-    # loaded, and json; every module is compiled on each start, so a module
-    # a command does not run must stay unloaded
+    # loaded, and json, select and signal; every module is compiled or
+    # loaded on each start, so a module a command does not run must stay
+    # unloaded
     code = (
         "import contextlib, io, sys\n"
         "from centroinv import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('centroinv.') or m == 'json'))\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m.startswith('centroinv.') or m in ('json', 'select', 'signal')))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code, *argv],

@@ -333,52 +333,62 @@ def test_child_without_result_raises(monkeypatch):
 
 def test_messages_reach_the_caller_in_order():
     # each process sends its messages in order, some longer than a pipe
-    # holds, so that one frame takes many reads; receive gets every message
-    # of each process in the order it was sent, and the replies come back
+    # holds, so that one frame takes many reads, and last a closing value;
+    # receive gets every message of each process in the order it was sent
     big = "x" * (3 << 16)
 
     def work(i, send):
         for k in range(200):
             send((i, k, big if k % 50 == 0 else k))
-        return i * 10
+        send(i * 10)
 
     got = {}
-    payloads = distrib.run_forked(
+    assert distrib.run_forked(
         [partial(work, i) for i in range(3)], "part", lambda i, m: got.setdefault(i, []).append(m)
-    )
-    assert payloads == [0, 10, 20]
-    assert got == {i: [(i, k, big if k % 50 == 0 else k) for k in range(200)] for i in range(3)}
+    ) is None
+    assert got == {
+        i: [(i, k, big if k % 50 == 0 else k) for k in range(200)] + [i * 10] for i in range(3)
+    }
     assert_no_child_left()
 
 
 def test_caller_reads_messages_while_its_work_runs():
     # the child sends one message and then waits for a gate that the caller's
     # work opens only once it has received that message, which it can only
-    # do through its own sends
+    # do through its own sends; each process then sends a last message
     gate, opened = os.pipe()
-    got = []
+    got = {0: [], 1: []}
 
     def child(send):
         send("ready")
         select.select([gate], [], [], 60)
-        return "done"
+        send("done")
 
     def caller(send):
         deadline = time.monotonic() + 30
-        while not got and time.monotonic() < deadline:
+        while not got[1] and time.monotonic() < deadline:
             send("poll")
             time.sleep(0.001)
         os.write(opened, b"x")
-        return list(got)
+        send(list(got[1]))
 
     try:
-        payloads = distrib.run_forked(
-            [caller, child], "part", lambda i, m: i and got.append(m)
-        )
+        distrib.run_forked([caller, child], "part", lambda i, m: got[i].append(m))
     finally:
         os.close(gate)
         os.close(opened)
-    assert payloads == [["ready"], "done"]
+    assert got[0][-1] == ["ready"]
+    assert set(got[0][:-1]) == {"poll"}
+    assert got[1] == ["ready", "done"]
+    assert_no_child_left()
+
+
+def test_returned_values_are_dropped():
+    # work hands data back only by sending: what it returns, even a value
+    # that does not marshal, reaches nobody, and the child still passes
+    got = []
+    distrib.run_forked([lambda send: 1, lambda send: object()], "part", lambda *m: got.append(m))
+    assert got == []
     assert_no_child_left()
 
 
