@@ -6,11 +6,13 @@ q-polynomial), bijection (apply one of the named maps to one object), verify
 2 a usage error, 141 (128 + SIGPIPE) a reader that closed stdout early, as
 in ``enumerate ... | head``, 74 (EX_IOERR) any other failed write to
 stdout, such as a full disk, with the one line "error: cannot write output:
-<reason>" on stderr, 130 (128 + SIGINT) an interrupt, such as Ctrl-C, and
-143 (128 + SIGTERM) or 129 (128 + SIGHUP) that signal while children run,
-which are killed and reaped first; these three print nothing.  SIGKILL
-leaves the children running.  Every write to stdout goes through _write,
-which tells such a failure from any other OSError.
+<reason>" on stderr, 70 (EX_SOFTWARE) a RuntimeError, such as a child that
+failed or that a signal ended, with the one line "error: <message>", 130
+(128 + SIGINT) an interrupt, such as Ctrl-C, and 143 (128 + SIGTERM) or 129
+(128 + SIGHUP) that signal while children run, which are killed and reaped
+first; these three print nothing.  SIGKILL leaves the children running.
+Every write to stdout goes through _write, which tells such a failure from
+any other OSError.
 
 ``enumerate`` reads the class's text stream (``ObjectClass.texts``), writes
 its first text and flushes it at once, then reads the rest in lists and
@@ -35,16 +37,17 @@ caller and children forked by distrib.run_forked.  Process i starts with
 the i-th unit of work, then each takes the next unit left when it is
 free.  Every driver is a unit of its own, but with more than one process
 the four that read the even census (verify.EVEN_CENSUS_READERS) are one,
-T-cara's, so the child starts with T-cor1.  The output is a
-serial run's, in the sorted order of the names, and it streams by rows:
-the caller writes and flushes each row as soon as it and every row before
-it are known, its own as its driver makes them and a child's as it reads
-them from the child's pipe.  A report's opening (its "# name" header, or
-its "[" or "," and JSON head) goes out with its first row, and its JSON
-closing, with duration_s, when its driver ends.  When a driver raises, the
-rows already written stay on stdout, and one that raises before its first
-row leaves nothing of its report.  One --name, one CPU or a platform
-without os.fork runs in the caller alone, through the same code.
+T-cara's, so the child starts with T-cor1.  Each process formats the
+reports it makes and sends each as pieces of text, (index, text, ok): each
+row, the first with the report's opening (its "# name" header, or its "["
+or "," and JSON head) and the others with the separator, then the JSON
+closing, with duration_s, and the verdict.  The caller only writes the
+pieces in the sorted order of the names, each, flushed, as soon as it and
+every piece before it are known, so the output is a serial run's and it
+streams by rows.  When a driver raises, the rows already written stay on
+stdout, and one that raises before its first row leaves nothing of its
+report.  One --name, one CPU or a platform without os.fork runs in the
+caller alone, through the same code.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import argparse
 import os
 import sys
 from functools import partial
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator
 
 from centroinv import matchings, paths, perms, signed
@@ -165,6 +168,10 @@ WRITE_CHUNK = 1 << 16
 #: exit code of a failed write to stdout other than a closed pipe
 #: (EX_IOERR of sysexits.h)
 EXIT_WRITE_FAILED = 74
+
+#: exit code of a RuntimeError, such as a child of distrib.run_forked that
+#: failed or ended without a result (EX_SOFTWARE of sysexits.h)
+EXIT_CHILD_FAILED = 70
 
 #: exit code of an interrupt (128 + SIGINT); run_forked has killed and
 #: reaped any child before the interrupt reaches main, as it does before
@@ -299,7 +306,7 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from centroinv.verify import THEOREMS, SizeResult, report_text, sizes
+    from centroinv.verify import THEOREMS, report_text, sizes
 
     names = sorted(THEOREMS) if args.name == "all" else [args.name]
     max_n = None if args.max_n is None else _int(args.max_n)
@@ -307,34 +314,23 @@ def _cmd_verify(args) -> int:
         sizes(name, max_n)  # a bad request fails here, before any fork
     many = len(names) > 1
     head, row, sep, tail = report_text(args.format)
-    if args.format == "json":
-        # one report alone, or the items of a list
-        def opening(i: int) -> str:
-            return ("," if i else "[" if many else "") + head(names[i])
-
+    if args.format == "json":  # one report alone, or the items of a list
+        openings = ["[" if many else ""] + [","] * (len(names) - 1)
         end = "]\n" if many else "\n"
     else:
-        def opening(i: int) -> str:
-            return (f"# {names[i]}\n" if many else "") + head(names[i])
-
+        openings = [f"# {name}\n" if many else "" for name in names]
         end = ""
-    begun = -1
 
-    def show(i: int, part) -> None:
-        # part is report i's next row, or the report once it is done; the
-        # report's opening goes out with whichever comes first
-        nonlocal begun
-        is_row = isinstance(part, SizeResult)
-        text = row(part) if is_row else tail(part.duration_s)
-        if i != begun:
-            begun, text = i, opening(i) + text
-        elif is_row:
-            text = sep + text
-        _write(text, flush=True)
+    def report(i: int, send) -> None:
+        # report i's text: its opening and head with the first row, sep
+        # before each later row, then the tail with the verdict
+        leads = chain([openings[i] + head(names[i])], repeat(sep))
+        r = verify(names[i], max_n, row=lambda s: send((i, next(leads) + row(s), None)))
+        send((i, tail(r.duration_s), r.ok))
 
-    reports = _run_drivers(names, max_n, show)
+    ok = _run_drivers(names, report, partial(_write, flush=True))
     _write(end)
-    return 0 if all(r.ok for r in reports) else 1
+    return 0 if ok else 1
 
 
 #: most processes ``verify --name all`` runs its drivers in.  Each process
@@ -345,26 +341,24 @@ def _cmd_verify(args) -> int:
 DRIVER_PROCESSES = 2
 
 
-def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, object], None]) -> list:
-    """verify(name, max_n) for each name, the reports in the order of names.
-    In the caller, show(i, row) is called for each row of report i and then
-    show(i, report) at its end, in the order of names and of the rows, each
-    as soon as it and everything before it are known.  The drivers run in
+def _run_drivers(names: list[str], report, write: Callable[[str], None]) -> bool:
+    """report(i, send) for each index i of names, in
     distrib.processes(min(len(names), DRIVER_PROCESSES)) processes, the
-    caller and children forked by distrib.run_forked.  Each driver is a unit
-    of work, but with more than one process verify.EVEN_CENSUS_READERS
-    are one, the first.  Process i runs unit i first, so every process
-    runs a driver however the processes are scheduled; the other units
-    wait in a pipe, and each process takes the next, one byte at a time,
-    whenever it is free.  Every process sends (index, row, None) for each
-    row it makes and (index, None, duration_s) at each driver's end, as
-    plain tuples, which marshal; run_forked hands them to the caller, which
-    shows what they complete, so that what show raises kills and reaps the
-    children.  What a driver raises in the caller reaches the caller's
-    caller as it is; in a child, the driver's name is added, since the child
-    sends back only the text of what it raised."""
+    caller and children forked by distrib.run_forked; returns whether every
+    report passed.  report sends each piece of report i's text as (i, text,
+    None) and the last as (i, text, ok), plain tuples, which marshal.  The
+    caller writes each piece with write as soon as it and every piece
+    before it, in the order of names, are known, so what write raises kills
+    and reaps the children.  Each report is a unit of work, but with more
+    than one process those of verify.EVEN_CENSUS_READERS are one, the
+    first.  Process i runs unit i first, so every process runs a driver
+    however the processes are scheduled; the other units wait in a pipe,
+    and each process takes the next, one byte at a time, whenever it is
+    free.  What report raises in the caller reaches the caller's caller as
+    it is; in a child, the driver's name is added, since the child sends
+    back only the text of what it raised."""
     from centroinv.distrib import processes, run_forked
-    from centroinv.verify import EVEN_CENSUS_READERS, SizeResult, VerificationReport
+    from centroinv.verify import EVEN_CENSUS_READERS
 
     procs = processes(min(len(names), DRIVER_PROCESSES))
     units = [[i] for i in range(len(names))]
@@ -374,39 +368,29 @@ def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, objec
     queue, write_end = os.pipe()
     os.write(write_end, bytes(range(procs, len(units))))
     os.close(write_end)
-    rows: list[list] = [[] for _ in names]
-    reports = {}
-    shown = [0, 0]  # the report, and the row of it, to show next
+    pieces: list[list] = [[] for _ in names]  # the (text, ok) not yet written
+    verdicts: list[bool] = []  # the ok of each report written whole
 
     def receive(_, message) -> None:
-        index, row, duration = message
-        if row is None:
-            reports[index] = VerificationReport(names[index], tuple(rows[index]), duration)
-        else:
-            rows[index].append(SizeResult(*row))
-        while shown[0] < len(names):
-            i, k = shown
-            if k < len(rows[i]):
-                show(i, rows[i][k])
-                shown[1] += 1
-            elif i in reports:
-                show(i, reports[i])
-                shown[:] = i + 1, 0
-            else:
-                break
+        index, *piece = message
+        pieces[index].append(piece)
+        while len(verdicts) < len(names) and pieces[len(verdicts)]:
+            text, ok = pieces[len(verdicts)].pop(0)
+            write(text)
+            if ok is not None:
+                verdicts.append(ok)
 
     def run(unit: int, in_caller: bool, send) -> None:
         # units[unit], then each unit taken from the queue until it is empty
         while True:
             for index in units[unit]:
-                name = names[index]
                 try:
-                    r = verify(name, max_n, row=lambda s: send((index, tuple(s), None)))
+                    report(index, send)
                 except Exception as exc:
                     if in_caller:
                         raise
-                    raise RuntimeError(f"driver {name} raised {type(exc).__name__}: {exc}") from exc
-                send((index, None, r.duration_s))
+                    what = f"{type(exc).__name__}: {exc}"
+                    raise RuntimeError(f"driver {names[index]} raised {what}") from exc
             if not (taken := os.read(queue, 1)):
                 return
             unit = taken[0]
@@ -415,7 +399,7 @@ def _run_drivers(names: list[str], max_n: int | None, show: Callable[[int, objec
         run_forked([partial(run, i, i == 0) for i in range(procs)], "process", receive)
     finally:
         os.close(queue)
-    return [reports[i] for i in range(len(names))]
+    return all(verdicts)
 
 
 def _enumerate_arguments(en: argparse.ArgumentParser) -> None:
@@ -502,6 +486,9 @@ def main(argv=None) -> int:
         _drop_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_WRITE_FAILED
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHILD_FAILED
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
 

@@ -87,6 +87,7 @@ same n! loop over tau either way, so they keep none.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, defaultdict, deque
 from itertools import accumulate, chain, islice, product, repeat
 from itertools import permutations as _permutations
@@ -247,10 +248,18 @@ def _path_blocks(n: int, shard: int, nshards: int) -> Iterator[Iterator[str]]:
         yield map(add, low, repeat(high))
 
 
+#: frames left to the callers of inv321, whose walk takes one frame per point
+#: and one more; the recursion limit is not raised, since nested generators
+#: also use C stack
+WALK_ALLOWANCE = 50
+
+
 def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     """321-avoiding involutions of [m] by a pruned walk of the involutions
     recursion: the same objects, in the same order and with the same shards,
-    as filtering involutions(m, shard, nshards) by contains_321.
+    as filtering involutions(m, shard, nshards) by contains_321.  A size past
+    sys.getrecursionlimit() - WALK_ALLOWANCE - 1, 949 at the default limit,
+    raises ValueError when called.
 
     Positions before the current point are final, so the linear 321 state of
     contains_321 (top, the largest value so far, and mid, the largest value
@@ -261,6 +270,8 @@ def inv321(m: int, shard: int = 0, nshards: int = 1) -> Iterator[Perm]:
     mid, and so does a later point already filled below mid, found before
     the walk reaches it.  Every partner j >= i is then above mid."""
     _check_shard(shard, nshards)
+    if m > (largest := sys.getrecursionlimit() - WALK_ALLOWANCE - 1):
+        raise ValueError(f"inv321 walks sizes up to {largest} (got {m})")
     if m <= 0:
         return iter([()] if m == 0 and shard == 0 else [])
     vals = [0] * (m + 1)

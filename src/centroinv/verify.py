@@ -34,9 +34,9 @@ in pieces (head, row, separator, tail) that the CLI writes as they become
 known.  The registry key doubles as the CLI name.  ``verify --name all``
 runs the drivers in up to two processes (cli.DRIVER_PROCESSES, capped by
 distrib.processes) through distrib.run_forked, the one fork helper that
-also shards ``stats --jobs``; a child sends each row, and each driver's
-end, to the caller as a message of run_forked, a plain tuple.  With two,
-the EVEN_CENSUS_READERS run in the caller alone and share its census.
+also shards ``stats --jobs``; each process sends the caller its reports as
+pieces of text, messages of run_forked.  With two, the EVEN_CENSUS_READERS
+run in the caller alone and share its census.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import centroinv
 from centroinv import cli, generate, kernels
 from centroinv.cli import BIJECTIONS, MAX_BUILT, WRITE_CHUNK, main
 from centroinv.generate import CLASS_LABELS, format_object, generate_class
-from centroinv.verify import EVEN_CENSUS_READERS, THEOREMS
+from centroinv.verify import EVEN_CENSUS_READERS, THEOREMS, SizeResult, VerificationReport
 from oracles import report_json, report_tsv
 from test_distrib import assert_no_child_left, forks, set_cpus  # noqa: F401 (forks is a fixture)
 
@@ -770,17 +770,15 @@ def test_driver_failed_in_a_child_names_the_driver(capsys, monkeypatch):
     # reads the child's failure, which names the driver the child took
     _fail_drivers(monkeypatch, "child")
     set_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError) as exc:
-        run(capsys, "verify", "--name", "all", "--max-n", "1")
+    code, out, err = run(capsys, "verify", "--name", "all", "--max-n", "1")
+    assert code == cli.EXIT_CHILD_FAILED
     assert re.fullmatch(
-        r"process 1 of 2 failed: RuntimeError: driver (T-\w+) raised ValueError: boom",
-        str(exc.value),
+        r"error: process 1 of 2 failed: RuntimeError: driver (T-\w+) raised ValueError: boom\n",
+        err,
     ).group(1) in THEOREMS
     # the caller's first report was complete, so it was written; the child's
     # first driver comes next in sorted order, so nothing after it was
-    assert capsys.readouterr() == (
-        "# T-cara\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n", ""
-    )
+    assert out == "# T-cara\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n"
     assert_no_child_left()
 
 
@@ -1004,35 +1002,46 @@ def test_child_ended_mid_stream_keeps_the_rows_written(capsys, monkeypatch, how)
 
     monkeypatch.setitem(THEOREMS, "T-cor1", (text, default_max, ending))
     set_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^process 1 of 2 ended without a result$"):
-        run(capsys, "verify", "--name", "all", "--max-n", "1")
-    assert capsys.readouterr() == (
+    assert run(capsys, "verify", "--name", "all", "--max-n", "1") == (
+        cli.EXIT_CHILD_FAILED,
         "# T-cara\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n"
         "# T-cor1\nn\tstatus\tcounterexample\n0\tpass\t\n",
-        "",
+        "error: process 1 of 2 ended without a result\n",
     )
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
-def test_streamed_output_equals_the_joined_reports(capsys, monkeypatch, fmt):
-    # what streams out is, byte for byte, the reports _run_drivers returns,
+def test_streamed_output_equals_the_joined_reports(capsys, monkeypatch, tmp_path, fmt):
+    # what streams out is, byte for byte, the reports the drivers returned,
     # each as one whole text: for --name all and one --name, at 1, 2 and 4
-    # CPUs (with the cap raised to 4).  T-recr fails with a counterexample
-    # that json.dumps escapes
+    # CPUs (with the cap raised to 4).  Every process appends each report it
+    # makes to a file, as JSON, which reads its floats back exactly.  T-recr
+    # fails with a counterexample that json.dumps escapes
     monkeypatch.setattr(cli, "DRIVER_PROCESSES", 4)
     monkeypatch.setitem(THEOREMS, "T-recr", ("fails from size two on", 3,
                                              lambda n: None if n < 2 else 'a "b" \\ \t é'))
-    returned = []
-    real = cli._run_drivers
-    monkeypatch.setattr(cli, "_run_drivers", lambda *args: returned.append(real(*args)) or returned[-1])
+    log = tmp_path / "reports"
+    real = cli.verify
+
+    def verify(name, max_n=None, row=None):
+        r = real(name, max_n, row=row)
+        with open(log, "a") as f:
+            f.write(json.dumps([r.theorem, r.results, r.duration_s]) + "\n")
+        return r
+
+    monkeypatch.setattr(cli, "verify", verify)
     for cpus in (1, 2, 4):
         set_cpus(monkeypatch, cpus)
         for name in ("all", "T-recr"):
             for max_n in range(4):
+                log.write_text("")
                 code, out, err = run(capsys, "verify", "--name", name, "--max-n", str(max_n),
                                      "--format", fmt)
-                reports = returned.pop()
+                reports = sorted(
+                    VerificationReport(theorem, tuple(SizeResult(*s) for s in results), duration)
+                    for theorem, results, duration in map(json.loads, log.read_text().splitlines())
+                )
                 if fmt == "json":
                     texts = list(map(report_json, reports))
                     want = "[" + ",".join(texts) + "]\n" if name == "all" else texts[0] + "\n"
@@ -1065,6 +1074,28 @@ TWO_CPU_CLI = (
     "    sys.stderr.write('a child was left\\n')\n"
     "sys.exit(code)\n"
 )
+
+
+def fails_plainly(argv, code, setup="", during=None):
+    """Run the CLI with argv through TWO_CPU_CLI with setup, call
+    during(proc) while it runs, if given, and check that it exits code with
+    the one line "error: ..." on stderr and no traceback.  Returns its stdout
+    and stderr."""
+    with subprocess.Popen(
+        [sys.executable, "-c", TWO_CPU_CLI.format(setup=setup), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV, text=True,
+    ) as proc:
+        try:
+            if during is not None:
+                during(proc)
+            out, err = proc.communicate(timeout=60)
+        except BaseException:
+            proc.kill()
+            raise
+    assert "Traceback" not in err, err
+    assert re.fullmatch(r"error: [^\n]+\n", err), err
+    assert proc.returncode == code, err
+    return out, err
 
 
 def test_closed_pipe_mid_verify_exits_141():
@@ -1160,6 +1191,92 @@ def test_signal_to_the_caller_ends_its_child(argv, signum):
                 os.kill(pid, signal.SIGKILL)
         err = proc.stderr.read()
     assert (code, err, left) == (128 + signum, b"", [])
+
+
+#: the start of a setup of TWO_CPU_CLI: slept(fn) is fn, but sleeps a minute
+#: first when a child calls it
+SLEEP_IN_CHILD = (
+    "import time\n"
+    "caller = os.getpid()\n"
+    "def slept(fn):\n"
+    "    return lambda *args: (os.getpid() != caller and time.sleep(60)) or fn(*args)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc/<pid>/task")
+@pytest.mark.parametrize(
+    "argv, setup, part",
+    [
+        (
+            ["stats", "--class", "inv321", "--size", "14", "--stat", "maj", "--jobs", "2"],
+            "from centroinv.generate import CLASSES\n"
+            "stats = CLASSES['inv321'].stats\n"
+            "stats['maj'] = slept(stats['maj'])\n",
+            "shard",
+        ),
+        # the caller runs every driver but the child's first, T-cor1, before
+        # it reads the child's pipe to its end, so they run to their default
+        # sizes: at --max-n 11, T-sixpat would run for hours
+        (
+            ["verify", "--name", "all"],
+            "from centroinv.verify import THEOREMS\n"
+            "text, default_max, fn = THEOREMS['T-cor1']\n"
+            "THEOREMS['T-cor1'] = (text, default_max, slept(fn))\n",
+            "process",
+        ),
+    ],
+    ids=["stats", "verify-all"],
+)
+def test_signal_to_a_child_alone_exits_70(argv, setup, part):
+    # SIGTERM to the child alone, which sleeps in its work: the caller says
+    # which part ended without a result in one line, exits 70 and leaves no
+    # child
+    children = []
+
+    def signal_the_child(proc):
+        deadline = time.monotonic() + 60
+        while not children and time.monotonic() < deadline:
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as listed:
+                children.extend(int(pid) for pid in listed.read().split())
+            time.sleep(0.01)
+        assert children, "no child was forked"
+        os.kill(children[0], signal.SIGTERM)
+
+    try:
+        _, err = fails_plainly(argv, cli.EXIT_CHILD_FAILED, SLEEP_IN_CHILD + setup, signal_the_child)
+    finally:
+        for pid in filter(_alive, children):
+            os.kill(pid, signal.SIGKILL)
+    # a child signalled before it restores the default action fails with
+    # SystemExit instead
+    assert err.startswith(f"error: {part} 1 of 2 "), err
+    assert not any(map(_alive, children))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--class", "inv321", "--size", "5000"],
+        ["enumerate", "--class", "cinv321-odd", "--size", "10001"],
+        ["stats", "--class", "inv321", "--size", "5000", "--stat", "maj"],
+    ],
+    ids=["inv321", "cinv321-odd", "stats"],
+)
+def test_walk_past_the_recursion_limit_exits_2(argv):
+    out, err = fails_plainly(argv, 2)
+    assert out == ""
+    assert re.fullmatch(r"error: inv321 walks sizes up to \d+ \(got 5000\)\n", err), err
+
+
+def test_walk_at_the_largest_size_streams():
+    # the largest size inv321 takes, read from its message, has its first
+    # object on stdout at once
+    _, err = fails_plainly(["enumerate", "--class", "inv321", "--size", "5000"], 2)
+    largest = int(re.search(r"up to (\d+)", err).group(1))
+    close_after_first(
+        ["enumerate", "--class", "inv321", "--size", str(largest)],
+        " ".join(map(str, range(1, largest + 1))).encode() + b"\n",
+    )
 
 
 class FullStream(ClosingStream):
