@@ -31,23 +31,20 @@ use rsk.  json is loaded only for JSON output.  The commands call
 distribution and verify through the names this module binds, which load
 their modules on first call and which a caller may rebind.
 
-``verify --name all`` runs its drivers in up to DRIVER_PROCESSES
-processes, no more than the CPUs it may run on (distrib.processes): the
-caller and children forked by distrib.run_forked.  Process i starts with
-the i-th unit of work, then each takes the next unit left when it is
-free.  Every driver is a unit of its own, but with more than one process
-the four that read the even census (verify.EVEN_CENSUS_READERS) are one,
-T-cara's, so the child starts with T-cor1.  Each process formats the
-reports it makes and sends each as pieces of text, (index, text, ok): each
-row, the first with the report's opening (its "# name" header, or its "["
-or "," and JSON head) and the others with the separator, then the JSON
-closing, with duration_s, and the verdict.  The caller only writes the
-pieces in the sorted order of the names, each, flushed, as soon as it and
-every piece before it are known, so the output is a serial run's and it
-streams by rows.  When a driver raises, the rows already written stay on
-stdout, and one that raises before its first row leaves nothing of its
-report.  One --name, one CPU or a platform without os.fork runs in the
-caller alone, through the same code.
+``verify --name all`` runs its drivers in two processes when it may run on
+two CPUs (distrib.processes): the caller runs the four that read the even
+census (verify.EVEN_CENSUS_READERS), T-cara first, and one child forked by
+distrib.run_forked runs every other driver, T-cor1 first, each process in
+sorted order.  Each process formats the reports it makes and sends each as
+pieces of text, (index, text, ok): each row, the first with the report's
+opening (its "# name" header, or its "[" or "," and JSON head) and the
+others with the separator, then the JSON closing, with duration_s, and the
+verdict.  The caller only writes the pieces in the sorted order of the
+names, each, flushed, as soon as it and every piece before it are known, so
+the output is a serial run's and it streams by rows.  When a driver raises,
+the rows already written stay on stdout, and one that raises before its
+first row leaves nothing of its report.  One --name, one CPU or a platform
+without os.fork runs in the caller alone, through the same code.
 """
 
 from __future__ import annotations
@@ -333,41 +330,26 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-#: most processes ``verify --name all`` runs its drivers in.  Each process
-#: fills the caches of the drivers it takes for itself and adds its own
-#: memory, and two running processes each take more CPU time per driver
-#: than one alone, so more processes cost more CPU time and memory; two is
-#: the figure measured
-DRIVER_PROCESSES = 2
-
-
 def _run_drivers(names: list[str], report, write: Callable[[str], None]) -> bool:
-    """report(i, send) for each index i of names, in
-    distrib.processes(min(len(names), DRIVER_PROCESSES)) processes, the
-    caller and children forked by distrib.run_forked; returns whether every
+    """report(i, send) for each index i of names; returns whether every
     report passed.  report sends each piece of report i's text as (i, text,
     None) and the last as (i, text, ok), plain tuples, which marshal.  The
     caller writes each piece with write as soon as it and every piece
     before it, in the order of names, are known, so what write raises kills
-    and reaps the children.  Each report is a unit of work, but with more
-    than one process those of verify.EVEN_CENSUS_READERS are one, the
-    first.  Process i runs unit i first, so every process runs a driver
-    however the processes are scheduled; the other units wait in a pipe,
-    and each process takes the next, one byte at a time, whenever it is
-    free.  What report raises in the caller reaches the caller's caller as
-    it is; in a child, the driver's name is added, since the child sends
-    back only the text of what it raised."""
+    and reaps the child.  When names holds drivers of
+    verify.EVEN_CENSUS_READERS and others too, and distrib.processes(2)
+    gives two processes, the readers run in the caller and every other
+    driver in one child forked by distrib.run_forked; otherwise every
+    driver runs in the caller.  Each group runs in the order of names.
+    What report raises in the caller reaches the caller's caller as it is;
+    in the child, the driver's name is added, since the child sends back
+    only the text of what it raised."""
     from centroinv.distrib import processes, run_forked
     from centroinv.verify import EVEN_CENSUS_READERS
 
-    procs = processes(min(len(names), DRIVER_PROCESSES))
-    units = [[i] for i in range(len(names))]
-    if procs > 1:
-        readers = [i for i, name in enumerate(names) if name in EVEN_CENSUS_READERS]
-        units = [readers] + [[i] for i in range(len(names)) if i not in readers]
-    queue, write_end = os.pipe()
-    os.write(write_end, bytes(range(procs, len(units))))
-    os.close(write_end)
+    readers = [i for i, name in enumerate(names) if name in EVEN_CENSUS_READERS]
+    others = [i for i in range(len(names)) if i not in readers]
+    groups = [readers, others] if readers and others and processes(2) > 1 else [range(len(names))]
     pieces: list[list] = [[] for _ in names]  # the (text, ok) not yet written
     verdicts: list[bool] = []  # the ok of each report written whole
 
@@ -380,25 +362,17 @@ def _run_drivers(names: list[str], report, write: Callable[[str], None]) -> bool
             if ok is not None:
                 verdicts.append(ok)
 
-    def run(unit: int, in_caller: bool, send) -> None:
-        # units[unit], then each unit taken from the queue until it is empty
-        while True:
-            for index in units[unit]:
-                try:
-                    report(index, send)
-                except Exception as exc:
-                    if in_caller:
-                        raise
-                    what = f"{type(exc).__name__}: {exc}"
-                    raise RuntimeError(f"driver {names[index]} raised {what}") from exc
-            if not (taken := os.read(queue, 1)):
-                return
-            unit = taken[0]
+    def run(group, in_caller: bool, send) -> None:
+        for index in group:
+            try:
+                report(index, send)
+            except Exception as exc:
+                if in_caller:
+                    raise
+                what = f"{type(exc).__name__}: {exc}"
+                raise RuntimeError(f"driver {names[index]} raised {what}") from exc
 
-    try:
-        run_forked([partial(run, i, i == 0) for i in range(procs)], "process", receive)
-    finally:
-        os.close(queue)
+    run_forked([partial(run, g, i == 0) for i, g in enumerate(groups)], "process", receive)
     return all(verdicts)
 
 

@@ -32,11 +32,11 @@ carries a concrete counterexample.  Its row argument, if given, gets each
 size's result as soon as it is known, and report_text gives a report's text
 in pieces (head, row, separator, tail) that the CLI writes as they become
 known.  The registry key doubles as the CLI name.  ``verify --name all``
-runs the drivers in up to two processes (cli.DRIVER_PROCESSES, capped by
-distrib.processes) through distrib.run_forked, the one fork helper that
-also shards ``stats --jobs``; each process sends the caller its reports as
-pieces of text, messages of run_forked.  With two, the EVEN_CENSUS_READERS
-run in the caller alone and share its census.
+runs the drivers in at most two processes (as many as distrib.processes
+allows) through distrib.run_forked, the one fork helper that also shards
+``stats --jobs``; each process sends the caller its reports as pieces of
+text, messages of run_forked.  With two, the EVEN_CENSUS_READERS run in the
+caller and share its census, and one child runs every other driver.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ from centroinv.signed import TOP_PATTERNS, is_top_element, signed_pattern, theta
 RAW_LIMIT = 9
 
 #: the drivers that read kernels.census(2n) for n <= min(max_size, RAW_LIMIT).
-#: Each process caches its census; a runner that forks runs them in one process.
+#: Each process caches its census, so ``verify --name all`` runs exactly these
+#: in the caller and the other drivers in its one child.
 EVEN_CENSUS_READERS = frozenset({"T-cara", "T-desfull", "T-despoly", "T-majpoly"})
 
 

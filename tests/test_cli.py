@@ -646,10 +646,8 @@ def _masked(out: str) -> str:
 
 
 def test_verify_all_output_is_the_same_in_any_number_of_processes(capsys, monkeypatch, forks):
-    # 1, 2 and 4 CPUs, with the cap raised to 4: the caller alone, then with
-    # 1 and 3 children.  A failing driver shows in its row and in the exit
-    # code alike
-    monkeypatch.setattr(cli, "DRIVER_PROCESSES", 4)
+    # 1, 2 and 4 CPUs: the caller alone, then with one child at 2 and at 4.
+    # A failing driver shows in its row and in the exit code alike
     monkeypatch.setitem(THEOREMS, "T-recr", ("fails from size two on", 3,
                                              lambda n: None if n < 2 else "boom"))
     outputs = {}
@@ -665,27 +663,25 @@ def test_verify_all_output_is_the_same_in_any_number_of_processes(capsys, monkey
     assert (code, err) == (1, "")
     assert "# T-recr\nn\tstatus\tcounterexample\n0\tpass\t\n1\tpass\t\n2\tfail\tboom\n" in out
     assert [line[2:] for line in out.splitlines() if line.startswith("#")] == sorted(THEOREMS)
-    assert len(forks) == 4 * (0 + 1 + 3)
+    assert len(forks) == 4 * (0 + 1 + 1)
     assert_no_child_left()
 
 
 def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
-    set_cpus(monkeypatch, 4)
-    # two processes by default, however many CPUs the process may use
-    assert cli.DRIVER_PROCESSES == 2
-    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
-    assert len(forks) == 1
-    monkeypatch.setattr(cli, "DRIVER_PROCESSES", 3)
-    assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
-    assert len(forks) == 3
+    # one child, however many CPUs past the first the process may use
+    for cpus in (2, 4):
+        set_cpus(monkeypatch, cpus)
+        before = len(forks)
+        assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
+        assert len(forks) - before == 1, cpus
     # one driver runs in the caller, and a bad request forks nothing
     assert run(capsys, "verify", "--name", "T-cara", "--max-n", "1")[0] == 0
     assert run(capsys, "verify", "--name", "all", "--max-n", "-1") == (
         2, "", "error: max size must be non-negative (got -1)\n"
     )
-    assert len(forks) == 3
+    assert len(forks) == 2
     code, out, _ = run(capsys, "verify", "--name", "all", "--max-n", "1")
-    assert len(forks) == 5
+    assert len(forks) == 3
     # no os.fork: every driver runs in the caller, with the same output
     monkeypatch.delattr(os, "fork")
     assert run(capsys, "verify", "--name", "all", "--max-n", "1")[:2] == (code, out)
@@ -693,11 +689,11 @@ def test_verify_forks_one_child_per_extra_process(capsys, monkeypatch, forks):
 
 
 def test_even_census_walked_first_only_when_forking(capsys, monkeypatch, tmp_path):
-    # nothing is walked before the fork: at 2 CPUs the caller walks no
-    # census size before its first driver, T-cara, starts, and the four
-    # census readers run in the caller and in no other process.  At 1 CPU
-    # the drivers run in sorted order.  Each process appends its pid and
-    # each census walk or driver start to a file
+    # nothing is walked before the fork: at 2 and 4 CPUs the caller walks no
+    # census size before its first driver, T-cara, starts; it runs the four
+    # census readers and nothing else, and one child runs every other
+    # driver.  At 1 CPU the drivers run in sorted order.  Each process
+    # appends its pid and each census walk or driver start to a file
     log = tmp_path / "events"
     real = kernels.census.__wrapped__
 
@@ -713,16 +709,21 @@ def test_even_census_walked_first_only_when_forking(capsys, monkeypatch, tmp_pat
     monkeypatch.setattr(kernels, "census", census)
     monkeypatch.setattr(cli, "verify", before_verify(logged))
     runs = {}
-    for cpus in (2, 1):
+    for cpus in (2, 4, 1):
         census.cache_clear()
         log.write_text("")
         set_cpus(monkeypatch, cpus)
         assert run(capsys, "verify", "--name", "all", "--max-n", "1")[0] == 0
         runs[cpus] = [line.split(" ", 1) for line in log.read_text().splitlines()]
     caller = str(os.getpid())
-    assert [event for pid, event in runs[2] if pid == caller][0] == "T-cara"
-    assert {pid for pid, event in runs[2] if event in EVEN_CENSUS_READERS} == {caller}
-    assert {event for pid, event in runs[2] if pid == caller} >= EVEN_CENSUS_READERS
+    for cpus in (2, 4):
+        drivers = [(pid, event) for pid, event in runs[cpus] if event in THEOREMS]
+        assert [event for pid, event in runs[cpus] if pid == caller][0] == "T-cara"
+        assert {event for pid, event in drivers if pid == caller} == EVEN_CENSUS_READERS
+        assert len({pid for pid, event in drivers if pid != caller}) == 1, cpus
+        assert [event for pid, event in drivers if pid != caller] == sorted(
+            THEOREMS.keys() - EVEN_CENSUS_READERS
+        )
     assert [event for _, event in runs[1] if event in THEOREMS] == sorted(THEOREMS)
     assert_no_child_left()
 
@@ -850,8 +851,8 @@ def test_caller_second_driver_sees_the_first_report_alone(capsys, monkeypatch):
 
 def test_each_process_starts_on_its_own_driver(capsys, monkeypatch, tmp_path):
     # at 2 CPUs the caller starts with T-cara and the child with T-cor1.  The
-    # caller waits a little after each fork, which under one shared queue
-    # would let the child take T-cara first
+    # caller waits a little after each fork; the drivers were split before
+    # it, so the child still cannot start on the caller's
     set_cpus(monkeypatch, 2)
     fork = os.fork
 
@@ -1015,10 +1016,9 @@ def test_child_ended_mid_stream_keeps_the_rows_written(capsys, monkeypatch, how)
 def test_streamed_output_equals_the_joined_reports(capsys, monkeypatch, tmp_path, fmt):
     # what streams out is, byte for byte, the reports the drivers returned,
     # each as one whole text: for --name all and one --name, at 1, 2 and 4
-    # CPUs (with the cap raised to 4).  Every process appends each report it
-    # makes to a file, as JSON, which reads its floats back exactly.  T-recr
-    # fails with a counterexample that json.dumps escapes
-    monkeypatch.setattr(cli, "DRIVER_PROCESSES", 4)
+    # CPUs.  Every process appends each report it makes to a file, as JSON,
+    # which reads its floats back exactly.  T-recr fails with a
+    # counterexample that json.dumps escapes
     monkeypatch.setitem(THEOREMS, "T-recr", ("fails from size two on", 3,
                                              lambda n: None if n < 2 else 'a "b" \\ \t é'))
     log = tmp_path / "reports"
@@ -1150,6 +1150,19 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def children_of(pid: int, timeout: float = 60) -> list[int]:
+    """The pids of the children of process pid, read from
+    /proc/<pid>/task/<pid>/children once it lists any, within timeout
+    seconds; fails if none was forked by then."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/task/{pid}/children") as listed:
+            if children := [int(child) for child in listed.read().split()]:
+                return children
+        time.sleep(0.01)
+    pytest.fail("no child was forked")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc/<pid>/task")
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
 @pytest.mark.parametrize(
@@ -1172,12 +1185,7 @@ def test_signal_to_the_caller_ends_its_child(argv, signum):
     children = []
     with proc.stderr:
         try:
-            deadline = time.monotonic() + 60
-            while not children and time.monotonic() < deadline:
-                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as listed:
-                    children = [int(pid) for pid in listed.read().split()]
-                time.sleep(0.01)
-            assert children, "no child was forked"
+            children = children_of(proc.pid)
             proc.send_signal(signum)
             code = proc.wait(timeout=60)
             deadline = time.monotonic() + 1
@@ -1193,14 +1201,18 @@ def test_signal_to_the_caller_ends_its_child(argv, signum):
     assert (code, err, left) == (128 + signum, b"", [])
 
 
-#: the start of a setup of TWO_CPU_CLI: slept(fn) is fn, but sleeps a minute
-#: first when a child calls it
-SLEEP_IN_CHILD = (
-    "import time\n"
-    "caller = os.getpid()\n"
-    "def slept(fn):\n"
-    "    return lambda *args: (os.getpid() != caller and time.sleep(60)) or fn(*args)\n"
-)
+def sleep_in_child(started: Path) -> str:
+    """The start of a setup of TWO_CPU_CLI: slept(fn) is fn, but when a
+    child calls it, it first makes the file started and sleeps a minute."""
+    return (
+        "import time\n"
+        "caller = os.getpid()\n"
+        "def sleep():\n"
+        f"    open({str(started)!r}, 'w').close()\n"
+        "    time.sleep(60)\n"
+        "def slept(fn):\n"
+        "    return lambda *args: (os.getpid() != caller and sleep()) or fn(*args)\n"
+    )
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc/<pid>/task")
@@ -1214,11 +1226,11 @@ SLEEP_IN_CHILD = (
             "stats['maj'] = slept(stats['maj'])\n",
             "shard",
         ),
-        # the caller runs every driver but the child's first, T-cor1, before
-        # it reads the child's pipe to its end, so they run to their default
-        # sizes: at --max-n 11, T-sixpat would run for hours
+        # the caller runs only the census readers, which take well under a
+        # second at --max-n 11, before it reads the child's pipe to its end;
+        # T-sixpat, which would run for hours there, is the child's
         (
-            ["verify", "--name", "all"],
+            ["verify", "--name", "all", "--max-n", "11"],
             "from centroinv.verify import THEOREMS\n"
             "text, default_max, fn = THEOREMS['T-cor1']\n"
             "THEOREMS['T-cor1'] = (text, default_max, slept(fn))\n",
@@ -1227,29 +1239,29 @@ SLEEP_IN_CHILD = (
     ],
     ids=["stats", "verify-all"],
 )
-def test_signal_to_a_child_alone_exits_70(argv, setup, part):
-    # SIGTERM to the child alone, which sleeps in its work: the caller says
-    # which part ended without a result in one line, exits 70 and leaves no
-    # child
+def test_signal_to_a_child_alone_exits_70(argv, setup, part, tmp_path):
+    # SIGTERM to the child alone once it sleeps in its work, where it takes
+    # the default action (a signal the child gets before the interpreter has
+    # finished forking is dropped): the caller says which part ended without
+    # a result in one line, exits 70 and leaves no child
+    started = tmp_path / "started"
     children = []
 
     def signal_the_child(proc):
+        children.extend(children_of(proc.pid))
         deadline = time.monotonic() + 60
-        while not children and time.monotonic() < deadline:
-            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as listed:
-                children.extend(int(pid) for pid in listed.read().split())
+        while not started.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert children, "no child was forked"
         os.kill(children[0], signal.SIGTERM)
 
     try:
-        _, err = fails_plainly(argv, cli.EXIT_CHILD_FAILED, SLEEP_IN_CHILD + setup, signal_the_child)
+        _, err = fails_plainly(
+            argv, cli.EXIT_CHILD_FAILED, sleep_in_child(started) + setup, signal_the_child
+        )
     finally:
         for pid in filter(_alive, children):
             os.kill(pid, signal.SIGKILL)
-    # a child signalled before it restores the default action fails with
-    # SystemExit instead
-    assert err.startswith(f"error: {part} 1 of 2 "), err
+    assert err == f"error: {part} 1 of 2 ended without a result\n", err
     assert not any(map(_alive, children))
 
 
