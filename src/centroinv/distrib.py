@@ -41,7 +41,6 @@ import marshal
 import os
 import sys
 from collections import Counter
-from functools import partial
 from typing import Callable, NamedTuple
 
 from centroinv import generate
@@ -137,12 +136,14 @@ def run_forked(
     send(message) hands message to receive(i, message) here: at once from
     the caller's own work, and from child i's as one frame over its pipe,
     which the caller reads without blocking whenever its own work sends,
-    and with select to end of file once its own work has returned.  So each
-    process's messages reach receive in the order it sent them.  The
-    children are checked in order, each once its pipe ends: one that fails
-    raises RuntimeError "<part> <i> of <len(work)> failed: <ExcType>:
-    <message>" here, and one whose pipe ends without a whole end frame
-    "<part> <i> of <len(work)> ended without a result".  Every child is
+    and with select once its own work has returned, until every child has
+    ended.  So each process's messages reach receive in the order it sent
+    them.  A child is settled where its pipe is read, so at the caller's
+    next send after it ends: its end frame (True, None) settles it, one
+    that fails raises RuntimeError "<part> <i> of <len(work)> failed:
+    <ExcType>: <message>" here, and one whose pipe ends without a whole end
+    frame "<part> <i> of <len(work)> ended without a result"; of several
+    that fail, the first read is the one raised.  Every child is
     reaped before this returns or raises; on failure the children still
     running are killed first.  While there are children, SIGTERM and SIGHUP
     raise SystemExit(128 + the signal number) here, so that they take that
@@ -158,22 +159,23 @@ def run_forked(
                 handlers[signum] = signal.signal(signum, lambda n, frame: sys.exit(128 + n))
         for i in range(1, len(work)):
             children.append(_fork(work[i]))
-        open_fds = {fd: i for i, (_, fd) in enumerate(children, 1)}  # until end of file
-        buffers = {fd: bytearray() for fd in open_fds}
-        ends = {}
+        # each child not yet settled: its index, and the bytes of its pipe
+        # not yet decoded
+        pending = {fd: (i, bytearray()) for i, (_, fd) in enumerate(children, 1)}
 
         def read(timeout: float | None) -> None:
-            # read once from each pipe readable within timeout seconds (None
-            # waits until one is) and decode every frame now whole; a frame
-            # cut short stays in its buffer
+            # read once from each pending pipe readable within timeout seconds
+            # (None waits until one is) and decode every frame now whole; a
+            # frame cut short stays in its buffer.  A child is settled here:
+            # its end frame takes it out of pending or raises, and a pipe that
+            # ends while it is still pending raises
             from select import select
 
-            for fd in select(list(open_fds), [], [], timeout)[0]:
+            for fd in select(list(pending), [], [], timeout)[0]:
+                i, buffer = pending[fd]
                 chunk = os.read(fd, 1 << 16)
                 if not chunk:
-                    del open_fds[fd]
-                    continue
-                buffer = buffers[fd]
+                    raise RuntimeError(f"{part} {i} of {len(work)} ended without a result")
                 buffer += chunk
                 while len(buffer) >= _PREFIX:
                     end = _PREFIX + int.from_bytes(buffer[:_PREFIX], "little")
@@ -182,24 +184,20 @@ def run_forked(
                     ok, payload = marshal.loads(buffer[_PREFIX:end])
                     del buffer[:end]
                     if ok is None:
-                        receive(open_fds[fd], payload)
+                        receive(i, payload)
+                    elif ok:
+                        del pending[fd]
                     else:
-                        ends[fd] = ok, payload
+                        raise RuntimeError(f"{part} {i} of {len(work)} failed: {payload}")
 
         def send(message: object) -> None:
             receive(0, message)
-            if open_fds:
+            if pending:
                 read(0)
 
         work[0](send)
-        for i, (_, fd) in enumerate(children, 1):
-            while fd in open_fds:
-                read(None)
-            if fd not in ends:
-                raise RuntimeError(f"{part} {i} of {len(work)} ended without a result")
-            ok, failure = ends[fd]
-            if not ok:
-                raise RuntimeError(f"{part} {i} of {len(work)} failed: {failure}")
+        while pending:
+            read(None)
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -212,18 +210,18 @@ def run_forked(
             os.waitpid(pid, 0)
 
 
-def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable[[], Counter]]:
-    """Zero-argument callables that return tallies: one, the class's block
+def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable]:
+    """run_forked work that sends tallies as dicts: one, the class's block
     tally of stat at size, where it has one, else for each of the jobs
-    shards the Counter of the evaluator over its shard stream.  A stream is
+    shards the counts of the evaluator over its shard stream.  A stream is
     made first either way: that checks the request and builds nothing, so a
     bad one fails here, before any fork."""
     tally = generate.object_class(label).tallies.get(stat)
     if tally is not None:
         generate.generate_class(label, size)
-        return [partial(tally, size)]
+        return [lambda send: send(dict(tally(size)))]
     streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
-    return [partial(Counter, map(fn, stream)) for stream in streams]
+    return [lambda send, stream=stream: send(dict(Counter(map(fn, stream)))) for stream in streams]
 
 
 def distribution(
@@ -237,11 +235,9 @@ def distribution(
     fn = stat_function(label, stat)
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    work = _shard_work(label, size, stat, fn, processes(jobs))
     tally = Counter()
-    # a Counter does not marshal; the dict of its counts does
     run_forked(
-        [lambda send, w=w: send(dict(w())) for w in work], "shard", lambda i, c: tally.update(c)
+        _shard_work(label, size, stat, fn, processes(jobs)), "shard", lambda i, c: tally.update(c)
     )
     poly = tally_poly(tally)
     return DistributionTable(label, size, stat, poly, peval(poly, 1))

@@ -277,18 +277,18 @@ def test_even_low_table_built_once_per_distribution(monkeypatch):
 
 
 def _patch_shards(monkeypatch, child=None, caller=None):
-    """Wrap the shard work distribution makes: the work of shard 0 runs
-    caller first, the work of a shard >= 1 runs child first, and a missing
-    hook runs the real work alone.  The work is made before the fork, so
+    """Wrap the shard work distribution makes, which takes send: the work of
+    shard 0 runs caller first, the work of a shard >= 1 runs child first,
+    and a missing hook runs the real work alone.  The work is made before the fork, so
     each forked child runs its wrapped work.  The process may run on 4
     CPUs, so up to 4 shards run."""
     real = distrib._shard_work
 
     def hooked(hook, work):
-        def wrapped():
+        def wrapped(send):
             if hook is not None:
                 hook()
-            return work()
+            return work(send)
 
         return wrapped
 
@@ -307,8 +307,9 @@ def boom():
 # the fork-protocol tests run a streamed class: inv321 8 has 8 outer steps,
 # so each of up to 4 shards reads a stream of its own
 def test_failed_shard_reaches_the_caller(monkeypatch):
+    # both children fail; the caller raises the failure it reads first
     _patch_shards(monkeypatch, child=boom)
-    with pytest.raises(RuntimeError, match="shard 1 of 3 failed: ValueError: boom"):
+    with pytest.raises(RuntimeError, match="^shard [12] of 3 failed: ValueError: boom$"):
         distribution("inv321", 8, "maj", jobs=3)
     assert_no_child_left()
 
