@@ -11,28 +11,33 @@ tallies, read through subset_path and subset_involution), the caller runs
 it whole, whatever jobs asks for: a tally takes milliseconds, less than a
 fork costs.  Otherwise the class is split into jobs shards by the one
 shard rule of the generators (see centroinv.generate), and each shard's
-work is a zero-argument callable that counts the evaluator over its shard
-stream.  Every stream is made first, which checks the request and builds
-nothing, before any child is forked.  The caller runs the work of shard 0
-itself and the work of shards 1 to jobs - 1 (none for one job) in
-children, through run_forked, the package's one fork helper, which also
-runs the drivers of ``verify --name all``.  It calls every piece of work
-with a send function, the one way work hands data to the caller, and
-makes each child with os.fork.  A child's pipe carries frames, each a
-length and then that many bytes of marshal data: (None, message) for each
-message its work sends, which the caller hands to a receive callback as it
-reads them, and last the end frame, (True, None) or (False, the text of
-what the work raised); then the child leaves with os._exit.  A frame cut
-short is never decoded, and a pipe that ends without a whole end frame
-means the child ended without a result.  Every shard, shard 0 too, sends
-its tally as a dict, and the caller adds the tallies up; tally addition
-is commutative, so a sharded run is byte-identical to a serial one.  While
-it has children, a SIGTERM or SIGHUP to the caller kills and reaps them,
-then ends it with exit status 128 + the signal number.  processes(jobs)
-caps jobs at the CPUs this process may run on, and at 1 on a platform
-without os.fork, which then runs serially; ``verify --name all`` sizes its
-processes by the same rule.  The package starts no threads, so forking the
-caller is safe.
+work counts the evaluator over its shard stream and sends the dict of its
+counts every CHUNK objects.  Every stream is made first, which checks the
+request and builds nothing, before any child is forked.  The caller runs
+the work of shard 0 itself and the work of shards 1 to jobs - 1 (none for
+one job) in children, through run_forked, the package's one fork helper,
+which also runs the drivers of ``verify --name all``.  It calls every
+piece of work with a send function, the one way work hands data to the
+caller, and makes each child with os.fork.  A child's pipe carries
+frames, each a length and then that many bytes of marshal data: (None,
+message) for each message its work sends, which the caller hands to a
+receive callback as it reads them, and last the end frame, (True, None)
+or (False, the text of what the work raised); then the child leaves with
+os._exit.  A frame cut short is never decoded, and a pipe that ends
+without a whole end frame means the child ended without a result.  The
+caller reads the pipes whenever its own work sends, so a child that
+failed or ended fails the run at the caller's next send, within CHUNK
+objects of its own for a shard.  Every shard, shard 0 too, sends its
+tally as dicts, and the caller adds them up as they come; tally addition
+is commutative, so a sharded run is byte-identical to a serial one.
+While it has children, a SIGTERM or SIGHUP to the caller kills and reaps
+them, then ends it with exit status 128 + the signal number; both are
+blocked while the children are forked, so one that comes meanwhile waits
+until every child can be killed, and in a child it takes the default
+action.  processes(jobs) caps jobs at the CPUs this process may run on,
+and at 1 on a platform without os.fork, which then runs serially;
+``verify --name all`` sizes its processes by the same rule.  The package
+starts no threads, so forking the caller is safe.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import marshal
 import os
 import sys
 from collections import Counter
+from functools import partial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from centroinv import generate
@@ -92,12 +99,14 @@ def _write_frame(fd: int, value: object) -> None:
         frame = frame[os.write(fd, frame):]
 
 
-def _fork(work: Callable[[Callable[[object], None]], object]) -> tuple[int, int]:
+def _fork(work: Callable[[Callable[[object], None]], object], mask: set) -> tuple[int, int]:
     """Start a child that runs work(send); returns its pid and the read end
     of the pipe that carries the child's frames: (None, message) for each
     send(message), then the end frame, (True, None) once work has returned
     or (False, "<ExcType>: <message>") if it raised.  What work returns is
-    dropped.  The child takes the default action on SIGTERM and SIGHUP."""
+    dropped.  The child sets SIGTERM and SIGHUP, which run_forked blocks
+    around this, to the default action, and only then restores the signal
+    mask to mask, so that one sent since the fork, held pending, takes it."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -115,6 +124,7 @@ def _fork(work: Callable[[Callable[[object], None]], object]) -> tuple[int, int]
 
         for signum in (signal.SIGTERM, signal.SIGHUP):
             signal.signal(signum, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(read_fd)
         try:
             work(lambda message: _write_frame(write_fd, (None, message)))
@@ -143,11 +153,12 @@ def run_forked(
     that fails raises RuntimeError "<part> <i> of <len(work)> failed:
     <ExcType>: <message>" here, and one whose pipe ends without a whole end
     frame "<part> <i> of <len(work)> ended without a result"; of several
-    that fail, the first read is the one raised.  Every child is
-    reaped before this returns or raises; on failure the children still
-    running are killed first.  While there are children, SIGTERM and SIGHUP
-    raise SystemExit(128 + the signal number) here, so that they take that
-    path too, and their handlers are restored before this returns; Python
+    that fail, the first read is the one raised.  Every child is reaped
+    before this returns or raises; on failure the children still running
+    are killed first.  While there are children, SIGTERM and SIGHUP raise
+    SystemExit(128 + the signal number) here, so that they take that path
+    too; both are blocked from the first fork until every child is
+    recorded, and their handlers are restored before this returns.  Python
     sets handlers in the main thread only, so forking must start there."""
     children: list[tuple[int, int]] = []
     handlers = {}
@@ -157,8 +168,14 @@ def run_forked(
 
             for signum in (signal.SIGTERM, signal.SIGHUP):
                 handlers[signum] = signal.signal(signum, lambda n, frame: sys.exit(128 + n))
-        for i in range(1, len(work)):
-            children.append(_fork(work[i]))
+            # a signal from the first fork until every child is recorded is
+            # held pending, so it raises only once all of them can be killed
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, handlers)
+            try:
+                for i in range(1, len(work)):
+                    children.append(_fork(work[i], mask))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # each child not yet settled: its index, and the bytes of its pipe
         # not yet decoded
         pending = {fd: (i, bytearray()) for i, (_, fd) in enumerate(children, 1)}
@@ -210,18 +227,28 @@ def run_forked(
             os.waitpid(pid, 0)
 
 
+#: objects a streamed shard counts between two sends of its counts
+CHUNK = 1 << 12
+
+
 def _shard_work(label: str, size: int, stat: str, fn, jobs: int) -> list[Callable]:
     """run_forked work that sends tallies as dicts: one, the class's block
-    tally of stat at size, where it has one, else for each of the jobs
-    shards the counts of the evaluator over its shard stream.  A stream is
-    made first either way: that checks the request and builds nothing, so a
-    bad one fails here, before any fork."""
+    tally of stat at size, sent once, where it has one, else for each of
+    the jobs shards the counts of the evaluator over its shard stream, sent
+    every CHUNK objects.  A stream is made first either way: that checks
+    the request and builds nothing, so a bad one fails here, before any
+    fork."""
     tally = generate.object_class(label).tallies.get(stat)
     if tally is not None:
         generate.generate_class(label, size)
         return [lambda send: send(dict(tally(size)))]
-    streams = [generate.generate_class(label, size, s, jobs) for s in range(jobs)]
-    return [lambda send, stream=stream: send(dict(Counter(map(fn, stream)))) for stream in streams]
+
+    def counted(stream, send) -> None:
+        values = map(fn, stream)
+        while counts := Counter(islice(values, CHUNK)):
+            send(dict(counts))
+
+    return [partial(counted, generate.generate_class(label, size, s, jobs)) for s in range(jobs)]
 
 
 def distribution(

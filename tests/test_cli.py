@@ -1211,68 +1211,121 @@ def test_signal_to_the_caller_ends_its_child(argv, signum):
     assert (code, err, left) == (128 + signum, b"", [])
 
 
-def sleep_in_child(started: Path) -> str:
-    """The start of a setup of TWO_CPU_CLI: slept(fn) is fn, but when a
-    child calls it, it first makes the file started and sleeps a minute."""
-    return (
-        "import time\n"
-        "caller = os.getpid()\n"
-        "def sleep():\n"
-        f"    open({str(started)!r}, 'w').close()\n"
-        "    time.sleep(60)\n"
-        "def slept(fn):\n"
-        "    return lambda *args: (os.getpid() != caller and sleep()) or fn(*args)\n"
-    )
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc/<pid>/task")
 @pytest.mark.parametrize(
-    "argv, setup, part",
+    "argv, part",
     [
-        (
-            ["stats", "--class", "inv321", "--size", "14", "--stat", "maj", "--jobs", "2"],
-            "from centroinv.generate import CLASSES\n"
-            "stats = CLASSES['inv321'].stats\n"
-            "stats['maj'] = slept(stats['maj'])\n",
-            "shard",
-        ),
+        # each shard of inv321 22 takes seconds, and sends its counts as it
+        # goes, so the caller is at its own shard when the child ends
+        (["stats", "--class", "inv321", "--size", "22", "--stat", "maj", "--jobs", "2"], "shard"),
         # the caller runs only the census readers, which take well under a
-        # second at --max-n 11, before it reads the child's pipe to its end;
-        # T-sixpat, which would run for hours there, is the child's
-        (
-            ["verify", "--name", "all", "--max-n", "11"],
-            "from centroinv.verify import THEOREMS\n"
-            "text, default_max, fn = THEOREMS['T-cor1']\n"
-            "THEOREMS['T-cor1'] = (text, default_max, slept(fn))\n",
-            "process",
-        ),
+        # second at --max-n 11; T-sixpat, which would run for hours there,
+        # is the child's
+        (["verify", "--name", "all", "--max-n", "11"], "process"),
     ],
     ids=["stats", "verify-all"],
 )
-def test_signal_to_a_child_alone_exits_70(argv, setup, part, tmp_path):
-    # SIGTERM to the child alone once it sleeps in its work, where it takes
-    # the default action (a signal the child gets before the interpreter has
-    # finished forking is dropped): the caller says which part ended without
-    # a result in one line, exits 70 and leaves no child
-    started = tmp_path / "started"
+def test_signal_to_a_child_alone_exits_70(argv, part):
+    # SIGTERM to the child alone as soon as it is forked, where it takes the
+    # default action: within a second the caller says which part ended
+    # without a result in one line, exits 70 and leaves no child
     children = []
+    signalled = []
 
     def signal_the_child(proc):
         children.extend(children_of(proc.pid))
-        deadline = time.monotonic() + 60
-        while not started.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
         os.kill(children[0], signal.SIGTERM)
+        signalled.append(time.monotonic())
 
     try:
-        _, err = fails_plainly(
-            argv, cli.EXIT_CHILD_FAILED, sleep_in_child(started) + setup, signal_the_child
-        )
+        _, err = fails_plainly(argv, cli.EXIT_CHILD_FAILED, during=signal_the_child)
+        ended = time.monotonic()
     finally:
         for pid in filter(_alive, children):
             os.kill(pid, signal.SIGKILL)
     assert err == f"error: {part} 1 of 2 ended without a result\n", err
+    assert ended - signalled[0] < 1
     assert not any(map(_alive, children))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc/<pid>/task")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+def test_signal_as_the_fork_returns_ends_the_child(signum, tmp_path):
+    # the caller signals itself the moment os.fork returns, before the child
+    # is recorded: it must still kill and reap that child, then exit
+    # 128 + signum with nothing on stderr.  The child sleeps first, so that
+    # only the caller can end it in time (a child left alone would end at
+    # its first send, into a pipe nobody reads)
+    forked = tmp_path / "forked"
+    setup = (
+        "import time\n"
+        "fork = os.fork\n"
+        "def signalled():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        f"        open({str(forked)!r}, 'w').write(str(pid))\n"
+        f"        os.kill(os.getpid(), {int(signum)})\n"
+        "    else:\n"
+        "        time.sleep(60)\n"
+        "    return pid\n"
+        "os.fork = signalled\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", TWO_CPU_CLI.format(setup=setup),
+         "stats", "--class", "inv321", "--size", "26", "--stat", "maj", "--jobs", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=CHILD_ENV,
+    )
+    child = None
+    with proc.stderr:
+        try:
+            code = proc.wait(timeout=60)
+            child = int(forked.read_text())
+            deadline = time.monotonic() + 1
+            while _alive(child) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            left = _alive(child)
+        finally:
+            proc.kill()
+            proc.wait()
+            if child is not None and _alive(child):
+                os.kill(child, signal.SIGKILL)
+        err = proc.stderr.read()
+    assert (code, err, left) == (128 + signum, b"", False)
+
+
+def test_signal_to_a_child_as_the_fork_returns_ends_it(tmp_path):
+    # the caller sends SIGTERM to the child the moment os.fork returns, and
+    # the child goes on past the fork only once it has been sent: the child
+    # must take the default action, not lose the signal or run the
+    # caller's handler, and the caller must then exit 70
+    waited = tmp_path / "waited"
+    setup = (
+        "import signal\n"
+        "fork, waitpid = os.fork, os.waitpid\n"
+        "def signalled():\n"
+        "    sent, go = os.pipe()\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        os.kill(pid, signal.SIGTERM)\n"
+        "        os.write(go, b'x')\n"
+        "    else:\n"
+        "        os.read(sent, 1)\n"
+        "    os.close(sent)\n"
+        "    os.close(go)\n"
+        "    return pid\n"
+        "def logged(pid, options):\n"
+        "    got = waitpid(pid, options)\n"
+        f"    open({str(waited)!r}, 'a').write(f'{{got[1]}}\\n')\n"
+        "    return got\n"
+        "os.fork, os.waitpid = signalled, logged\n"
+    )
+    _, err = fails_plainly(
+        ["stats", "--class", "inv321", "--size", "20", "--stat", "maj", "--jobs", "2"],
+        cli.EXIT_CHILD_FAILED, setup,
+    )
+    assert err == "error: shard 1 of 2 ended without a result\n"
+    [status] = map(int, waited.read_text().split())
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGTERM, status
 
 
 @pytest.mark.parametrize(

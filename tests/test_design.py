@@ -125,6 +125,17 @@ def test_census_imports_nothing_from_the_package():
     assert not [name for name in imported if name.startswith(("centroinv", "."))]
 
 
+def test_forks_and_signal_masks_only_in_distrib():
+    # distrib.run_forked is the one fork helper: it alone forks, and it
+    # blocks SIGTERM and SIGHUP around its forks; no other module does either
+    found = {"os.fork": set(), "signal.pthread_sigmask": set()}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in found:
+                found[ast.unparse(node)].add(path.name)
+    assert found == {"os.fork": {"distrib.py"}, "signal.pthread_sigmask": {"distrib.py"}}
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # no command needs multiprocessing (a sharded run forks plain children);
     # a fresh interpreter shows what importing the CLI alone loads

@@ -279,9 +279,9 @@ def test_even_low_table_built_once_per_distribution(monkeypatch):
 def _patch_shards(monkeypatch, child=None, caller=None):
     """Wrap the shard work distribution makes, which takes send: the work of
     shard 0 runs caller first, the work of a shard >= 1 runs child first,
-    and a missing hook runs the real work alone.  The work is made before the fork, so
-    each forked child runs its wrapped work.  The process may run on 4
-    CPUs, so up to 4 shards run."""
+    and a missing hook runs the real work alone.  The work is made before
+    the fork, so each forked child runs its wrapped work.  The process may
+    run on 4 CPUs, so up to 4 shards run."""
     real = distrib._shard_work
 
     def hooked(hook, work):
